@@ -13,6 +13,11 @@ Node kinds and their order rank:
             < PSeries < Relational < List < Matrix
 
 Symbols order by creation serial, not by name.
+
+A new node kind is registered in four places: its class (with a kind
+rank), compare, _render, and the child helpers _children and _rewrite,
+which give every tree walker (subs, expand, evalf, free_symbols,
+normal) its children and its canonical rebuild.
 """
 
 from __future__ import annotations
@@ -714,6 +719,82 @@ def apply_function(fdef, args) -> Expr:
     return FunctionApp(fdef, args)
 
 
+# ------------------------------------------------------------ tree walking
+
+
+def _children(x: Expr):
+    """The subexpressions of x, in a fixed order per kind; () for atoms."""
+    t = type(x)
+    if t is Numeric or t is Symbol or t is Constant:
+        return ()
+    if t is Add or t is Mul:
+        return [r for r, _ in x.pairs]
+    if t is Power:
+        return (x.base, x.exponent)
+    if t is FunctionApp:
+        return x.args
+    if t is PSeriesNode:
+        return (x.var, x.point, *(c for c, _ in x.terms))
+    if t is Relational:
+        return (x.lhs, x.rhs)
+    if t is ExprList:
+        return x.items
+    if t is MatrixNode:
+        return x.entries
+    raise DomainError(f"cannot walk {t.__name__}")
+
+
+def _rewrite(e: Expr, rule) -> Expr:
+    """Memoized bottom-up rewrite of e.
+
+    rule(x, walk) returns the image of x, or None to rebuild x canonically
+    from walk applied to its children; an atom rebuilds as itself.  walk
+    may also be given nodes built on the fly, so every walked node stays
+    referenced until the rewrite ends: the memo is keyed by id.
+    """
+    cache: dict[int, Expr] = {}
+    keep = []
+
+    def walk(x: Expr) -> Expr:
+        got = cache.get(id(x))
+        if got is not None:
+            return got
+        out = rule(x, walk)
+        if out is None:
+            kids = [walk(c) for c in _children(x)]
+            t = type(x)
+            if t is Add:
+                out = _add_terms(
+                    [Numeric(x.coeff)]
+                    + [_scaled_expr(c, k) for c, (_, k) in zip(kids, x.pairs)]
+                )
+            elif t is Mul:
+                out = _mul_factors(
+                    [Numeric(x.coeff)]
+                    + [power(c, Numeric(k)) for c, (_, k) in zip(kids, x.pairs)]
+                )
+            elif t is Power:
+                out = power(*kids)
+            elif t is FunctionApp:
+                out = apply_function(x.fdef, kids)
+            elif t is PSeriesNode:
+                terms = [(c, k) for c, (_, k) in zip(kids[2:], x.terms)]
+                out = pseries(kids[0], kids[1], terms, x.order)
+            elif t is Relational:
+                out = Relational(kids[0], kids[1], x.op)
+            elif t is ExprList:
+                out = ExprList(kids)
+            elif t is MatrixNode:
+                out = MatrixNode(x.rows, x.cols, kids)
+            else:
+                out = x
+        cache[id(x)] = out
+        keep.append(x)
+        return out
+
+    return walk(e)
+
+
 # ------------------------------------------------------------- substitution
 
 
@@ -744,48 +825,17 @@ def subs(e: Expr, bindings) -> Expr:
     table = _normalize_bindings(bindings)
     if not table:
         return e
-    cache: dict[int, Expr] = {}
 
-    def walk(x: Expr) -> Expr:
-        got = cache.get(id(x))
-        if got is not None:
-            return got
+    def rule(x: Expr, walk):
         t = type(x)
         if t is Symbol:
             pair = table.get(x.serial)
-            out = x if pair is None else pair[1]
-        elif t is Numeric or t is Constant:
-            out = x
-        elif t is Add:
-            out = _add_terms(
-                [Numeric(x.coeff)]
-                + [_scaled_expr(walk(r), k) for r, k in x.pairs]
-            )
-        elif t is Mul:
-            out = _mul_factors(
-                [Numeric(x.coeff)]
-                + [power(walk(r), Numeric(k)) for r, k in x.pairs]
-            )
-        elif t is Power:
-            out = power(walk(x.base), walk(x.exponent))
-        elif t is FunctionApp:
-            out = apply_function(x.fdef, [walk(a) for a in x.args])
-        elif t is PSeriesNode:
-            if x.var.serial in table:
-                raise UnsupportedPatternError("cannot substitute a series variable")
-            out = pseries(x.var, walk(x.point), [(walk(c), k) for c, k in x.terms], x.order)
-        elif t is Relational:
-            out = Relational(walk(x.lhs), walk(x.rhs), x.op)
-        elif t is ExprList:
-            out = ExprList([walk(a) for a in x.items])
-        elif t is MatrixNode:
-            out = MatrixNode(x.rows, x.cols, [walk(a) for a in x.entries])
-        else:
-            raise DomainError(f"cannot substitute into {t.__name__}")
-        cache[id(x)] = out
-        return out
+            return None if pair is None else pair[1]
+        if t is PSeriesNode and x.var.serial in table:
+            raise UnsupportedPatternError("cannot substitute a series variable")
+        return None
 
-    return walk(e)
+    return _rewrite(e, rule)
 
 
 def _scaled_expr(r: Expr, k: Number) -> Expr:
@@ -871,58 +921,31 @@ def _diff1(e: Expr, x: Symbol) -> Expr:
 
 
 def expand(e: Expr) -> Expr:
-    cache: dict[int, Expr] = {}
+    return _rewrite(e, _expand_rule)
 
-    def walk(x: Expr) -> Expr:
-        got = cache.get(id(x))
-        if got is not None:
-            return got
-        t = type(x)
-        if t in (Numeric, Symbol, Constant):
-            out = x
-        elif t is Add:
-            out = _add_terms(
-                [Numeric(x.coeff)] + [_scaled_expr(walk(r), k) for r, k in x.pairs]
-            )
-        elif t is Mul:
-            termlists = [[Numeric(x.coeff)]]
-            for r, k in x.pairs:
-                termlists.append(_expand_power_terms(walk(r), k))
-            acc = termlists[0]
-            for tl in termlists[1:]:
-                if len(tl) == 1:
-                    acc = [_mul_factors([a, tl[0]]) for a in acc]
-                else:
-                    acc = [_mul_factors([a, b]) for a in acc for b in tl]
-            out = _add_terms(acc)
-        elif t is Power:
-            base = walk(x.base)
-            exponent = walk(x.exponent)
-            if (
-                type(exponent) is Numeric
-                and exponent.value.is_integer()
-                and exponent.value.val > 1
-                and type(base) is Add
-            ):
-                out = _add_terms(_expand_power_terms(base, exponent.value))
+
+def _expand_rule(x: Expr, walk):
+    t = type(x)
+    if t is Mul:
+        acc = [Numeric(x.coeff)]
+        for r, k in x.pairs:
+            tl = _expand_power_terms(walk(r), k)
+            if len(tl) == 1:
+                acc = [_mul_factors([a, tl[0]]) for a in acc]
             else:
-                out = power(base, exponent)
-        elif t is FunctionApp:
-            out = apply_function(x.fdef, [walk(a) for a in x.args])
-        elif t is PSeriesNode:
-            out = pseries(x.var, walk(x.point), [(walk(c), k) for c, k in x.terms], x.order)
-        elif t is Relational:
-            out = Relational(walk(x.lhs), walk(x.rhs), x.op)
-        elif t is ExprList:
-            out = ExprList([walk(a) for a in x.items])
-        elif t is MatrixNode:
-            out = MatrixNode(x.rows, x.cols, [walk(a) for a in x.entries])
-        else:
-            raise DomainError(f"cannot expand {t.__name__}")
-        cache[id(x)] = out
-        return out
-
-    return walk(e)
+                acc = [_mul_factors([a, b]) for a in acc for b in tl]
+        return _add_terms(acc)
+    if t is Power:
+        base = walk(x.base)
+        exponent = walk(x.exponent)
+        if (
+            type(exponent) is Numeric
+            and exponent.value.is_integer()
+            and exponent.value.val > 1
+            and type(base) is Add
+        ):
+            return _add_terms(_expand_power_terms(base, exponent.value))
+    return None
 
 
 def _expand_power_terms(base: Expr, k: Number) -> list[Expr]:
@@ -964,52 +987,32 @@ def _terms_of(e: Expr) -> list[Expr]:
 
 def evalf(e: Expr, prec: int = DEFAULT_DPS) -> Expr:
     check_precision(prec)
-    cache: dict[int, Expr] = {}
-    keep = []  # walked nodes include fresh pair entities; pin their ids
 
     def f(v: Number) -> Number:
         return num_to_float(v, prec) if v.is_exact() else v
 
-    def walk(x: Expr) -> Expr:
-        got = cache.get(id(x))
-        if got is not None:
-            return got
+    def rule(x: Expr, walk):
         t = type(x)
         if t is Numeric:
-            out = Numeric(f(x.value))
-        elif t is Constant:
-            out = Numeric(x.fixed if x.fixed is not None else x.digits(prec))
-        elif t is Symbol:
-            out = x
-        elif t is Add:
-            out = _add_terms(
+            return Numeric(f(x.value))
+        if t is Constant:
+            return Numeric(x.fixed if x.fixed is not None else x.digits(prec))
+        if t is Add:
+            return _add_terms(
                 [Numeric(f(x.coeff))]
                 + [walk(_scaled_expr(r, k)) for r, k in x.pairs]
             )
-        elif t is Mul:
-            out = _mul_factors(
+        if t is Mul:
+            return _mul_factors(
                 [walk(r if k.is_one() else power(r, Numeric(k))) for r, k in x.pairs]
                 + [Numeric(f(x.coeff))]
             )
-        elif t is Power:
-            out = power(walk(x.base), walk(x.exponent))
-        elif t is FunctionApp:
-            out = apply_function(x.fdef, [walk(a) for a in x.args])
-        elif t is PSeriesNode:
-            out = pseries(x.var, x.point, [(walk(c), k) for c, k in x.terms], x.order)
-        elif t is Relational:
-            out = Relational(walk(x.lhs), walk(x.rhs), x.op)
-        elif t is ExprList:
-            out = ExprList([walk(a) for a in x.items])
-        elif t is MatrixNode:
-            out = MatrixNode(x.rows, x.cols, [walk(a) for a in x.entries])
-        else:
-            raise DomainError(f"cannot evaluate {t.__name__} numerically")
-        cache[id(x)] = out
-        keep.append(x)
-        return out
+        if t is PSeriesNode:
+            # the expansion point stays exact
+            return pseries(x.var, x.point, [(walk(c), k) for c, k in x.terms], x.order)
+        return None
 
-    return walk(e)
+    return _rewrite(e, rule)
 
 
 # ----------------------------------------------------------------- pseries
@@ -1192,27 +1195,10 @@ def free_symbols(e: Expr) -> set[Symbol]:
         if id(x) in seen:
             continue
         seen.add(id(x))
-        t = type(x)
-        if t is Symbol:
+        if type(x) is Symbol:
             out.add(x)
-        elif t is Add or t is Mul:
-            stack.extend(r for r, _ in x.pairs)
-        elif t is Power:
-            stack.append(x.base)
-            stack.append(x.exponent)
-        elif t is FunctionApp:
-            stack.extend(x.args)
-        elif t is PSeriesNode:
-            stack.append(x.var)
-            stack.append(x.point)
-            stack.extend(c for c, _ in x.terms)
-        elif t is Relational:
-            stack.append(x.lhs)
-            stack.append(x.rhs)
-        elif t is ExprList:
-            stack.extend(x.items)
-        elif t is MatrixNode:
-            stack.extend(x.entries)
+        else:
+            stack.extend(_children(x))
     return out
 
 

@@ -56,13 +56,12 @@ from .expr import (
     power,
     subs,
 )
-from .numbers import Number, bernoulli, mp_eval, num_factorial
+from .numbers import Number, _mp_call, bernoulli, num_factorial
 
 __all__ = [
     "FunctionDef",
     "fn_register",
     "fn_lookup",
-    "fn_apply",
     "registered_names",
     "sin",
     "cos",
@@ -137,9 +136,6 @@ def registered_names() -> frozenset[str]:
     return frozenset(n for n, _ in _registry)
 
 
-fn_apply = apply_function
-
-
 # ------------------------------------------------------------ numeric hooks
 
 
@@ -147,7 +143,7 @@ def _mp_hook(fn):
     # mpmath reports poles (gamma at -2, zeta at 1) as ValueError
     def hook(values: list[Number], prec: int) -> Number:
         try:
-            return mp_eval(fn, prec, *values)
+            return _mp_call(fn, prec, *values)
         except ValueError as err:
             raise PoleError(str(err)) from err
 

@@ -552,9 +552,6 @@ def _mp_call(fn, prec: int, *args: Number) -> Number:
         return _from_mp(result, prec)
 
 
-mp_eval = _mp_call
-
-
 # -- comparison -----------------------------------------------------------
 
 

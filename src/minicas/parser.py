@@ -30,6 +30,7 @@ from .expr import (
     Relational,
     Symbol,
     add,
+    apply_function,
     diff,
     evalf,
     expand,
@@ -41,7 +42,7 @@ from .expr import (
     subs,
     to_string,
 )
-from .functions import fn_apply, fn_lookup
+from .functions import fn_lookup
 from .matrices import mat_charpoly, mat_det, mat_inverse, solve_linear
 from .numbers import from_decimal
 from .poly import coeff, collect, degree, lcm, normal, poly_gcd
@@ -342,7 +343,7 @@ class _Parser:
             fdef = fn_lookup(name, len(args))
         except DomainError as err:
             raise ParseError(str(err), name_tok.pos) from None
-        return fn_apply(fdef, args)
+        return apply_function(fdef, args)
 
 
 # ---------------------------------------------------------------- builtins

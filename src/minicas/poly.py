@@ -33,22 +33,19 @@ from .expr import (
     Add,
     Constant,
     Expr,
-    ExprList,
     FunctionApp,
-    MatrixNode,
     Mul,
     Numeric,
     Power,
     PSeriesNode,
-    Relational,
     Symbol,
+    _rewrite,
     add,
     expand,
     free_symbols,
     lift,
     mul,
     power,
-    pseries,
     subs,
 )
 
@@ -597,13 +594,26 @@ def _dict_gcd_front(a: Poly, b: Poly, nv: int) -> Poly:
             a = _content_along(a, i, nv)
         elif db and not da:
             b = _content_along(b, i, nv)
-    g = _dict_gcd(a, b, nv)
+    g = _primitive_gcd(a, b, nv, _dict_gcd)
     if any(mg):
         g = {tuple(i + j for i, j in zip(t, mg)): c for t, c in g.items()}
     return g
 
 
 def _dict_gcd(a: Poly, b: Poly, nv: int) -> Poly:
+    """The heuristic gcd, or the subresultant PRS when it gives up."""
+    g = _heur_gcd_z(a, b, nv)
+    if g is None:
+        g = _sr_gcd_z(a, b, nv)
+    return g
+
+
+def _primitive_gcd(a: Poly, b: Poly, nv: int, core) -> Poly | None:
+    """gcd of nonzero a and b from core(pa, pb, nv), which sees their
+    primitive parts with the best main variable first; None when core
+    gives up."""
+    if nv == 0:
+        return {(): _frac_gcd(abs(a[()]), abs(b[()]))}
     ca, pa = _integerize(a)
     cb, pb = _integerize(b)
     cg = _frac_gcd(abs(ca), abs(cb))
@@ -612,11 +622,9 @@ def _dict_gcd(a: Poly, b: Poly, nv: int) -> Poly:
     perm = _main_first_perm(pa, pb, nv)
     if perm is None:
         return {(0,) * nv: cg}
-    pa = _permute(pa, perm)
-    pb = _permute(pb, perm)
-    g = _heur_gcd_z(pa, pb, nv)
+    g = core(_permute(pa, perm), _permute(pb, perm), nv)
     if g is None:
-        g = _sr_gcd_z(pa, pb, nv)
+        return None
     # unit normality is judged in the canonical order, not the permuted one
     return _dscale(_dunit_normal(_permute(g, _inverse_perm(perm))), cg)
 
@@ -639,6 +647,20 @@ def exact_quotient(a, b) -> Expr:
     return _from_dict(q, vars)
 
 
+def _gcd_entry(a, b, core) -> Expr | None:
+    """What the gcd entry points share: zero inputs answered directly,
+    the rest handed to core(pa, pb, nv) as dict polynomials over their
+    canonically ordered symbols.  None from core passes through."""
+    a, b = lift(a), lift(b)
+    if _is_exact_zero(a):
+        return _unit_normal_expr(b)
+    if _is_exact_zero(b):
+        return _unit_normal_expr(a)
+    vars = _ordered_vars(a, b)
+    g = core(_to_dict(a, vars), _to_dict(b, vars), len(vars))
+    return None if g is None else _from_dict(g, vars)
+
+
 def poly_gcd(a, b) -> Expr:
     """Greatest common divisor of two polynomials.
 
@@ -648,19 +670,11 @@ def poly_gcd(a, b) -> Expr:
     of any two inputs by their gcd are coprime integer polynomials.
     """
     a, b = lift(a), lift(b)
-    if _is_exact_zero(a) and _is_exact_zero(b):
-        return _ZERO
-    if _is_exact_zero(a):
-        return _unit_normal_expr(b)
-    if _is_exact_zero(b):
-        return _unit_normal_expr(a)
-    if type(a) is Mul:
+    if type(a) is Mul and not _is_exact_zero(b):
         return _gcd_factorwise(a, b)
-    if type(b) is Mul:
+    if type(b) is Mul and not _is_exact_zero(a):
         return _gcd_factorwise(b, a)
-    vars = _ordered_vars(a, b)
-    g = _dict_gcd_front(_to_dict(a, vars), _to_dict(b, vars), len(vars))
-    return _from_dict(g, vars)
+    return _gcd_entry(a, b, _dict_gcd_front)
 
 
 def _gcd_factorwise(a: Mul, b: Expr) -> Expr:
@@ -684,55 +698,12 @@ def _gcd_factorwise(a: Mul, b: Expr) -> Expr:
 
 def heur_gcd(a, b) -> Expr | None:
     """The heuristic gcd alone.  None when six retries never verify."""
-    a, b = lift(a), lift(b)
-    if _is_exact_zero(a) and _is_exact_zero(b):
-        return _ZERO
-    if _is_exact_zero(a):
-        return _unit_normal_expr(b)
-    if _is_exact_zero(b):
-        return _unit_normal_expr(a)
-    vars = _ordered_vars(a, b)
-    pa, pb = _to_dict(a, vars), _to_dict(b, vars)
-    nv = len(vars)
-    if nv == 0:
-        return _from_dict(_dict_gcd_front(pa, pb, 0), vars)
-    ca, pa = _integerize(pa)
-    cb, pb = _integerize(pb)
-    cg = _frac_gcd(abs(ca), abs(cb))
-    g = _heur_gcd_z(pa, pb, nv)
-    if g is None:
-        return None
-    return _from_dict(_dscale(g, cg), vars)
+    return _gcd_entry(a, b, lambda pa, pb, nv: _primitive_gcd(pa, pb, nv, _heur_gcd_z))
 
 
 def sr_gcd(a, b) -> Expr:
     """The subresultant PRS gcd, the deterministic fallback."""
-    a, b = lift(a), lift(b)
-    if _is_exact_zero(a) and _is_exact_zero(b):
-        return _ZERO
-    if _is_exact_zero(a):
-        return _unit_normal_expr(b)
-    if _is_exact_zero(b):
-        return _unit_normal_expr(a)
-    vars = _ordered_vars(a, b)
-    pa, pb = _to_dict(a, vars), _to_dict(b, vars)
-    nv = len(vars)
-    if nv == 0:
-        return _from_dict(_dict_gcd_front(pa, pb, 0), vars)
-    ca, pa = _integerize(pa)
-    cb, pb = _integerize(pb)
-    cg = _frac_gcd(abs(ca), abs(cb))
-    perm = _main_first_perm(pa, pb, nv)
-    if perm is None:
-        g = {(0,) * nv: Fraction(1)}
-    else:
-        g = _dunit_normal(
-            _permute(
-                _sr_gcd_z(_permute(pa, perm), _permute(pb, perm), nv),
-                _inverse_perm(perm),
-            )
-        )
-    return _from_dict(_dscale(g, cg), vars)
+    return _gcd_entry(a, b, lambda pa, pb, nv: _primitive_gcd(pa, pb, nv, _sr_gcd_z))
 
 
 def lcm(a, b) -> Expr:
@@ -879,17 +850,15 @@ def normal(e) -> Expr:
     and come back intact.  A denominator that cancels to exact zero
     raises ZeroDivisionError.
     """
-    e = lift(e)
-    t = type(e)
-    if t is MatrixNode:
-        return MatrixNode(e.rows, e.cols, [normal(x) for x in e.entries])
-    if t is ExprList:
-        return ExprList([normal(x) for x in e.items])
-    if t is Relational:
-        return Relational(normal(e.lhs), normal(e.rhs), e.op)
-    if t is PSeriesNode:
-        return pseries(e.var, e.point, [(normal(c), k) for c, k in e.terms], e.order)
+    return _rewrite(lift(e), _normal_rule)
+
+
+def _normal_rule(x: Expr, walk):
+    # series, relations, lists and matrices (the kinds ranked from
+    # PSeries up) are normalized entry by entry
+    if x.kind >= PSeriesNode.kind:
+        return None
     gm = _GenMap()
-    n, d = _frac_cancel(*_normal_pair(e, gm))
+    n, d = _frac_cancel(*_normal_pair(x, gm))
     out = n if d == _ONE else mul(n, power(d, -1))
     return gm.restore(out)

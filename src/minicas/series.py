@@ -31,6 +31,7 @@ from .expr import (
     Relational,
     Symbol,
     add,
+    compare,
     diff,
     free_symbols,
     lift,
@@ -72,14 +73,8 @@ def _ldeg(s: PSeriesNode) -> int:
 
 
 def _check_compatible(a: PSeriesNode, b: PSeriesNode):
-    if a.var.serial != b.var.serial or compare_points(a, b):
+    if a.var.serial != b.var.serial or compare(a.point, b.point) != 0:
         raise DomainError("series in different variables or around different points")
-
-
-def compare_points(a: PSeriesNode, b: PSeriesNode) -> bool:
-    from .expr import compare
-
-    return compare(a.point, b.point) != 0
 
 
 def truncate_ps(s: PSeriesNode, n: int) -> PSeriesNode:
@@ -107,10 +102,6 @@ def ps_add(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
     for c, k in b.terms:
         coeffs[k] = add(coeffs.get(k, lift(0)), c)
     return pseries(a.var, a.point, [(c, k) for k, c in coeffs.items()], order)
-
-
-def ps_neg(a: PSeriesNode) -> PSeriesNode:
-    return pseries(a.var, a.point, [(mul(-1, c), k) for c, k in a.terms], a.order)
 
 
 def ps_scale(a: PSeriesNode, factor: Expr, shift: int = 0) -> PSeriesNode:
@@ -300,7 +291,7 @@ def _srs(e: Expr, x: Symbol, point: Expr, n: int) -> PSeriesNode:
                     return _zero_series(x, point)
                 raise SeriesError("pole of infinite order: zero base series")
             m = _ldeg(base)
-            want = n - _floor_frac(m * (k - 1))
+            want = n - math.floor(m * (k - 1))
             if want > n:
                 base = _srs(e.base, x, point, want)
             rel = want - m if base.order is None else None
@@ -314,16 +305,10 @@ def _srs(e: Expr, x: Symbol, point: Expr, n: int) -> PSeriesNode:
                 return got
         return _taylor(e, x, point, n)
     if t is PSeriesNode:
-        from .expr import compare
-
         if e.var.serial == x.serial and compare(e.point, point) == 0:
             return truncate_ps(e, n)
         raise DomainError("cannot re-expand a series in another variable or point")
     raise DomainError(f"cannot expand {t.__name__} in a series")
-
-
-def _floor_frac(q: Fraction) -> int:
-    return math.floor(q)
 
 
 def _taylor(e: Expr, x: Symbol, point: Expr, n: int) -> PSeriesNode:

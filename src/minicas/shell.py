@@ -39,17 +39,21 @@ class Shell:
             return None
         try:
             got = parse(statement, self.symtab, self.history)
+            if got.error is not None:
+                return str(got.error)
+            if isinstance(got.value, Command):
+                self.done = True
+                return None
+            out = got.value
+            line = to_string(out)
         except (ValueError, ArithmeticError) as err:
             return f"error: {err}"
-        if got.error is not None:
-            return str(got.error)
-        if isinstance(got.value, Command):
-            self.done = True
-            return None
-        out = got.value
+        except RecursionError:
+            return "error: expression nested too deeply"
+        # only a result that printed becomes a back-reference
         self.history.insert(0, out)
         del self.history[_RING:]
-        return to_string(out)
+        return line
 
     def feed(self, chunk: str) -> list[str]:
         printed = []

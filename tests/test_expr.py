@@ -40,7 +40,9 @@ from minicas.expr import (
     symbols,
     to_string,
 )
+from minicas.functions import sin
 from minicas.numbers import num
+from minicas.poly import normal
 
 # ---------------------------------------------------------------- oracles
 
@@ -450,6 +452,66 @@ def test_free_symbols():
     assert free_symbols(e) == {x, y}
     assert free_symbols(lift(3)) == set()
     assert free_symbols(ExprList([x, z])) == {x, z}
+
+
+_X, _A = symbols("x a")
+_P = power(add(_X, _A), 2)  # (x+a)^2
+_Q = mul(add(power(_A, 2), -1), power(add(_A, -1), -1))  # (a^2-1)/(a-1)
+
+
+@pytest.mark.parametrize(
+    "e, want",
+    [
+        pytest.param(
+            sin(add(_P, Fraction(1, 2))),
+            ["sin(1/2+(2+x)^2)", "sin(1/2+x^2+a^2+2*x*a)", "sin(0.5+(x+a)^(2.0))",
+             "sin(1/2+(x+a)^2)"],
+            id="FunctionApp",
+        ),
+        pytest.param(
+            pseries(_X, _A, [(_A, 0), (lift(1), 1)], 3),
+            ["2+(-2+x)+O((-2+x)^3)", "a+(x-a)+O((x-a)^3)", "a+1.0*(x-a)+O((x-a)^3)",
+             "a+(x-a)+O((x-a)^3)"],
+            id="PSeriesNode",
+        ),
+        pytest.param(
+            # evalf leaves the expansion point exact: 1/2 stays 1/2
+            pseries(_X, add(_A, Fraction(1, 2)), [(_Q, 1)], 2),
+            ["3*(-5/2+x)+O((-5/2+x)^2)",
+             "(-(-1+a)^(-1)+a^2*(-1+a)^(-1))*(-1/2+x-a)+O((-1/2+x-a)^2)",
+             "1.0*(-1.0+a)^(-1.0)*(-1.0+a^(2.0))*(-1/2+x-a)+O((-1/2+x-a)^2)",
+             "(1+a)*(-1/2+x-a)+O((-1/2+x-a)^2)"],
+            id="PSeriesNode-rational-point",
+        ),
+        pytest.param(
+            Relational(_P, _Q, "<"),
+            ["(2+x)^2<3", "x^2+a^2+2*x*a<-(-1+a)^(-1)+a^2*(-1+a)^(-1)",
+             "(x+a)^(2.0)<1.0*(-1.0+a)^(-1.0)*(-1.0+a^(2.0))", "(x+a)^2<1+a"],
+            id="Relational",
+        ),
+        pytest.param(
+            ExprList([_P, _Q, lift(Fraction(1, 3))]),
+            ["[(2+x)^2,3,1/3]", "[x^2+a^2+2*x*a,-(-1+a)^(-1)+a^2*(-1+a)^(-1),1/3]",
+             "[(x+a)^(2.0),1.0*(-1.0+a)^(-1.0)*(-1.0+a^(2.0)),0.33333]", "[(x+a)^2,1+a,1/3]"],
+            id="ExprList",
+        ),
+        pytest.param(
+            MatrixNode(2, 2, [_P, _Q, Pi, _X]),
+            ["[[(2+x)^2,3],[Pi,x]]", "[[x^2+a^2+2*x*a,-(-1+a)^(-1)+a^2*(-1+a)^(-1)],[Pi,x]]",
+             "[[(x+a)^(2.0),1.0*(-1.0+a)^(-1.0)*(-1.0+a^(2.0))],[3.1416,x]]",
+             "[[(x+a)^2,1+a],[Pi,x]]"],
+            id="MatrixNode",
+        ),
+    ],
+)
+def test_walkers_on_every_node_kind(e, want):
+    # want: printed subs a=2, expand, evalf at 5 digits, normal
+    got = [subs(e, {_A: lift(2)}), expand(e), evalf(e, 5), normal(e)]
+    assert [to_string(g) for g in got] == want
+    assert free_symbols(e) == {_X, _A}
+    if type(e) is PSeriesNode:
+        with pytest.raises(UnsupportedPatternError):
+            subs(e, {_X: _A})
 
 
 def test_structural_hash_and_dict_keys():

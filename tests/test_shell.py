@@ -63,15 +63,35 @@ def test_ring_depth_three():
 
 
 def test_errors_keep_session_alive():
-    printed, sh = feed_lines(["1/0;", "sin(;", "2+2;"])
+    deep_calls = "sin(" * 400 + "x" + ")" * 400 + ";"
+    deep_parens = "(" * 5000 + "x" + ")" * 5000 + ";"
+    printed, sh = feed_lines(["1/0;", "sin(;", "2+2;", deep_calls, "3+3;", deep_parens, "%+1;"])
     # the second statement starts with the newline left over from the
     # first line, so the reported position is one past "sin("
     assert printed == [
         "error: zero to a negative power",
         "error at position 6: unexpected end of input",
         "4",
+        "error: expression nested too deeply",
+        "6",
+        "error: expression nested too deeply",
+        "7",
     ]
     assert not sh.done
+
+
+def test_unprintable_result_stays_out_of_history():
+    # each statement nests one level deeper until printing runs out of
+    # stack; the result that failed to print must not become %
+    sh = Shell()
+    last = sh.feed("x;")[0]
+    for _ in range(2000):
+        line = sh.feed("sin(%);")[0]
+        if line.startswith("error"):
+            break
+        last = line
+    assert line == "error: expression nested too deeply"
+    assert sh.feed("%;") == [last]
 
 
 def test_empty_history_reference():
