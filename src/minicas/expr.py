@@ -537,7 +537,9 @@ def mul(*factors) -> Expr:
 def _mul_factors(factors) -> Expr:
     overall = _NUM_ONE
     bucket: dict[Expr, Number] = {}
-    for f in factors:
+
+    def absorb(f):
+        nonlocal overall
         tf = type(f)
         if tf is Numeric:
             overall = num_mul(overall, f.value)
@@ -548,47 +550,33 @@ def _mul_factors(factors) -> Expr:
         else:
             b, k = _split_factor(f)
             _bucket_merge(bucket, b, k)
+
+    for f in factors:
+        absorb(f)
     if overall.is_zero() and overall.is_exact():
         return ZERO
-    # rebuild until stable: merged exponents may collapse powers, which in
-    # turn may release numeric factors or new bases
+    # Under an integer exponent power() rewrites only a Mul base, or a
+    # Power base when the exponent is not 1; any other (base, exponent)
+    # comes back as Power(base, exponent), which splits to the same pair.
+    # At exponent 1 a Power base comes back as itself, which _split_factor
+    # may split further.  Merged exponents may make new such entries, so
+    # repeat until none.
     while True:
-        changed = False
-        newbucket: dict[Expr, Number] = {}
-        for b, k in bucket.items():
-            if k.is_zero():
-                changed = True
-                continue
-            p = b if k.is_one() else power(b, Numeric(k))
-            tp = type(p)
-            if tp is Numeric:
-                overall = num_mul(overall, p.value)
-                changed = True
-            elif tp is Mul:
-                overall = num_mul(overall, p.coeff)
-                for b2, k2 in p.pairs:
-                    if b2 in newbucket:
-                        changed = True
-                    _bucket_merge(newbucket, b2, k2)
-                changed = True
-            elif tp is Power and type(p.exponent) is Numeric and type(p.base) is not Numeric:
-                if compare(p.base, b) != 0 or num_cmp(p.exponent.value, k) != 0:
-                    changed = True
-                if p.base in newbucket:
-                    changed = True
-                _bucket_merge(newbucket, p.base, p.exponent.value)
-            else:
-                b2, k2 = _split_factor(p)
-                if compare(b2, b) != 0 or num_cmp(k2, k) != 0:
-                    changed = True
-                if b2 in newbucket:
-                    changed = True
-                _bucket_merge(newbucket, b2, k2)
-        bucket = newbucket
-        if overall.is_zero() and overall.is_exact():
-            return ZERO
-        if not changed:
+        pending = [
+            (b, k)
+            for b, k in bucket.items()
+            if k.is_integer()
+            and (
+                type(b) is Mul
+                or (type(b) is Power and not (k.is_one() and _split_factor(b)[0] is b))
+            )
+        ]
+        if not pending:
             break
+        for b, _ in pending:
+            del bucket[b]
+        for b, k in pending:
+            absorb(b if k.is_one() else power(b, Numeric(k)))
     pairs = [(b, k) for b, k in bucket.items() if not k.is_zero()]
     if overall.is_zero():  # float zero: contaminate but collapse
         return Numeric(overall)
@@ -810,7 +798,12 @@ def _normalize_bindings(bindings) -> dict[int, tuple[Symbol, Expr]]:
                 raise UnsupportedPatternError("substitution wants '==' relations")
             lhs, rhs = item.lhs, item.rhs
         else:
-            lhs, rhs = item
+            try:
+                lhs, rhs = item
+            except (TypeError, ValueError):
+                raise UnsupportedPatternError(
+                    "a substitution is a relation 'symbol == value' or a (symbol, value) pair"
+                ) from None
             lhs = lift(lhs)
         if type(lhs) is not Symbol:
             raise UnsupportedPatternError(
@@ -1109,10 +1102,14 @@ def _render_term(r: Expr, k: Number) -> str:
         return _render(r, _PREC_MUL)
     if num_cmp(k, num(-1)) == 0:
         return "-" + _render(r, _PREC_MUL)
-    ks = str(k)
-    if k.kind == "cplx" and not k.re.is_zero():
-        ks = f"({ks})"
-    return f"{ks}*{_render(r, _PREC_MUL)}"
+    return f"{_render_coeff(k)}*{_render(r, _PREC_MUL)}"
+
+
+def _render_coeff(k: Number) -> str:
+    """A numeric factor; a complex one with a nonzero real part needs
+    parentheses to stay one factor."""
+    s = str(k)
+    return f"({s})" if k.kind == "cplx" and not k.re.is_zero() else s
 
 
 def _render_product(e: Mul) -> str:
@@ -1123,10 +1120,7 @@ def _render_product(e: Mul) -> str:
         if coeff.is_real() and num_cmp(coeff, num(-1)) == 0:
             neg = True
         else:
-            ks = str(coeff)
-            if coeff.kind == "cplx" and not coeff.re.is_zero():
-                ks = f"({ks})"
-            parts.append(ks)
+            parts.append(_render_coeff(coeff))
     for r, k in e.pairs:
         if k.is_one():
             parts.append(_render(r, _PREC_MUL + 1))
@@ -1165,10 +1159,7 @@ def _render_series(e: PSeriesNode, parent: int) -> str:
         elif c == lift(-1):
             parts.append("-" + mono)
         elif type(c) is Numeric:
-            cs = str(c.value)
-            if c.value.kind == "cplx" and not c.value.re.is_zero():
-                cs = f"({cs})"
-            parts.append(f"{cs}*{mono}")
+            parts.append(f"{_render_coeff(c.value)}*{mono}")
         else:
             cs = _render(c, _PREC_MUL)
             parts.append(f"{cs}*{mono}")

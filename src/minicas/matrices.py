@@ -1,12 +1,13 @@
 """Exact linear algebra on dense matrices of expressions.
 
 A matrix is a MatrixNode, row-major entries behind the same immutable
-Expr discipline as every other node.  Determinants pick their algorithm
-from a census of the entries: fraction-free Bareiss elimination when
-every entry is numeric or polynomial, cofactor expansion along the
-emptiest row or column when symbolic entries meet plenty of zeros, and
-Bareiss again otherwise, with every division resolved through normal()
-so that cancellation happens in the enlarged ring of generators.
+Expr discipline as every other node.  Determinants try fraction-free
+Bareiss elimination on dict polynomials first, which succeeds when every
+entry is a polynomial with rational coefficients.  Otherwise a census of
+the entries decides: cofactor expansion along the emptiest row or column
+when plenty of entries are zero, and Bareiss on the trees otherwise,
+with every division resolved through normal() so that cancellation
+happens in the enlarged ring of generators.
 Inversion is exact Gauss-Jordan, and solve_linear() reduces a list of
 relations to Gaussian elimination on the coefficient matrix.
 
@@ -22,14 +23,11 @@ from fractions import Fraction
 
 from .errors import DomainError, NoUniqueSolutionError, ShapeError, SingularMatrixError
 from .expr import (
-    Add,
     Eq,
     Expr,
     ExprList,
     MatrixNode,
-    Mul,
     Numeric,
-    Power,
     Relational,
     Symbol,
     add,
@@ -122,34 +120,6 @@ def _is_zero(e: Expr) -> bool:
     return type(e) is Numeric and e.value.is_zero()
 
 
-def _is_polynomial(e: Expr) -> bool:
-    """True when e lives in the polynomial ring: rational numbers,
-    symbols, sums, products, and nonnegative integer powers only."""
-    t = type(e)
-    if t is Numeric:
-        return e.value.is_rational()
-    if t is Symbol:
-        return True
-    if t is Add:
-        return e.coeff.is_rational() and all(
-            k.is_rational() and _is_polynomial(r) for r, k in e.pairs
-        )
-    if t is Mul:
-        return e.coeff.is_rational() and all(
-            k.is_integer() and not k.is_negative() and _is_polynomial(r)
-            for r, k in e.pairs
-        )
-    if t is Power:
-        x = e.exponent
-        return (
-            type(x) is Numeric
-            and x.value.is_integer()
-            and not x.value.is_negative()
-            and _is_polynomial(e.base)
-        )
-    return False
-
-
 def _norm(e: Expr) -> Expr:
     return e if type(e) is Numeric else normal(e)
 
@@ -167,24 +137,22 @@ def _div(a: Expr, b: Expr) -> Expr:
 def mat_det(m: MatrixNode) -> Expr:
     """Exact determinant.
 
-    The algorithm follows a census of the entries.  All numeric or
-    polynomial: fraction-free Bareiss elimination, whose divisions are
-    exact by Sylvester's identity.  Symbolic entries present and at
-    least half the matrix structurally zero: cofactor expansion along
-    the sparsest line.  Dense symbolic: Bareiss again, since normal()
-    cancels quotients of function kernels just as well.
+    Entries that are all polynomials with rational coefficients go to
+    fraction-free Bareiss elimination on dict polynomials, whose
+    divisions are exact by Sylvester's identity.  Otherwise a census of
+    the entries decides: at least half the matrix structurally zero
+    takes cofactor expansion along the sparsest line; a denser one takes
+    Bareiss on the trees, since normal() cancels quotients of function
+    kernels just as well.
     """
     _want_square(m, "determinant")
     n = m.rows
-    symbolic = sum(1 for e in m.entries if not _is_polynomial(e))
-    if not symbolic:
-        d = _det_bareiss_dict(m)
-        if d is None:
+    d = _det_bareiss_dict(m)
+    if d is None:
+        if 2 * sum(1 for e in m.entries if _is_zero(e)) >= n * n:
+            d = _det_cofactor(m.row_list())
+        else:
             d = _det_bareiss(m.row_list())
-    elif 2 * sum(1 for e in m.entries if _is_zero(e)) >= n * n:
-        d = _det_cofactor(m.row_list())
-    else:
-        d = _det_bareiss(m.row_list())
     return _norm(d)
 
 
@@ -193,12 +161,12 @@ def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
 
     Avoids rebuilding expression trees for every intermediate minor;
     the exact divisions stay inside Fraction arithmetic.  Returns None
-    when some entry refuses the dict form (the caller falls back to the
-    tree-level routine).
+    when some entry is not a polynomial with rational coefficients
+    (_to_dict refuses it), and the caller picks a tree-level routine.
     """
     vars = _ordered_vars(*m.entries)
     try:
-        rows = [[_to_dict(expand(e), vars) for e in row] for row in m.row_list()]
+        rows = [[_to_dict(e, vars) for e in row] for row in m.row_list()]
     except DomainError:
         return None
     n = m.rows

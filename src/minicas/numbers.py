@@ -78,25 +78,14 @@ MIN_DPS = 2
 _INT, _RAT, _FLOAT, _CPLX = "int", "rat", "float", "cplx"
 _VARIANT_RANK = {_INT: 0, _RAT: 1, _FLOAT: 2, _CPLX: 3}
 
-_MASK64 = (1 << 64) - 1
-
 
 def hash64(*values: int) -> int:
-    """Deterministic 64-bit mix of a sequence of (arbitrary-size) ints."""
-    h = 0x9E3779B97F4A7C15
-    for v in values:
-        if v < 0:
-            h = (h + 0xD1B54A32D192ED03) & _MASK64
-            v = -v
-        while True:
-            h = (h ^ (v & _MASK64)) * 0xBF58476D1CE4E5B9 & _MASK64
-            h ^= h >> 27
-            h = h * 0x94D049BB133111EB & _MASK64
-            h ^= h >> 31
-            v >>= 64
-            if not v:
-                break
-    return h
+    """Hash of a sequence of ints.
+
+    Python's int and tuple hashes do not depend on PYTHONHASHSEED, so the
+    value is the same in every process; canonical order never reads it.
+    """
+    return hash(values)
 
 
 def check_precision(p) -> int:
@@ -288,10 +277,6 @@ def rational(p: int, q: int) -> Number:
     return _from_fraction(Fraction(p, q))
 
 
-def _from_mpf(tup, prec: int) -> Number:
-    return Number(_FLOAT, tup, check_precision(prec))
-
-
 def complexnum(re, im) -> Number:
     re, im = num(re), num(im)
     if re.kind == _CPLX or im.kind == _CPLX:
@@ -416,7 +401,7 @@ def num_add(a: Number, b: Number) -> Number:
         return _real_float_op(mpf_add, a, b)
     if a.kind == _INT and b.kind == _INT:
         return Number(_INT, a.val + b.val)
-    return _from_fraction(_frac(a) + _frac(b))
+    return _from_fraction(a.val + b.val)
 
 
 def num_sub(a: Number, b: Number) -> Number:
@@ -435,7 +420,7 @@ def num_mul(a: Number, b: Number) -> Number:
         return _real_float_op(mpf_mul, a, b)
     if a.kind == _INT and b.kind == _INT:
         return Number(_INT, a.val * b.val)
-    return _from_fraction(_frac(a) * _frac(b))
+    return _from_fraction(a.val * b.val)
 
 
 def num_div(a: Number, b: Number) -> Number:
@@ -450,7 +435,7 @@ def num_div(a: Number, b: Number) -> Number:
         return complexnum(num_div(pr, norm), num_div(pi, norm))
     if a.kind == _FLOAT or b.kind == _FLOAT:
         return _real_float_op(mpf_div, a, b)
-    return _from_fraction(_frac(a) / _frac(b))
+    return _from_fraction(Fraction(a.val, b.val))
 
 
 def num_neg(a: Number) -> Number:
@@ -523,10 +508,6 @@ def _parts(a: Number):
     return a, _ZERO
 
 
-def _frac(a: Number) -> Fraction:
-    return Fraction(a.val) if a.kind == _INT else a.val
-
-
 # -- mpmath bridge (high-level, for transcendental evaluation) -----------
 
 
@@ -565,7 +546,10 @@ def num_cmp(a: Number, b: Number) -> int:
         ar, ai = _parts(a)
         br, bi = _parts(b)
         return num_cmp(ar, br) or num_cmp(ai, bi)
-    fa, fb = a.as_fraction(), b.as_fraction()
+    if a.kind == _FLOAT or b.kind == _FLOAT:
+        fa, fb = a.as_fraction(), b.as_fraction()
+    else:
+        fa, fb = a.val, b.val
     if fa != fb:
         return -1 if fa < fb else 1
     ra, rb = _VARIANT_RANK[a.kind], _VARIANT_RANK[b.kind]

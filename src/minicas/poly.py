@@ -40,6 +40,7 @@ from .expr import (
     PSeriesNode,
     Symbol,
     _rewrite,
+    _terms_of,
     add,
     expand,
     free_symbols,
@@ -65,16 +66,6 @@ def _as_symbol(x) -> Symbol:
 
 
 # ------------------------------------------------------- structural queries
-
-
-def _addends(e: Expr) -> list[Expr]:
-    """Terms of a canonical sum, or the expression itself."""
-    if type(e) is Add:
-        parts = [mul(Numeric(k), r) for r, k in e.pairs]
-        if not e.coeff.is_zero():
-            parts.append(Numeric(e.coeff))
-        return parts
-    return [e]
 
 
 def _term_split(term: Expr, x: Symbol) -> tuple[int, Expr]:
@@ -113,13 +104,13 @@ def _term_split(term: Expr, x: Symbol) -> tuple[int, Expr]:
 def degree(e, x) -> int:
     """Highest exponent of x in expanded e.  degree(0, x) is 0."""
     x = _as_symbol(x)
-    return max(_term_split(t, x)[0] for t in _addends(expand(lift(e))))
+    return max(_term_split(t, x)[0] for t in _terms_of(expand(lift(e))))
 
 
 def ldegree(e, x) -> int:
     """Lowest exponent of x in expanded e."""
     x = _as_symbol(x)
-    return min(_term_split(t, x)[0] for t in _addends(expand(lift(e))))
+    return min(_term_split(t, x)[0] for t in _terms_of(expand(lift(e))))
 
 
 def coeff(e, x, k: int) -> Expr:
@@ -128,7 +119,7 @@ def coeff(e, x, k: int) -> Expr:
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError("coefficient exponent must be an int")
     parts = []
-    for t in _addends(expand(lift(e))):
+    for t in _terms_of(expand(lift(e))):
         kk, c = _term_split(t, x)
         if kk == k:
             parts.append(c)
@@ -139,7 +130,7 @@ def collect(e, x) -> Expr:
     """Regroup expanded e as a sum of coefficients times powers of x."""
     x = _as_symbol(x)
     buckets: dict[int, list[Expr]] = {}
-    for t in _addends(expand(lift(e))):
+    for t in _terms_of(expand(lift(e))):
         k, c = _term_split(t, x)
         buckets.setdefault(k, []).append(c)
     return add(*(mul(add(*cs), power(x, k)) for k, cs in sorted(buckets.items())))
@@ -171,7 +162,7 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
     """
     index = {s.serial: i for i, s in enumerate(vars)}
     out: Poly = {}
-    for term in _addends(expand(e)):
+    for term in _terms_of(expand(e)):
         mono = [0] * len(vars)
         t = type(term)
         if t is Numeric:
@@ -728,7 +719,7 @@ def content_primpart(e, x) -> tuple[Expr, Expr, Expr]:
     if _is_exact_zero(e):
         return _ONE, _ZERO, _ZERO
     buckets: dict[int, list[Expr]] = {}
-    for t in _addends(e):
+    for t in _terms_of(e):
         k, c = _term_split(t, x)
         buckets.setdefault(k, []).append(c)
     coeffs = {k: add(*cs) for k, cs in buckets.items()}
@@ -780,7 +771,7 @@ def _normal_pair(e: Expr, gm: _GenMap) -> tuple[Expr, Expr]:
         return e, _ONE
     if t is Add:
         n, d = _ZERO, _ONE
-        for term in _addends(e):
+        for term in _terms_of(e):
             tn, td = _normal_pair(term, gm)
             g = poly_gcd(d, td)
             co = exact_quotient(td, g)

@@ -5,11 +5,15 @@ oracles below, written independently of the tree code; [TRIVIAL] marks
 identities asserted directly.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import minicas
 from minicas.errors import DomainError, UnsupportedPatternError
 from minicas.expr import (
     Add,
@@ -321,6 +325,9 @@ def test_subs_simultaneous_and_errors():
         subs(e, {power(x, 2): y})
     with pytest.raises(UnsupportedPatternError):
         subs(e, Relational(x, y, "<"))
+    # a binding that is neither a relation nor a pair
+    with pytest.raises(UnsupportedPatternError):
+        subs(e, [x])
 
 
 def test_subs_into_functions_and_lists():
@@ -396,6 +403,80 @@ def test_canonical_form_determinism():
             assert compare(ref_prod, p2) == 0 and ref_prod._hash == p2._hash
         assert_canonical(ref_sum)
         assert_canonical(ref_prod)
+
+
+def _factor_pairs(e):
+    """The (base, exponent) pairs a product keeps for the factor e."""
+    if type(e) is Mul:
+        return list(e.pairs)
+    if type(e) is Power and type(e.exponent) is Numeric and type(e.base) is not Numeric:
+        return [(e.base, e.exponent.value)]
+    return [(e, num(1))]
+
+
+def _unsettled_pairs(e):
+    """Pairs a settled product may not keep: those where power(base,
+    exponent) does not come back as that same single pair."""
+    if type(e) not in (Mul, Power):
+        return []
+    unsettled = []
+    for b, k in _factor_pairs(e):
+        again = _factor_pairs(power(b, Numeric(k)))
+        if len(again) != 1 or compare(again[0][0], b) != 0 or again[0][1] != k:
+            unsettled.append((b, k))
+    return unsettled
+
+
+def test_products_settle_in_any_order():
+    x, y = symbols("x y")
+    point = {x: lift(Fraction(2, 3)), y: lift(Fraction(5, 7))}
+
+    def value(e):
+        v = evalf(subs(e, point), 30)
+        assert type(v) is Numeric
+        return v.value.as_fraction()
+
+    # numbers enter unpowered and dyadic, so every float product is exact;
+    # a float factor still caps the value at its 20 digits
+    numbers = [lift(Fraction(-3, 4)), lift(5), lift(0.5), lift(1.25)]
+    pool = [x, y, sqrt(2), sqrt(mul(x, y)), sqrt(sqrt(x)), power(x, y), add(x, 1)]
+    rng = random.Random(47)
+    for _ in range(200):
+        factors = [power(rng.choice(pool), rng.choice([1, 1, 2, 3, -1, -2]))
+                   for _ in range(rng.randint(2, 6))]
+        factors += rng.sample(numbers, rng.randint(0, 2))
+        ref = mul(*factors)
+        assert _unsettled_pairs(ref) == []
+        want = value(ref)
+        for _ in range(3):
+            rng.shuffle(factors)
+            got = mul(*factors)
+            assert compare(ref, got) == 0 and to_string(ref) == to_string(got)
+            # mul is not associative on canonical forms: a regrouped
+            # product may settle on another form of the same value
+            # (2*2^(1/2) for 2^(3/2), 2+2*x for 2*(1+x)), so compare values
+            cut = sorted(rng.sample(range(1, len(factors)), rng.randint(0, len(factors) - 1)))
+            groups = [factors[i:j] for i, j in zip([0] + cut, cut + [len(factors)])]
+            got = mul(*[mul(*g) for g in groups])
+            assert _unsettled_pairs(got) == []
+            assert abs(value(got) - want) <= abs(want) * Fraction(1, 10**18)
+
+
+def test_product_cascades_settle():
+    x, = symbols("x")
+    # merging r*r releases x*2^(1/2); its 2^(1/2) then meets the third
+    # factor, and the squared root folds to 2 in a further round
+    r = sqrt(mul(x, sqrt(2)))
+    assert mul(r, r, sqrt(2)) == mul(2, x)
+    assert to_string(power(sqrt(2), 3)) == "2^(3/2)"
+    assert to_string(mul(sqrt(2), sqrt(2), sqrt(2))) == "2^(3/2)"
+    # a nested root merged to exponent 1 leaves x^(1/2) as a factor, which
+    # has to split into (x, 1/2) to meet the other powers of x
+    y, = symbols("y")
+    a = sqrt(sqrt(x))
+    assert mul(mul(y, a), a) == mul(y, sqrt(x))
+    assert mul(mul(mul(y, a), a), sqrt(x)) == mul(x, y)
+    assert add(mul(mul(y, a), a), mul(-1, y, sqrt(x))) == lift(0)
 
 
 def test_canonical_invariants_random():
@@ -512,6 +593,50 @@ def test_walkers_on_every_node_kind(e, want):
     if type(e) is PSeriesNode:
         with pytest.raises(UnsupportedPatternError):
             subs(e, {_X: _A})
+
+
+_HASH_PROBE = r"""
+import importlib.util, sys, types
+
+if sys.argv[1] == "swap":
+    # load minicas.numbers without the package, so that every module
+    # imported after the swap binds the replacement
+    stub = types.ModuleType("minicas")
+    stub.__path__ = importlib.util.find_spec("minicas").submodule_search_locations
+    sys.modules["minicas"] = stub
+    import minicas.numbers
+    minicas.numbers.hash64 = lambda *v: hash((0x2545F4914F6CDD1D,) + v[::-1])
+    del sys.modules["minicas"]
+import minicas
+from minicas.shell import Shell
+
+print(minicas.expr.ONE._hash)
+sh = Shell()
+for stmt in [
+    "expand((x+y)^4);", "subs(%, y==1);", "series(1/sqrt(1-v^2/c^2), v==0, 6);",
+    "gcd(x^4-1, x^2+2*x+1);", "lsolve([p+q==10, p-q==4], [p,q]);",
+    "normal(1/(x-y)+1/(x+y)-2*x/(x^2-y^2+z));", "expand((a+b*c+sqrt(2)*d)^3);",
+    "det([[a,b,0],[c,0,d],[0,e,sin(f)]]);", "diff(x^y*sin(x*y)*sqrt(x*y), x);",
+    "subs(expand((x+y+z)^3), [x==z, y==2]);", "evalf(sqrt(2)*Pi+x/3, 30);",
+    "series(gamma(t), t==0, 3);", "charpoly([[a,1,0],[b,c,1],[0,d,e]], l);",
+]:
+    print(sh.feed(stmt))
+"""
+
+
+def test_printed_results_do_not_depend_on_the_hash_mixer():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(minicas.__file__))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    runs = [
+        subprocess.run([sys.executable, "-c", _HASH_PROBE, how], env=env,
+                       capture_output=True, text=True, timeout=120, check=True).stdout
+        for how in ("keep", "swap")
+    ]
+    keep, swap = (r.splitlines() for r in runs)
+    assert keep[0] != swap[0]  # the replacement mixer took effect
+    assert len(keep) == 14 and keep[1:] == swap[1:]
+    assert not any("error" in line for line in keep)
 
 
 def test_structural_hash_and_dict_keys():

@@ -143,6 +143,27 @@ def test_rational_add_against_cross_multiplication():
         assert num_add(rational(p1, q1), rational(p2, q2)) == rational(ep, eq)
 
 
+def test_exact_ops_on_mixed_variants_against_fraction_oracle():
+    # integer and rational operands in every pairing, each op checked
+    # for its value and for the variant it collapses to
+    rng = random.Random(8)
+
+    def draw():
+        return Fraction(rng.randint(-60, 60), rng.choice([1, 1, rng.randint(2, 30)]))
+
+    for _ in range(400):
+        fa, fb = draw(), draw()
+        a, b = num(fa), num(fb)
+        assert num_cmp(a, b) == (fa > fb) - (fa < fb)
+        wants = [(num_add, fa + fb), (num_mul, fa * fb)]
+        if fb:
+            wants.append((num_div, fa / fb))
+        for op, want in wants:
+            got = op(a, b)
+            assert got.kind == ("int" if want.denominator == 1 else "rat")
+            assert got.as_fraction() == want
+
+
 def test_complex_multiplication_collapses():
     a = complexnum(integer(0), rational(7, 3))
     b = complexnum(integer(0), integer(-3))

@@ -65,7 +65,10 @@ def test_ring_depth_three():
 def test_errors_keep_session_alive():
     deep_calls = "sin(" * 400 + "x" + ")" * 400 + ";"
     deep_parens = "(" * 5000 + "x" + ")" * 5000 + ";"
-    printed, sh = feed_lines(["1/0;", "sin(;", "2+2;", deep_calls, "3+3;", deep_parens, "%+1;"])
+    bad_subs = ["subs(x, 1);", "subs(x,[x]);", "subs(1,[[1,2],[3,4]]);"]
+    printed, sh = feed_lines(
+        ["1/0;", "sin(;", "2+2;", deep_calls, "3+3;", deep_parens, "%+1;", *bad_subs, "%;"]
+    )
     # the second statement starts with the newline left over from the
     # first line, so the reported position is one past "sin("
     assert printed == [
@@ -75,6 +78,8 @@ def test_errors_keep_session_alive():
         "error: expression nested too deeply",
         "6",
         "error: expression nested too deeply",
+        "7",
+        *["error: a substitution is a relation 'symbol == value' or a (symbol, value) pair"] * 3,
         "7",
     ]
     assert not sh.done
