@@ -18,10 +18,28 @@ A new node kind is registered in four places: its class (with a kind
 rank), compare, _render, and the child helpers _children and _rewrite,
 which give every tree walker (subs, expand, evalf, free_symbols,
 normal) its children and its canonical rebuild.
+
+expand multiplies out on sparse dict polynomials (_Polys) when a sum,
+product or integer power has exact rational coefficients, integer
+exponents, and only these bases: symbols, constants, function
+applications (arguments expanded first) and sums under a negative
+integer power.  Products never rewrite such bases, so multiplying
+exponent dicts gives the same terms as multiplying trees, and the tree
+is built once at the end, one canonical product per term.  Any other
+subtree, with a float or complex coefficient, a numeric base such as
+2^(1/2), or a fractional or symbolic exponent, takes the pairwise path
+(_expand_pairwise), which multiplies canonical trees one cross term at
+a time; its children still take the kernel.  The split is needed
+because products are not associative on canonical forms with such
+bases: sqrt(2)*sqrt(2)*sqrt(2) is 2^(3/2) but (sqrt(2)*sqrt(2))*sqrt(2)
+is 2*2^(1/2), and floats round by the order they are added in, so only
+the pairwise order prints what expand has always printed.
+poly._to_dict reads the kernel's dicts directly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -466,8 +484,6 @@ def _cmp_seq(xs, ys) -> int:
 
 
 def _sort_pairs(pairs):
-    import functools
-
     pairs.sort(key=functools.cmp_to_key(lambda p, q: compare(p[0], q[0])))
     return pairs
 
@@ -580,9 +596,14 @@ def _mul_factors(factors) -> Expr:
     pairs = [(b, k) for b, k in bucket.items() if not k.is_zero()]
     if overall.is_zero():  # float zero: contaminate but collapse
         return Numeric(overall)
+    return _product(overall, _sort_pairs(pairs))
+
+
+def _product(overall: Number, pairs) -> Expr:
+    """The canonical form of overall * prod(b**k) for nonzero overall and
+    settled (b, k) pairs with distinct bases and nonzero k, in order."""
     if not pairs:
         return Numeric(overall)
-    _sort_pairs(pairs)
     if len(pairs) == 1:
         b, k = pairs[0]
         if overall.is_one():
@@ -791,6 +812,13 @@ def _normalize_bindings(bindings) -> dict[int, tuple[Symbol, Expr]]:
         bindings = [bindings]
     elif isinstance(bindings, dict):
         bindings = list(bindings.items())
+    else:
+        try:
+            bindings = list(bindings)
+        except TypeError:
+            raise UnsupportedPatternError(
+                "substitutions come as a relation, a list of them, or a dict"
+            ) from None
     table: dict[int, tuple[Symbol, Expr]] = {}
     for item in bindings:
         if isinstance(item, Relational):
@@ -914,10 +942,224 @@ def _diff1(e: Expr, x: Symbol) -> Expr:
 
 
 def expand(e: Expr) -> Expr:
-    return _rewrite(e, _expand_rule)
+    """Distribute products and positive integer powers over sums.
+
+    A sum, product or integer power whose shape _Polys covers is
+    multiplied out as a dict polynomial and built back once; any other
+    takes the pairwise path, whose children still use the kernel.
+    """
+    polys = _Polys(None)  # walks with _rewrite's walk, known once it calls
+
+    def rule(x: Expr, walk):
+        if x.kind == KIND_ADD or x.kind == KIND_MUL or x.kind == KIND_POWER:
+            polys.walk = walk
+            p = polys.poly(x)
+            if p is not None:
+                return polys.tree(p)
+        return _expand_pairwise(x, walk)
+
+    return _rewrite(e, rule)
 
 
-def _expand_rule(x: Expr, walk):
+class _Polys:
+    """Sparse dict polynomials over the atoms met in one expansion.
+
+    A polynomial maps a monomial, a tuple of (atom index, exponent)
+    pairs sorted by index with nonzero integer exponents, to a nonzero
+    int or Fraction coefficient; {} is zero.  The atoms are the bases
+    the module docstring lists; a sum is one only under a negative
+    exponent, and walk(x) gives the expansion of a function
+    application or of such a sum.  poly() and factors() answer None
+    for every other shape.
+    """
+
+    def __init__(self, walk):
+        self.walk = walk
+        self.atoms: list[Expr] = []
+        self.index: dict[Expr, int] = {}
+        self.memo: dict[int, tuple] = {}
+        self.rank: list[int] = []
+
+    def atom(self, a: Expr) -> dict:
+        i = self.index.get(a)
+        if i is None:
+            i = self.index[a] = len(self.atoms)
+            self.atoms.append(a)
+        return {((i, 1),): 1}
+
+    def poly(self, x: Expr) -> dict | None:
+        """The expansion of x as a polynomial, None outside the shape."""
+        t = type(x)
+        if t is Symbol or t is Constant:
+            return self.atom(x)
+        got = self.memo.get(id(x))
+        if got is not None:
+            return got[1]
+        p = None
+        if t is Add:
+            p = self._sum(x)
+        elif t is Mul or t is Power:
+            fs = self.factors(x)
+            if fs is not None:
+                p = _pproduct(fs)
+        elif t is Numeric:
+            if x.value.is_rational():
+                p = {(): x.value.val} if not x.value.is_zero() else {}
+        elif t is FunctionApp:
+            y = self.walk(x)
+            if type(y) is FunctionApp:
+                p = self.atom(y)
+        self.memo[id(x)] = (x, p)
+        return p
+
+    def _sum(self, x: Add) -> dict | None:
+        if not x.coeff.is_rational():
+            return None
+        out = {(): x.coeff.val} if not x.coeff.is_zero() else {}
+        for r, k in x.pairs:
+            if not k.is_rational():
+                return None
+            p = self.poly(r)
+            if p is None:
+                return None
+            kv = k.val
+            for m, c in p.items():
+                c = out.get(m, 0) + c * kv
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return out
+
+    def factors(self, x: Expr) -> list | None:
+        """x as (polynomial, integer exponent) factors whose product is
+        its expansion, none of them multiplied out yet; None outside
+        the shape.  A factor under a negative exponent has one term."""
+        t = type(x)
+        if t is Power:
+            k = x.exponent
+            if type(k) is not Numeric or not k.value.is_integer():
+                return None
+            out, pairs = [], ((x.base, k.value),)
+        elif t is Mul:
+            if not x.coeff.is_rational():
+                return None
+            out, pairs = [({(): x.coeff.val}, 1)], x.pairs
+        else:
+            p = self.poly(x)
+            return None if p is None else [(p, 1)]
+        for r, k in pairs:
+            if not k.is_integer():
+                return None
+            k = k.val
+            if type(r) is Add and k < 0:
+                # a sum stays a base under a negative power, expanded
+                b = self.walk(r)
+                if type(b) is Add:
+                    p = self.atom(b)
+                else:
+                    p = self.poly(b)
+                    # a collapsed base inverts as one term, without a sum
+                    # rising to a positive power
+                    if p is None or len(p) != 1:
+                        return None
+                    (m,) = p
+                    if any(type(self.atoms[i]) is Add for i, _ in m):
+                        return None
+            else:
+                p = self.poly(r)
+                if p is None or (k < 0 and len(p) != 1):
+                    return None
+            out.append((p, k))
+        return out
+
+    def tree(self, p: dict) -> Expr:
+        """The canonical sum of p's terms: one product per term."""
+        atoms = self.atoms
+        if len(self.rank) != len(atoms):
+            order = sorted(
+                range(len(atoms)),
+                key=functools.cmp_to_key(lambda i, j: compare(atoms[i], atoms[j])),
+            )
+            self.rank = [0] * len(atoms)
+            for r, i in enumerate(order):
+                self.rank[i] = r
+        rank = self.rank
+        terms = []
+        for m, c in p.items():
+            pairs = [(atoms[i], num(e)) for i, e in sorted(m, key=lambda ie: rank[ie[0]])]
+            terms.append(_product(num(c), pairs))
+        return _add_terms(terms)
+
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two monomials of _Polys."""
+    if not a:
+        return b
+    if not b:
+        return a
+    d = dict(a)
+    for i, e in b:
+        e += d.get(i, 0)
+        if e:
+            d[i] = e
+        else:
+            del d[i]
+    return tuple(sorted(d.items()))
+
+
+def _pmul(a: dict, b: dict) -> dict:
+    """The product of two polynomials of _Polys."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = _mono_mul(ma, mb)
+            c = out.get(m, 0) + ca * cb
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
+
+
+def _ppow(p: dict, k: int) -> dict:
+    """p**k for k >= 1, or any nonzero k when p has one term."""
+    if len(p) == 1:
+        ((m, c),) = p.items()
+        return {tuple((i, e * k) for i, e in m): Fraction(c) ** k if k < 0 else c**k}
+    result = None
+    while True:
+        if k & 1:
+            result = p if result is None else _pmul(result, p)
+        k >>= 1
+        if not k:
+            return result
+        p = _pmul(p, p)
+
+
+def _pproduct(fs: list) -> dict:
+    """The product of (polynomial, exponent) factors, one-term factors
+    gathered into one monomial before the rest are multiplied out."""
+    coeff, mono, rest = 1, (), None
+    for p, k in fs:
+        if not p:
+            return {}
+        q = _ppow(p, k)
+        if len(q) == 1:
+            ((m, c),) = q.items()
+            coeff *= c
+            mono = _mono_mul(mono, m)
+        else:
+            rest = q if rest is None else _pmul(rest, q)
+    if rest is None:
+        return {mono: coeff}
+    if coeff == 1 and not mono:
+        return rest
+    return {_mono_mul(mono, m): coeff * c for m, c in rest.items()}
+
+
+def _expand_pairwise(x: Expr, walk):
+    """Distribution on the trees: one canonical product per cross term."""
     t = type(x)
     if t is Mul:
         acc = [Numeric(x.coeff)]

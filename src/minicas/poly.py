@@ -39,6 +39,8 @@ from .expr import (
     Power,
     PSeriesNode,
     Symbol,
+    _pproduct,
+    _Polys,
     _rewrite,
     _terms_of,
     add,
@@ -155,53 +157,60 @@ def _ordered_vars(*exprs: Expr) -> tuple[Symbol, ...]:
 
 
 def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
-    """Expand e and read it off as a dict polynomial over vars.
+    """The expansion of e as a dict polynomial over vars, read from
+    expand's kernel without building the expanded tree.
 
     Raises DomainError when e is not a polynomial with exact rational
-    coefficients in those variables.
+    coefficients in those variables.  The factors of e are read first:
+    when their exponent ranges show that the product keeps an atom
+    other than vars, or a negative power, e is refused before anything
+    is multiplied out.  A shape the kernel does not cover (a float that
+    cancels, say) is expanded on the trees and read from there.
     """
-    index = {s.serial: i for i, s in enumerate(vars)}
+    polys = _Polys(expand)
+    fs = polys.factors(e)
+    if fs is None:
+        fs = polys.factors(expand(e))
+        if fs is None:
+            raise DomainError("not a polynomial with exact rational coefficients")
+    index = {s.serial: j for j, s in enumerate(vars)}
+    place = [index.get(a.serial) if type(a) is Symbol else None for a in polys.atoms]
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for p, k in fs:
+        if not p:
+            return {}
+        for i, (a, b) in _exponent_ranges(p).items():
+            a, b = (a * k, b * k) if k > 0 else (b * k, a * k)
+            lo[i] = lo.get(i, 0) + a
+            hi[i] = hi.get(i, 0) + b
+    # over an integral domain the extreme exponents of a product are the
+    # sums of its factors' extremes, so these tests are exact
+    for i in lo:
+        if place[i] is None and (lo[i] < 0 or hi[i] > 0):
+            raise DomainError(f"{polys.atoms[i]} is not one of the polynomial's symbols")
+        if lo[i] < 0:
+            raise DomainError(f"{polys.atoms[i]} occurs under a negative power")
     out: Poly = {}
-    for term in _terms_of(expand(e)):
-        mono = [0] * len(vars)
-        t = type(term)
-        if t is Numeric:
-            cv = term.value
-        elif t is Symbol:
-            cv = None
-            mono[index[term.serial]] = 1
-        elif t is Power:
-            k = term.exponent
-            if (
-                type(term.base) is not Symbol
-                or type(k) is not Numeric
-                or not k.value.is_integer()
-                or k.value.val < 0
-            ):
-                raise DomainError(f"{term} is not a polynomial in its symbols")
-            cv = None
-            mono[index[term.base.serial]] = k.value.val
-        elif t is Mul:
-            cv = term.coeff
-            for r, k in term.pairs:
-                if type(r) is not Symbol or not k.is_integer() or k.val < 0:
-                    raise DomainError(f"{term} is not a polynomial in its symbols")
-                mono[index[r.serial]] = k.val
-        else:
-            raise DomainError(f"{term} is not a polynomial in its symbols")
-        if cv is None:
-            c = Fraction(1)
-        elif cv.is_rational():
-            c = cv.as_fraction()
-        else:
-            raise DomainError("polynomial coefficients must be exact rationals")
-        key = tuple(mono)
-        c = out.get(key, Fraction(0)) + c
-        if c:
-            out[key] = c
-        else:
-            out.pop(key, None)
+    for m, c in _pproduct(fs).items():
+        key = [0] * len(vars)
+        for i, d in m:
+            key[place[i]] = d
+        out[tuple(key)] = Fraction(c)
     return out
+
+
+def _exponent_ranges(p: dict) -> dict[int, tuple[int, int]]:
+    """Lowest and highest exponent of each atom over the terms of p, a
+    term without the atom counting as exponent 0."""
+    exps: dict[int, list[int]] = {}
+    for m in p:
+        for i, d in m:
+            exps.setdefault(i, []).append(d)
+    return {
+        i: (min(ds), max(ds)) if len(ds) == len(p) else (min(*ds, 0), max(*ds, 0))
+        for i, ds in exps.items()
+    }
 
 
 def _from_dict(p: Poly, vars: tuple[Symbol, ...]) -> Expr:

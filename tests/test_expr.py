@@ -44,7 +44,9 @@ from minicas.expr import (
     symbols,
     to_string,
 )
-from minicas.functions import sin
+from minicas import expr as expr_module
+from minicas.expr import _expand_pairwise, _Polys, _rewrite
+from minicas.functions import sin, zeta
 from minicas.numbers import num
 from minicas.poly import normal
 
@@ -271,6 +273,79 @@ def test_expand_binomial_coefficients():
     assert e == want
 
 
+def _expand_shape(rng, depth, atoms, numbers):
+    """A random tree of sums, products, integer powers and negative
+    powers of sums over the given atoms and numbers."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(atoms + numbers)
+    r = rng.random()
+    sub = [_expand_shape(rng, depth - 1, atoms, numbers) for _ in range(rng.randint(2, 3))]
+    if r < 0.35:
+        return add(*sub)
+    if r < 0.7:
+        return mul(*sub)
+    if r < 0.85:
+        return power(add(*sub), rng.choice([-1, -2]))
+    base = sub[0] if not sub[0].is_zero() else atoms[0]
+    return power(base, rng.choice([2, 3, -1]))
+
+
+def test_expand_kernel_matches_pairwise_path():
+    # the pairwise path distributes one canonical product per cross
+    # term; the dict kernel must print exactly what it prints
+    x, y, z = symbols("x y z")
+    atoms = [x, y, z, Pi, Euler, zeta(3), sin(y)]
+    numbers = [lift(2), lift(-3), lift(Fraction(1, 2)), lift(Fraction(-2, 3))]
+    s = sqrt(2)
+    regrouped = [mul(mul(s, s), s), mul(s, s, s),
+                 power(mul(x, y), Fraction(3, 2)), mul(x, y, sqrt(mul(x, y))),
+                 mul(2, y, add(1, x)), mul(y, add(2, mul(2, x)))]
+    fallback_atoms = atoms + [s, sqrt(x), I] + regrouped
+    fallback_numbers = numbers + [lift(1.5), lift(0.25), mul(2, I)]
+    rng = random.Random(53)
+    compared = kernel = 0
+    for n in range(2200):
+        fallback = n % 3 == 2
+        try:
+            e = _expand_shape(rng, 4, fallback_atoms if fallback else atoms,
+                              fallback_numbers if fallback else numbers)
+            want = to_string(_rewrite(e, _expand_pairwise))
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                expand(e)
+            continue
+        assert to_string(expand(e)) == want, to_string(e)
+        compared += 1
+        if not fallback and type(e) in (Add, Mul, Power):
+            kernel += _Polys(expand).poly(e) is not None
+    assert compared >= 2000
+    assert kernel >= 1000  # the kernel really took the polynomial shapes
+    for e in regrouped:
+        f = mul(e, add(x, 1))
+        assert to_string(expand(f)) == to_string(_rewrite(f, _expand_pairwise))
+    # a sum under a negative power whose base expands to x*(1+y)^(-1):
+    # inverted, (1+y) rises to the first power, where a product with a
+    # coefficient distributes over it, so the pairwise path decides
+    b = add(mul(x, power(add(1, y), -1), add(z, 1)), mul(-1, x, z, power(add(1, y), -1)))
+    assert to_string(expand(mul(2, power(b, -1), x, sin(z)))) == "(2+2*y)*sin(z)"
+
+
+def test_expand_builds_each_output_term_once(monkeypatch):
+    x, y, z = symbols("x y z")
+    calls = 0
+    inner = expr_module._mul_factors
+
+    def counted(factors):
+        nonlocal calls
+        calls += 1
+        return inner(factors)
+
+    monkeypatch.setattr(expr_module, "_mul_factors", counted)
+    got = expand(power(add(x, y, z), 30))
+    assert type(got) is Add and len(got.pairs) == 496  # [DERIVED] C(32, 2)
+    assert calls <= len(got.pairs) + 10
+
+
 def test_expand_keeps_noninteger_powers():
     x, y = symbols("x y")
     e = expand(power(add(x, y), Fraction(1, 2)))
@@ -328,6 +403,13 @@ def test_subs_simultaneous_and_errors():
     # a binding that is neither a relation nor a pair
     with pytest.raises(UnsupportedPatternError):
         subs(e, [x])
+    # bindings that are not a collection at all
+    with pytest.raises(UnsupportedPatternError):
+        subs(x, 5)
+    with pytest.raises(UnsupportedPatternError):
+        subs(x, lift(5))
+    with pytest.raises(UnsupportedPatternError):
+        subs(x, y)
 
 
 def test_subs_into_functions_and_lists():

@@ -44,7 +44,9 @@ from minicas.matrices import (
     matrix,
     solve_linear,
 )
-from minicas.poly import normal
+from minicas import expr as expr_module
+from minicas.matrices import _det_bareiss_dict
+from minicas.poly import _ordered_vars, _to_dict, normal
 
 # ---------------------------------------------------------------- oracles
 
@@ -188,6 +190,23 @@ def test_det_symbolic_entries():
     # cancellation of function kernels detects a singular product matrix
     m3 = matrix([[exp(x), 1], [1, power(exp(x), -1)]])
     assert mat_det(m3) == lift(0)
+
+
+def test_det_refuses_a_non_polynomial_entry_before_multiplying(monkeypatch):
+    x, y, z, w = symbols("x y z w")
+    big = mul(power(add(x, y, z), 30), sin(w))
+    m = MatrixNode(3, 3, [lift(v) for v in (big, 0, 0, 0, 1, 0, 0, 0, 1)])
+
+    def multiplied(*args):
+        raise AssertionError("the kernel multiplied before it refused")
+
+    monkeypatch.setattr(expr_module, "_pmul", multiplied)
+    monkeypatch.setattr(expr_module, "_ppow", multiplied)
+    with pytest.raises(DomainError):
+        _to_dict(big, _ordered_vars(big))
+    assert _det_bareiss_dict(m) is None
+    monkeypatch.undo()
+    assert mat_det(m) == big
 
 
 def test_det_shape_errors():

@@ -17,6 +17,8 @@ import pytest
 from minicas.errors import DomainError
 from minicas.expr import (
     MatrixNode,
+    Mul,
+    Numeric,
     Pi,
     Symbol,
     add,
@@ -26,11 +28,15 @@ from minicas.expr import (
     lift,
     mul,
     power,
+    sqrt,
     subs,
     symbols,
+    to_string,
 )
+from minicas.expr import _expand_pairwise, _rewrite, _split_factor, _terms_of
 from minicas.functions import exp, sin
 from minicas.poly import (
+    _to_dict,
     coeff,
     collect,
     content_primpart,
@@ -350,6 +356,58 @@ def test_gcd_rejects_non_polynomials():
         poly_gcd(sin(x), x)
     with pytest.raises(DomainError):
         poly_gcd(power(x, -1), x)
+
+
+def _read_expanded(e, vars):
+    """e as a dict over vars read term by term off its expanded tree,
+    expanded on the pairwise path."""
+    out = {}
+    for term in _terms_of(_rewrite(e, _expand_pairwise)):
+        if type(term) is Mul:
+            c, pairs = term.coeff, term.pairs
+        elif type(term) is Numeric:
+            c, pairs = term.value, ()
+        else:
+            c, pairs = lift(1).value, (_split_factor(term),)
+        if not c.is_rational():
+            raise DomainError("coefficient")
+        key = [0] * len(vars)
+        for b, k in pairs:
+            if b not in vars or not k.is_integer() or k.val < 0:
+                raise DomainError("term")
+            key[vars.index(b)] = k.val
+        out[tuple(key)] = out.get(tuple(key), 0) + c.as_fraction()
+    return {t: c for t, c in out.items() if c}
+
+
+def test_to_dict_matches_reading_the_expanded_tree():
+    # g - expand(g) cancels only after expansion, together with any
+    # function, constant, negative power or float inside g
+    x, y, w = symbols("x y w")
+    vars = (x, y, w)
+    polynomial = [x, y, w, add(x, 1), lift(Fraction(1, 3)), lift(-2)]
+    others = [power(x, -1), sin(w), Pi, power(add(x, y), -1), sqrt(x), lift(0.5)]
+    rng = random.Random(59)
+
+    def part(pieces):
+        f = mul(*rng.sample(pieces, rng.randint(1, 3)))
+        return add(f, *rng.sample(pieces, rng.randint(0, 2)))
+
+    outcomes = {"dict": 0, "refused": 0}
+    for _ in range(500):
+        f, g = part(rng.choice([polynomial, polynomial + others])), part(polynomial + others)
+        e = rng.choice([f, mul(f, g), add(f, g, mul(-1, expand(g))),
+                        mul(add(x, mul(-1, expand(g)), g), power(f, rng.randint(1, 3)))])
+        try:
+            want = _read_expanded(e, vars)
+        except DomainError:
+            with pytest.raises(DomainError):
+                _to_dict(e, vars)
+            outcomes["refused"] += 1
+            continue
+        assert _to_dict(e, vars) == want, to_string(e)
+        outcomes["dict"] += 1
+    assert min(outcomes.values()) >= 100
 
 
 def test_lcm_examples():
