@@ -365,7 +365,7 @@ class ExprList(Expr):
     kind = KIND_LIST
 
     def __init__(self, items):
-        self.items = tuple(items)
+        self.items = tuple(lift(a) for a in items)
         self._hash = hash64(KIND_LIST, *(a._hash for a in self.items))
 
     def __iter__(self):
@@ -382,7 +382,7 @@ class MatrixNode(Expr):
     kind = KIND_MATRIX
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
+        entries = tuple(lift(a) for a in entries)
         if rows < 1 or cols < 1 or len(entries) != rows * cols:
             raise DomainError("matrix shape does not match entry count")
         self.rows = rows
@@ -509,7 +509,12 @@ def _add_terms(terms) -> Expr:
         else:
             r, k = _split_term(t)
             _bucket_merge(bucket, r, k)
-    pairs = [(r, k) for r, k in bucket.items() if not k.is_zero()]
+    return _sum(overall, [(r, k) for r, k in bucket.items() if not k.is_zero()])
+
+
+def _sum(overall: Number, pairs) -> Expr:
+    """The canonical form of overall + sum(k*r) for (r, k) pairs with
+    distinct rests r, as _split_term makes them, and nonzero k."""
     if not pairs:
         return Numeric(overall)
     _sort_pairs(pairs)
@@ -1074,7 +1079,8 @@ class _Polys:
         return out
 
     def tree(self, p: dict) -> Expr:
-        """The canonical sum of p's terms: one product per term."""
+        """The canonical sum of p's terms, each term built once: as the
+        coefficient and coefficient-one product _split_term would make."""
         atoms = self.atoms
         if len(self.rank) != len(atoms):
             order = sorted(
@@ -1085,11 +1091,15 @@ class _Polys:
             for r, i in enumerate(order):
                 self.rank[i] = r
         rank = self.rank
+        overall = _NUM_ZERO
         terms = []
         for m, c in p.items():
-            pairs = [(atoms[i], num(e)) for i, e in sorted(m, key=lambda ie: rank[ie[0]])]
-            terms.append(_product(num(c), pairs))
-        return _add_terms(terms)
+            if m:
+                pairs = [(atoms[i], num(e)) for i, e in sorted(m, key=lambda ie: rank[ie[0]])]
+                terms.append((_product(_NUM_ONE, pairs), num(c)))
+            else:
+                overall = num(c)
+        return _sum(overall, terms)
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:

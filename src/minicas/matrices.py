@@ -1,13 +1,15 @@
 """Exact linear algebra on dense matrices of expressions.
 
 A matrix is a MatrixNode, row-major entries behind the same immutable
-Expr discipline as every other node.  Determinants try fraction-free
-Bareiss elimination on dict polynomials first, which succeeds when every
-entry is a polynomial with rational coefficients.  Otherwise a census of
-the entries decides: cofactor expansion along the emptiest row or column
-when plenty of entries are zero, and Bareiss on the trees otherwise,
-with every division resolved through normal() so that cancellation
-happens in the enlarged ring of generators.
+Expr discipline as every other node.  Determinants work on dict
+polynomials when every entry is a polynomial with rational coefficients,
+and on the trees otherwise, with normal() cancelling in the enlarged ring
+of generators.  On either ring a census of the entries picks the method,
+as GiNaC's matrix::determinant does: a matrix at least half zero takes a
+division-free minor expansion that computes each nonzero minor once (GiNaC's
+determinant_minor), and a denser one, or one whose minors would cost more
+multiplications than elimination, takes fraction-free Bareiss
+elimination.
 Inversion is exact Gauss-Jordan, and solve_linear() reduces a list of
 relations to Gaussian elimination on the coefficient matrix.
 
@@ -19,6 +21,8 @@ denominator.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .errors import DomainError, NoUniqueSolutionError, ShapeError, SingularMatrixError
@@ -39,7 +43,7 @@ from .expr import (
     subs,
 )
 from .poly import coeff, collect, degree, normal
-from .poly import _ddiv_exact, _dmul, _dsub, _from_dict, _ordered_vars, _to_dict
+from .poly import _ddiv_exact, _dmul, _dneg, _dsub, _from_dict, _ordered_vars, _to_dict
 
 __all__ = [
     "matrix",
@@ -137,45 +141,79 @@ def _div(a: Expr, b: Expr) -> Expr:
 def mat_det(m: MatrixNode) -> Expr:
     """Exact determinant.
 
-    Entries that are all polynomials with rational coefficients go to
-    fraction-free Bareiss elimination on dict polynomials, whose
-    divisions are exact by Sylvester's identity.  Otherwise a census of
-    the entries decides: at least half the matrix structurally zero
-    takes cofactor expansion along the sparsest line; a denser one takes
-    Bareiss on the trees, since normal() cancels quotients of function
-    kernels just as well.
+    Entries that are all polynomials with rational coefficients are
+    worked on as dict polynomials, and the result comes back canonical,
+    with no normal() pass.  Other entries stay trees, and one normal()
+    at the end cancels what the products left.  On either ring, a census
+    of the entries picks the method: at least half the matrix
+    structurally zero takes memoized minor expansion, unless its zero
+    pattern shows it would need more ring multiplications than Bareiss
+    elimination (n^3); a denser matrix takes Bareiss from the start.
     """
     _want_square(m, "determinant")
-    n = m.rows
     d = _det_bareiss_dict(m)
+    if d is not None:
+        return d
+    rows = m.row_list()
+    d = _det_cofactor(rows, mul, _tree_sum, _is_zero) if _is_sparse(m) else None
     if d is None:
-        if 2 * sum(1 for e in m.entries if _is_zero(e)) >= n * n:
-            d = _det_cofactor(m.row_list())
-        else:
-            d = _det_bareiss(m.row_list())
+        d = _det_bareiss(rows)
     return _norm(d)
 
 
-def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
-    """Bareiss elimination on the poly dict representation.
+def _is_sparse(m: MatrixNode) -> bool:
+    return 2 * sum(1 for e in m.entries if _is_zero(e)) >= m.rows * m.cols
 
-    Avoids rebuilding expression trees for every intermediate minor;
-    the exact divisions stay inside Fraction arithmetic.  Returns None
-    when some entry is not a polynomial with rational coefficients
-    (_to_dict refuses it), and the caller picks a tree-level routine.
+
+def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
+    """The determinant on the poly dict representation, or None when
+    some entry is not a polynomial with rational coefficients (_to_dict
+    refuses it) and the caller has to work on the trees.
+
+    A sparse matrix goes to minor expansion on integer coefficients:
+    each row is scaled by the lcm of its denominators, and the product
+    of those lcms divides out at the end.  Bareiss, on the rational
+    coefficients, takes a dense matrix and a sparse one whose expansion
+    would run over its budget.
     """
     vars = _ordered_vars(*m.entries)
     try:
         rows = [[_to_dict(e, vars) for e in row] for row in m.row_list()]
     except DomainError:
         return None
-    n = m.rows
+    p = None
+    if _is_sparse(m):
+        scaled, scale = _integer_rows(rows)
+        p = _det_cofactor(scaled, _dmul, _dict_sum, operator.not_)
+        if p is not None and scale != 1:
+            p = {t: Fraction(c, scale) for t, c in p.items()}
+    if p is None:
+        p = _bareiss_on_dicts(rows)
+    return _from_dict(p, vars)
+
+
+def _integer_rows(rows: list[list[dict]]) -> tuple[list[list[dict]], int]:
+    """rows with each row scaled to integer coefficients by the lcm of
+    its denominators, and the product of those lcms."""
+    scale = 1
+    out = []
+    for row in rows:
+        den = math.lcm(*(c.denominator for p in row for c in p.values()))
+        scale *= den
+        out.append([{t: c.numerator * (den // c.denominator) for t, c in p.items()} for p in row])
+    return out, scale
+
+
+def _bareiss_on_dicts(rows: list[list[dict]]) -> dict:
+    """Fraction-free Bareiss elimination on dict polynomials; every
+    division is exact by Sylvester's identity.  Consumes rows."""
+    n = len(rows)
     sign = 1
     prev = None
     for k in range(n - 1):
         piv = next((i for i in range(k, n) if rows[i][k]), None)
         if piv is None:
-            return _ZERO
+            return {}
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
@@ -186,13 +224,13 @@ def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
                 t = _dsub(_dmul(pk, rows[i][j]), _dmul(rik, rows[k][j]))
                 if prev is not None and t:
                     t = _ddiv_exact(t, prev)
-                    if t is None:  # cannot happen by Sylvester's identity
-                        return None
+                    if t is None:
+                        raise ArithmeticError("inexact Bareiss division")
                 rows[i][j] = t
             rows[i][k] = {}
         prev = pk
-    d = _from_dict(rows[-1][-1], vars)
-    return d if sign > 0 else mul(_M1, d)
+    d = rows[-1][-1]
+    return d if sign > 0 else _dneg(d)
 
 
 def _det_bareiss(rows: list[list[Expr]]) -> Expr:
@@ -218,28 +256,66 @@ def _det_bareiss(rows: list[list[Expr]]) -> Expr:
     return d if sign > 0 else mul(_M1, d)
 
 
-def _det_cofactor(rows: list[list[Expr]]) -> Expr:
+def _det_cofactor(rows, times, plus, is_zero):
+    """Laplace expansion column by column, each minor computed once.
+
+    The nonzero minors of the first c columns are kept in a dict keyed
+    by the bitmask of their rows; the minor on rows S of the first
+    c + 1 columns is the signed sum, over r in S, of entry (r, c) times
+    the minor on S - {r}.  times multiplies two ring elements, plus sums
+    a list of (negate, element) pairs.
+
+    The steps are planned on the zero pattern first.  When they would
+    take more than n^3 ring multiplications, Bareiss's cost on a dense
+    matrix, the answer is None before any arithmetic is done: a matrix
+    with little structure has up to C(n, n/2) live minors.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    # expand along the line with the most structural zeros
-    zr = [sum(1 for j in range(n) if _is_zero(rows[i][j])) for i in range(n)]
-    zc = [sum(1 for i in range(n) if _is_zero(rows[i][j])) for j in range(n)]
-    terms = []
-    if max(zr) >= max(zc):
-        i = zr.index(max(zr))
-        picks = [(i, j) for j in range(n)]
-    else:
-        j = zc.index(max(zc))
-        picks = [(i, j) for i in range(n)]
-    for i, j in picks:
-        a = rows[i][j]
-        if _is_zero(a):
-            continue
-        minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
-        t = mul(a, _det_cofactor(minor))
-        terms.append(mul(_M1, t) if (i + j) % 2 else t)
-    return add(*terms)
+    cols = [[i for i in range(n) if not is_zero(rows[i][j])] for j in range(n)]
+    budget = n**3
+    plan = []
+    masks = {1 << i for i in cols[0]}
+    for col in cols[1:]:
+        steps = [(mask, i) for mask in masks for i in col if not mask >> i & 1]
+        budget -= len(steps)
+        if budget < 0:
+            return None
+        plan.append(steps)
+        masks = {mask | 1 << i for mask, i in steps}
+    minors = {1 << i: rows[i][0] for i in cols[0]}
+    for j, steps in enumerate(plan, 1):
+        terms: dict[int, list] = {}
+        for mask, i in steps:
+            minor = minors.get(mask)
+            if minor is not None:
+                # the sign of entry (i, j) in the minor on mask + {i}:
+                # one flip for each of its rows after i
+                odd = (mask >> i).bit_count() & 1
+                terms.setdefault(mask | 1 << i, []).append((odd, times(rows[i][j], minor)))
+        minors = {}
+        for mask, ts in terms.items():
+            t = plus(ts)
+            if not is_zero(t):
+                minors[mask] = t
+    return minors.get((1 << n) - 1, plus([]))
+
+
+def _tree_sum(terms: list) -> Expr:
+    return add(*(mul(_M1, t) if odd else t for odd, t in terms))
+
+
+def _dict_sum(terms: list) -> dict:
+    if len(terms) == 1 and not terms[0][0]:
+        return terms[0][1]
+    out: dict = {}
+    for odd, p in terms:
+        for t, c in p.items():
+            s = out.get(t, 0) - c if odd else out.get(t, 0) + c
+            if s:
+                out[t] = s
+            else:
+                del out[t]
+    return out
 
 
 # ---------------------------------------------------------------- inverse

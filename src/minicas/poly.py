@@ -143,7 +143,9 @@ def collect(e, x) -> Expr:
 # A polynomial in n ordered variables is a dict from exponent tuples of
 # length n to nonzero Fraction coefficients; the zero polynomial is the
 # empty dict.  Tuples compare lexicographically, and that is the term
-# order used throughout.
+# order used throughout.  _dmul, _dneg and _from_dict also take int
+# coefficients and keep them ints, which the determinant's minor
+# expansion relies on.
 
 Poly = dict
 
@@ -248,11 +250,15 @@ def _dmul(a: Poly, b: Poly) -> Poly:
     for ta, ca in a.items():
         for tb, cb in b.items():
             key = tuple(i + j for i, j in zip(ta, tb))
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
+            s = out.get(key)
+            if s is None:
+                out[key] = ca * cb
             else:
-                out.pop(key, None)
+                s += ca * cb
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
     return out
 
 

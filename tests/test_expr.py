@@ -344,6 +344,24 @@ def test_expand_builds_each_output_term_once(monkeypatch):
     got = expand(power(add(x, y, z), 30))
     assert type(got) is Add and len(got.pairs) == 496  # [DERIVED] C(32, 2)
     assert calls <= len(got.pairs) + 10
+    monkeypatch.undo()
+
+    # one Mul per output term of two or more factors, whatever its coefficient
+    want = to_string(_rewrite(power(add(mul(2, x), mul(3, y), z, 1), 20), _expand_pairwise))
+    made = 0
+    init = expr_module.Mul.__init__
+
+    def counted_init(self, coeff, pairs):
+        nonlocal made
+        made += 1
+        init(self, coeff, pairs)
+
+    monkeypatch.setattr(expr_module.Mul, "__init__", counted_init)
+    got = expand(power(add(mul(2, x), mul(3, y), z, 1), 20))
+    monkeypatch.undo()
+    assert type(got) is Add and len(got.pairs) == 1770  # [DERIVED] C(23, 3) - 1
+    assert made <= len(got.pairs) + 10
+    assert to_string(got) == want
 
 
 def test_expand_keeps_noninteger_powers():
@@ -588,6 +606,14 @@ def test_printing_forms():
     assert to_string(Relational(x, add(y, 1), "==")) == "x==1+y"
     assert to_string(ExprList([x, lift(2)])) == "[x,2]"
     assert to_string(MatrixNode(2, 2, [lift(1), x, y, lift(0)])) == "[[1,x],[y,0]]"
+
+
+def test_raw_containers_lift_their_entries():
+    x = Symbol("x")
+    assert MatrixNode(1, 2, [x, 0]) == MatrixNode(1, 2, [x, lift(0)])
+    assert to_string(MatrixNode(1, 2, [x, Fraction(1, 2)])) == "[[x,1/2]]"
+    assert ExprList([x, 1]) == ExprList([x, lift(1)])
+    assert to_string(ExprList([x, 1])) == "[x,1]"
 
 
 def test_pseries_node_basics():

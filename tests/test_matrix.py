@@ -1,9 +1,10 @@
 """Linear algebra tests.
 
-The production determinant routes through Bareiss elimination on the
-poly dict representation (or through normal() for symbolic entries), so
-the oracle here is the one thing it never uses: textbook Laplace
-expansion along the first row over plain Python Fractions and Exprs.
+The production determinant routes through memoized minor expansion or
+Bareiss elimination, on the poly dict representation or (for symbolic
+entries) on the trees with normal(), so the oracle here is the one thing
+it never uses: textbook Laplace expansion along the first row over plain
+Python Fractions and Exprs.
 Inverses are checked against the adjugate formula and the defining
 product, solve_linear against Cramer's rule, and the Hilbert family
 against its factorial closed form.
@@ -45,8 +46,9 @@ from minicas.matrices import (
     solve_linear,
 )
 from minicas import expr as expr_module
-from minicas.matrices import _det_bareiss_dict
-from minicas.poly import _ordered_vars, _to_dict, normal
+from minicas import matrices as matrices_module
+from minicas.matrices import _bareiss_on_dicts, _det_bareiss, _det_bareiss_dict
+from minicas.poly import _from_dict, _ordered_vars, _to_dict, normal
 
 # ---------------------------------------------------------------- oracles
 
@@ -77,6 +79,27 @@ def det_fraction(rows):
         s = -1 if j % 2 else 1
         total += s * rows[0][j] * det_fraction(minor)
     return total
+
+
+def det_gauss(rows):
+    """Gaussian elimination on plain Fractions, for sizes Laplace cannot
+    reach."""
+    rows = [[Fraction(v) for v in r] for r in rows]
+    n = len(rows)
+    d = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            d = -d
+        d *= rows[k][k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            for j in range(k, n):
+                rows[i][j] -= f * rows[k][j]
+    return d
 
 
 def adjugate_inverse(rows):
@@ -207,6 +230,127 @@ def test_det_refuses_a_non_polynomial_entry_before_multiplying(monkeypatch):
     assert _det_bareiss_dict(m) is None
     monkeypatch.undo()
     assert mat_det(m) == big
+
+
+SHAPES = ("sparse", "banded", "checkerboard", "dense")
+KINDS = ("integer", "rational", "polynomial", "rational-function")
+
+
+def shaped_rows(rng, shape, kind, n, x, y):
+    """An n x n matrix of the given zero pattern and entry kind, over
+    the symbols x and y."""
+    band = rng.randint(1, 2)
+    keep = {
+        "sparse": lambda i, j: i == j or rng.random() < 0.25,
+        "banded": lambda i, j: abs(i - j) <= band,
+        "checkerboard": lambda i, j: (i + j) % 2 == 0,
+        "dense": lambda i, j: True,
+    }[shape]
+
+    def entry():
+        k = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+        if kind == "integer":
+            return lift(k)
+        if kind == "rational":
+            return lift(Fraction(k, rng.randint(1, 6)))
+        if kind == "polynomial":
+            return add(
+                Fraction(k, rng.randint(1, 3)),
+                mul(rng.randint(-2, 2), rng.choice([x, y, mul(x, y)])),
+                mul(rng.randint(-1, 1), power(x, 2)),
+            )
+        return mul(k, power(add(rng.choice([x, y]), rng.randint(1, 6)), -1))
+
+    return [[entry() if keep(i, j) else lift(0) for j in range(n)] for i in range(n)]
+
+
+def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
+    rng = random.Random(202608)
+    x, y = symbols("x y")
+    expansions = []
+    inner = matrices_module._det_cofactor
+
+    def recorded(rows, times, plus, is_zero):
+        got = inner(rows, times, plus, is_zero)
+        expansions.append((times is mul, got is not None))
+        return got
+
+    def check(rows, polynomial):
+        n = len(rows)
+        m = matrix(rows)
+        d = mat_det(m)
+        # value at random points, against Laplace (or, past 7x7, Gaussian
+        # elimination) on Fractions
+        oracle = det_fraction if n <= 7 else det_gauss
+        for _ in range(2):
+            pt = {x: lift(Fraction(rng.randint(1, 20), rng.randint(1, 7))),
+                  y: lift(Fraction(rng.randint(1, 20), rng.randint(1, 7)))}
+            vals = [[subs(e, pt).value.as_fraction() for e in r] for r in rows]
+            assert subs(d, pt) == lift(oracle(vals))
+        # against Bareiss on the trees, which pays a normal() per division
+        if n <= 4:
+            tree = _det_bareiss([list(r) for r in rows])
+            assert expand(normal(add(d, mul(-1, tree)))) == lift(0)
+        assert (_det_bareiss_dict(m) is not None) == polynomial
+        if not polynomial:
+            return
+        # the dict path: exactly what dict Bareiss gives, already normal
+        vars = _ordered_vars(*m.entries)
+        dicts = [[_to_dict(e, vars) for e in r] for r in rows]
+        assert d == _from_dict(_bareiss_on_dicts(dicts), vars)
+        assert normal(d) == d
+
+    monkeypatch.setattr(matrices_module, "_det_cofactor", recorded)
+    sizes = {
+        "integer": (1, 2, 3, 5, 7, 10),
+        "rational": (1, 2, 3, 5, 7, 10),
+        "polynomial": (1, 2, 3, 4, 6),
+        "rational-function": (1, 2, 3, 4),
+    }
+    for shape in SHAPES:
+        for kind in KINDS:
+            for n in sizes[kind]:
+                check(shaped_rows(rng, shape, kind, n, x, y), kind != "rational-function")
+    # a checkerboard with one rational-function entry takes the tree ring
+    # and runs out of budget
+    rows = shaped_rows(rng, "checkerboard", "integer", 10, x, y)
+    rows[0][0] = power(add(x, 1), -1)
+    check(rows, False)
+    # both rings ran the expansion to the end, and both ran out of budget
+    assert set(expansions) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_checkerboard_runs_out_of_budget_and_ends_in_bareiss(monkeypatch):
+    rng = random.Random(202609)
+    x = Symbol("x")
+    outcomes = []
+    bareiss_runs = 0
+    expand_minors = matrices_module._det_cofactor
+    eliminate = matrices_module._bareiss_on_dicts
+
+    def expansion(*args):
+        got = expand_minors(*args)
+        outcomes.append(got is None)
+        return got
+
+    def bareiss(rows):
+        nonlocal bareiss_runs
+        bareiss_runs += 1
+        return eliminate(rows)
+
+    monkeypatch.setattr(matrices_module, "_det_cofactor", expansion)
+    monkeypatch.setattr(matrices_module, "_bareiss_on_dicts", bareiss)
+    n = 16
+    ints = [[rng.randint(-5, 5) or 1 if (i + j) % 2 == 0 else 0 for j in range(n)]
+            for i in range(n)]
+    assert mat_det(matrix(ints)) == lift(det_gauss(ints))
+    assert (outcomes, bareiss_runs) == ([True], 1)
+    polys = [[add(e, x) if e else lift(0) for e in r] for r in ints]
+    d = mat_det(matrix(polys))
+    assert (outcomes, bareiss_runs) == ([True, True], 2)
+    for r in (Fraction(1, 3), Fraction(-7, 2)):
+        vals = [[e + r if e else 0 for e in row] for row in ints]
+        assert subs(d, {x: lift(r)}) == lift(det_gauss(vals))
 
 
 def test_det_shape_errors():
