@@ -13,7 +13,6 @@ from minicas import (
     add,
     gamma,
     mul,
-    normal,
     power,
     ps_to_expr,
     series_coeff,
@@ -37,11 +36,12 @@ def main():
     x = Symbol("x")
     print("gamma(x) around the pole at x=0:")
     print("   ", to_string(series_of(gamma(x), Eq(x, 0), 3)))
-    # deeper coefficients come out in unexpanded form; normal tidies them
+    # the coefficients come out expanded: polynomials in Euler, Pi and
+    # the odd zeta values
     s = series_of(gamma(x), Eq(x, 0), 7)
-    print("coefficients through x^6, normalized:")
+    print("coefficients through x^6:")
     for k in range(-1, 7):
-        print(f"    x^{k}: {to_string(normal(series_coeff(s, k)))}")
+        print(f"    x^{k}: {to_string(series_coeff(s, k))}")
 
 
 if __name__ == "__main__":

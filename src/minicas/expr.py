@@ -670,27 +670,30 @@ def _numeric_power(b: Numeric, e: Numeric) -> Expr:
                     return ZERO
                 raise ZeroDivisionError("zero to a negative power")
             if fr > 0:
-                root = _exact_rational_root(fr, ev.val)
+                root = _exact_rational_root(fr, ev.val.denominator)
                 if root is not None:
-                    return Numeric(num(root))
+                    # through num_pow, which refuses a power too large to build
+                    return Numeric(num_pow(num(root), num(ev.val.numerator)))
         return Power(b, e)
     return Numeric(num_pow(bv, ev))
 
 
-def _exact_rational_root(fr: Fraction, ex: Fraction) -> Fraction | None:
-    a, bq = ex.numerator, ex.denominator
-    rp = _iroot_exact(fr.numerator, bq)
+def _exact_rational_root(fr: Fraction, q: int) -> Fraction | None:
+    """The q-th root of fr when it is rational, else None."""
+    rp = _iroot_exact(fr.numerator, q)
     if rp is None:
         return None
-    rq = _iroot_exact(fr.denominator, bq)
+    rq = _iroot_exact(fr.denominator, q)
     if rq is None:
         return None
-    return Fraction(rp, rq) ** a
+    return Fraction(rp, rq)
 
 
 def _iroot_exact(n: int, b: int) -> int | None:
     if n in (0, 1):
         return n
+    if n.bit_length() <= b:
+        return None  # 1 < n < 2^b: the root lies strictly between 1 and 2
     x = 1 << ((n.bit_length() + b - 1) // b)
     while True:
         nx = ((b - 1) * x + n // x ** (b - 1)) // b
@@ -1020,21 +1023,15 @@ class _Polys:
     def _sum(self, x: Add) -> dict | None:
         if not x.coeff.is_rational():
             return None
-        out = {(): x.coeff.val} if not x.coeff.is_zero() else {}
+        parts = [{(): x.coeff.val}] if not x.coeff.is_zero() else []
         for r, k in x.pairs:
             if not k.is_rational():
                 return None
             p = self.poly(r)
             if p is None:
                 return None
-            kv = k.val
-            for m, c in p.items():
-                c = out.get(m, 0) + c * kv
-                if c:
-                    out[m] = c
-                else:
-                    del out[m]
-        return out
+            parts.append(_pscale(p, k.val))
+        return _padd(parts)
 
     def factors(self, x: Expr) -> list | None:
         """x as (polynomial, integer exponent) factors whose product is
@@ -1130,6 +1127,26 @@ def _pmul(a: dict, b: dict) -> dict:
             else:
                 del out[m]
     return out
+
+
+def _padd(ps) -> dict:
+    """The sum of an iterable of polynomials of _Polys."""
+    out: dict = {}
+    for p in ps:
+        for m, c in p.items():
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
+
+
+def _pscale(p: dict, q) -> dict:
+    """q * p for an int or Fraction q."""
+    if q == 1:
+        return p
+    return {m: c * q for m, c in p.items()} if q else {}
 
 
 def _ppow(p: dict, k: int) -> dict:

@@ -448,11 +448,40 @@ def num_neg(a: Number) -> Number:
     return complexnum(num_neg(a.re), num_neg(a.im))
 
 
+# The exact powers num_pow builds stay below this many bits (8 MB) in
+# every numerator and denominator; a larger one raises DomainError.
+_MAX_POW_BITS = 1 << 26
+
+
+def _bits(a: Number) -> int:
+    """Bit length of the larger of the numerator and denominator of an
+    exact real a."""
+    if a.kind == _INT:
+        return a.val.bit_length()
+    return max(a.val.numerator.bit_length(), a.val.denominator.bit_length())
+
+
+def _check_pow_size(a: Number, n: int) -> None:
+    """Refuse the exact power a**n before building it when it would pass
+    _MAX_POW_BITS.  The estimate is a lower bound: an integer of bit
+    length L is at least 2^(L-1), and a complex z is sized by
+    |z|^2 = re^2 + im^2, whose n-th power is |z^n|^2."""
+    if a.kind == _CPLX:
+        re, im = a.re, a.im
+        est = (_bits(num_add(num_mul(re, re), num_mul(im, im))) - 1) * abs(n) // 2
+    else:
+        est = (_bits(a) - 1) * abs(n)
+    if est > _MAX_POW_BITS:
+        raise DomainError(f"exact power too large: about {est} bits")
+
+
 def num_pow(a: Number, b: Number) -> Number:
     if b.kind == _INT:
         n = b.val
         if a.is_zero() and n < 0:
             raise ZeroDivisionError("zero to a negative power")
+        if a.is_exact():
+            _check_pow_size(a, n)
         if a.kind == _INT:
             return Number(_INT, a.val**n) if n >= 0 else _from_fraction(Fraction(1, a.val**-n))
         if a.kind == _RAT:

@@ -837,8 +837,13 @@ def _frac_cancel(n: Expr, d: Expr) -> tuple[Expr, Expr]:
     if g != _ONE:
         n = exact_quotient(n, g)
         d = exact_quotient(d, g)
-    # the denominator keeps no unit and no rational content; both move
-    # into the numerator
+    return _unit_normal_den(n, d)
+
+
+def _unit_normal_den(n: Expr, d: Expr) -> tuple[Expr, Expr]:
+    """Normalize the denominator of the fraction n/d, whose parts are
+    expanded and coprime: it keeps no unit and no rational content; both
+    move into the numerator."""
     vars = _ordered_vars(d)
     cd, pd = _integerize(_to_dict(d, vars))
     if cd != 1:
@@ -865,6 +870,9 @@ def _normal_rule(x: Expr, walk):
     if x.kind >= PSeriesNode.kind:
         return None
     gm = _GenMap()
-    n, d = _frac_cancel(*_normal_pair(x, gm))
+    n, d = _normal_pair(x, gm)
+    if d != _ONE:
+        # every branch of _normal_pair makes its pair coprime already
+        n, d = _unit_normal_den(expand(n), expand(d))
     out = n if d == _ONE else mul(n, power(d, -1))
     return gm.restore(out)

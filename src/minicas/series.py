@@ -12,12 +12,28 @@ arithmetic here tracks how truncation orders propagate:
 so precision is never overstated.  series_of drives the structural
 expansion and falls back to a Taylor loop built on diff for nodes
 without a dedicated rule.
+
+The coefficient arithmetic of ps_add, ps_scale, ps_mul, ps_pow and
+ps_exp runs on the sparse dict polynomials of expand's kernel
+(expr._Polys) when it covers every coefficient the operation reads:
+exact rational numbers, symbols, constants and function applications,
+with sums, products and integer powers of them.  Each output
+coefficient is then built once, expanded, so the printed gamma series
+grows about as fast as its number of distinct monomials, not doubling
+with every order as nested sums of earlier coefficients did.  A coefficient with a float, I, a
+numeric-base power such as 2^(1/2) or a symbolic exponent sends the
+whole operation to the same recurrences on the canonical trees, the
+split expand makes: products are not associative on such forms and
+floats round by the order of their operations, so only the tree order
+prints what these operations always printed.  Taylor-loop coefficients
+are what subs gives.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import DomainError, PoleError, SeriesError, UnevaluatedDerivativeError
 from .expr import (
@@ -30,9 +46,14 @@ from .expr import (
     PSeriesNode,
     Relational,
     Symbol,
+    _padd,
+    _pmul,
+    _Polys,
+    _pscale,
     add,
     compare,
     diff,
+    expand,
     free_symbols,
     lift,
     mul,
@@ -88,6 +109,47 @@ def truncate_ps(s: PSeriesNode, n: int) -> PSeriesNode:
 # --------------------------------------------------------------- arithmetic
 
 
+class _Ring(NamedTuple):
+    """Coefficient arithmetic for one series operation.
+
+    plus sums ring elements, times multiplies ring elements and
+    rational numbers, out turns an element into its canonical tree.
+    """
+
+    plus: Callable
+    times: Callable
+    out: Callable
+    one: object
+
+
+_TREES = _Ring(add, mul, lambda c: c, lift(1))
+
+
+def _dict_times(*fs) -> dict:
+    """The product of dict polynomials and rational numbers."""
+    q, p = 1, None
+    for f in fs:
+        if type(f) is dict:
+            p = f if p is None else _pmul(p, f)
+        else:
+            q *= f
+    return _pscale(p, q)
+
+
+def _ring(coeffs) -> tuple[_Ring, list]:
+    """The ring for an operation on these coefficients, and the
+    coefficients as its elements: _Polys dicts read through one kernel
+    with expand as its walk, or the trees when it refuses one."""
+    polys = _Polys(expand)
+    ps = []
+    for c in coeffs:
+        p = polys.poly(c)
+        if p is None:
+            return _TREES, list(coeffs)
+        ps.append(p)
+    return _Ring(lambda *xs: _padd(xs), _dict_times, polys.tree, {(): 1}), ps
+
+
 def ps_add(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
     _check_compatible(a, b)
     if a.order is None:
@@ -96,40 +158,47 @@ def ps_add(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
         order = a.order
     else:
         order = min(a.order, b.order)
-    coeffs: dict[int, Expr] = {}
-    for c, k in a.terms:
-        coeffs[k] = c
-    for c, k in b.terms:
-        coeffs[k] = add(coeffs.get(k, lift(0)), c)
-    return pseries(a.var, a.point, [(c, k) for k, c in coeffs.items()], order)
+    ring, cs = _ring([c for c, _ in a.terms + b.terms])
+    coeffs: dict[int, object] = {}
+    for c, (_, k) in zip(cs, a.terms + b.terms):
+        coeffs[k] = ring.plus(coeffs[k], c) if k in coeffs else c
+    return pseries(a.var, a.point, [(ring.out(c), k) for k, c in coeffs.items()], order)
 
 
 def ps_scale(a: PSeriesNode, factor: Expr, shift: int = 0) -> PSeriesNode:
     """factor * x^shift * a for a factor free of the series variable."""
     order = None if a.order is None else a.order + shift
-    return pseries(
-        a.var, a.point, [(mul(factor, c), k + shift) for c, k in a.terms], order
-    )
+    ring, (f, *cs) = _ring([factor] + [c for c, _ in a.terms])
+    terms = [(ring.out(ring.times(f, c)), k + shift) for c, (_, k) in zip(cs, a.terms)]
+    return pseries(a.var, a.point, terms, order)
 
 
 def ps_mul(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
     _check_compatible(a, b)
     if _is_exact_zero(a) or _is_exact_zero(b):
         return _zero_series(a.var, a.point)
+    for s, t in ((a, b), (b, a)):
+        if t.order is None and len(t.terms) == 1 and t.terms[0][0].is_one():
+            # times an exact x^e: a shift, with no coefficient arithmetic
+            e = t.terms[0][1]
+            order = None if s.order is None else s.order + e
+            return pseries(s.var, s.point, [(c, k + e) for c, k in s.terms], order)
     candidates = []
     if a.order is not None:
         candidates.append(a.order + _ldeg(b))
     if b.order is not None:
         candidates.append(b.order + _ldeg(a))
     order = min(candidates) if candidates else None
-    coeffs: dict[int, list[Expr]] = {}
-    for ca, ka in a.terms:
-        for cb, kb in b.terms:
+    ring, cs = _ring([c for c, _ in a.terms + b.terms])
+    ca, cb = cs[: len(a.terms)], cs[len(a.terms) :]
+    coeffs: dict[int, list] = {}
+    for x, (_, ka) in zip(ca, a.terms):
+        for y, (_, kb) in zip(cb, b.terms):
             k = ka + kb
             if order is not None and k >= order:
                 continue
-            coeffs.setdefault(k, []).append(mul(ca, cb))
-    terms = [(add(*parts), k) for k, parts in coeffs.items()]
+            coeffs.setdefault(k, []).append(ring.times(x, y))
+    terms = [(ring.out(ring.plus(*parts)), k) for k, parts in coeffs.items()]
     return pseries(a.var, a.point, terms, order)
 
 
@@ -140,6 +209,11 @@ def ps_pow(a: PSeriesNode, k, rel_hint: int | None = None) -> PSeriesNode:
     but the power is an infinite series (negative or fractional k).
     """
     k = Fraction(k)
+    if a.order is None and len(a.terms) == 1 and (a.terms[0][1] * k).denominator == 1:
+        # exact monomial: the power is again an exact monomial
+        ((c, e),) = a.terms
+        ring, (ck,) = _ring([power(c, k)])
+        return pseries(a.var, a.point, [(ring.out(ck), int(e * k))], None)
     if k.denominator == 1 and k >= 0:
         n = int(k)
         result = _const_series(a.var, a.point, lift(1))
@@ -160,32 +234,30 @@ def ps_pow(a: PSeriesNode, k, rel_hint: int | None = None) -> PSeriesNode:
     if mk.denominator != 1:
         raise SeriesError("fractional leading degree; not a Laurent series")
     mk = int(mk)
-    lead = a.terms[0][0]
     if a.order is not None:
         rel = a.order - m
-    elif len(a.terms) == 1:
-        # exact monomial: the power is again an exact monomial
-        return pseries(a.var, a.point, [(power(lead, k), mk)], None)
     else:
         if rel_hint is None:
             raise SeriesError("unbounded expansion of an exact series power")
         rel = rel_hint
     if rel <= 0:
         return pseries(a.var, a.point, [], mk + rel)
-    inv_lead = power(lead, -1)
-    u: dict[int, Expr] = {}
-    for c, e in a.terms[1:]:
-        u[e - m] = mul(c, inv_lead)
-    f = [lift(1)]
+    lead = a.terms[0][0]
+    ring, (inv_lead, scale, *cs) = _ring(
+        [power(lead, -1), power(lead, k)] + [c for c, _ in a.terms[1:]]
+    )
+    u: dict[int, object] = {}
+    for c, (_, e) in zip(cs, a.terms[1:]):
+        u[e - m] = ring.times(c, inv_lead)
+    f = [ring.one]
     for n in range(1, rel):
         parts = []
         for j, uj in u.items():
             if j > n:
                 break
-            parts.append(mul(k * j - (n - j), uj, f[n - j]))
-        f.append(mul(Fraction(1, n), add(*parts)))
-    scale = power(lead, k)
-    terms = [(mul(scale, fn), mk + n) for n, fn in enumerate(f)]
+            parts.append(ring.times(k * j - (n - j), uj, f[n - j]))
+        f.append(ring.times(Fraction(1, n), ring.plus(*parts)))
+    terms = [(ring.out(ring.times(scale, fn)), mk + n) for n, fn in enumerate(f)]
     return pseries(a.var, a.point, terms, mk + rel)
 
 
@@ -194,16 +266,17 @@ def ps_exp(a: PSeriesNode, rel_hint: int) -> PSeriesNode:
     if a.terms and _ldeg(a) < 1:
         raise SeriesError("ps_exp wants a series with positive low degree")
     order = a.order if a.order is not None else rel_hint
-    e = {k: c for c, k in a.terms}
-    f = [lift(1)]
+    ring, cs = _ring([c for c, _ in a.terms])
+    e = {k: c for c, (_, k) in zip(cs, a.terms)}
+    f = [ring.one]
     for n in range(1, order):
         parts = []
         for j, ej in e.items():
             if j > n:
                 break
-            parts.append(mul(j, ej, f[n - j]))
-        f.append(mul(Fraction(1, n), add(*parts)))
-    return pseries(a.var, a.point, [(fn, n) for n, fn in enumerate(f)], order)
+            parts.append(ring.times(j, ej, f[n - j]))
+        f.append(ring.times(Fraction(1, n), ring.plus(*parts)))
+    return pseries(a.var, a.point, [(ring.out(fn), n) for n, fn in enumerate(f)], order)
 
 
 # ----------------------------------------------------------- the expansion

@@ -185,6 +185,33 @@ def test_integer_pow_and_division():
         num_div(integer(1), floatval(0))
 
 
+def test_exact_pow_refuses_results_too_large_to_build():
+    # each of these would take 0.1 to 2.5 GB; the size is estimated
+    # from the exponent and the base's bit length before any work
+    huge = 10**10
+    for base, n in [
+        (integer(2), huge),
+        (integer(-3), -huge),
+        (rational(2, 3), -(10**9)),
+        (complexnum(integer(1), integer(1)), huge),
+    ]:
+        with pytest.raises(DomainError):
+            num_pow(base, integer(n))
+    # bases of absolute value 1 stay cheap at any exponent
+    assert num_pow(integer(1), integer(huge)) == integer(1)
+    assert num_pow(integer(-1), integer(huge + 1)) == integer(-1)
+    assert num_pow(IUNIT, integer(huge + 3)) == num_mul(integer(-1), IUNIT)
+    assert num_pow(integer(2), integer(10**6)) == integer(2 ** (10**6))
+    # an exact rational root raised to a huge power goes through the
+    # same check; a root of huge index is settled without any power
+    from minicas.expr import Power, lift, power
+
+    with pytest.raises(DomainError):
+        power(4, lift(Fraction(2 * huge + 1, 2)))
+    assert type(power(3, lift(Fraction(1, huge)))) is Power
+    assert power(4, lift(Fraction(-3, 2))) == lift(Fraction(1, 8))
+
+
 def test_exact_pow_with_fractional_exponent_is_refused():
     with pytest.raises(DomainError):
         num_pow(integer(2), rational(1, 2))

@@ -25,6 +25,7 @@ from minicas.expr import (
     diff,
     evalf,
     expand,
+    free_symbols,
     lift,
     mul,
     power,
@@ -35,6 +36,7 @@ from minicas.expr import (
 )
 from minicas.expr import _expand_pairwise, _rewrite, _split_factor, _terms_of
 from minicas.functions import exp, sin
+from minicas import poly as poly_module
 from minicas.poly import (
     _to_dict,
     coeff,
@@ -502,6 +504,26 @@ def test_normal_maps_rational_powers_to_root_generators():
     # unrelated roots stay put
     e = mul(power(x, Fraction(3, 2)), power(add(x, 1), Fraction(1, 2)))
     assert normal(e) == e
+
+
+def test_normal_runs_the_top_level_gcd_once():
+    # the pair _normal_pair returns is coprime already, so the last step
+    # only normalizes the denominator, with no second gcd
+    x = Symbol("x")
+    pairs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            poly_module,
+            "poly_gcd",
+            lambda a, b: pairs.append((a, b)) or poly_gcd(a, b),
+        )
+        got = normal(
+            mul(add(power(x, 2), -1), power(mul(add(x, -1), add(x, 2)), -1))
+        )
+    assert got == mul(add(x, 1), power(add(x, 2), -1))
+    assert [(a, b) for a, b in pairs if free_symbols(a) and free_symbols(b)] == [
+        (add(power(x, 2), -1), add(power(x, 2), x, -2))
+    ]
 
 
 def test_normal_floats_ride_through():

@@ -13,8 +13,12 @@ from fractions import Fraction
 
 import pytest
 
+from minicas import series as series_module
 from minicas.errors import DomainError, SeriesError
 from minicas.expr import (
+    Euler,
+    I,
+    Pi,
     Power,
     add,
     expand,
@@ -25,7 +29,9 @@ from minicas.expr import (
     sqrt,
     subs,
     symbols,
+    to_string,
 )
+from minicas.functions import gamma, sin, zeta
 from minicas.series import (
     ps_add,
     ps_mul,
@@ -260,6 +266,12 @@ def test_ps_mul_order_rules():
     s = ps_mul(a, b)
     assert_coeffs(s, {0: 1})
     assert s.order == 1
+    # [TRIVIAL] times an exact x^-2: (1+x+O(x^3)) x^-2 = x^-2 + x^-1 + O(x)
+    a = pseries(x, 0, [(lift(1), 0), (lift(1), 1)], 3)
+    inv_square = dict_to_series({-2: Fraction(1)}, x)
+    for s in (ps_mul(a, inv_square), ps_mul(inv_square, a)):
+        assert_coeffs(s, {-2: 1, -1: 1})
+        assert s.order == 1
     # [DERIVED] geometric partial sum times exact (1-x) telescopes
     geo = pseries(x, 0, [(lift(1), k) for k in range(4)], 4)
     exact = dict_to_series({0: Fraction(1), 1: Fraction(-1)}, x)
@@ -396,3 +408,143 @@ def test_series_through_subs_and_diff():
     d = diff(s, x)
     assert coeffs_of(d) == {0: y, 1: lift(6)}
     assert d.order == 3
+
+
+# ------------------------------------------- the dict-polynomial kernel
+
+
+def on_trees(f, *args):
+    """f(*args) with every series operation on the tree path, the one
+    coefficients outside the kernel take."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            series_module,
+            "_ring",
+            lambda coeffs: (series_module._TREES, list(coeffs)),
+        )
+        return f(*args)
+
+
+def test_kernel_coefficients_are_the_expanded_tree_path():
+    # invariant: every coefficient is expand of what the tree path
+    # gives, and is its own expand
+    rng = random.Random(29)
+    x, y, z = symbols("x y z")
+    pool = [
+        lift(1), lift(-2), lift(Fraction(1, 3)), y, z, Pi, Euler,
+        zeta(3), sin(y), power(y, -1), mul(power(y, -2), z),
+    ]
+
+    def coeff():
+        picked = rng.sample(pool, rng.randint(1, 2))
+        return mul(*picked) if rng.random() < 0.5 else add(*picked)
+
+    def poly(deg):
+        return add(*[mul(coeff(), power(x, k)) for k in range(deg + 1)])
+
+    for trial in range(40):
+        kind = trial % 4
+        if kind == 0:  # product, maybe Laurent
+            e = mul(poly(2), poly(2), power(x, -rng.randint(0, 2)))
+        elif kind == 1:  # quotient by a one-term lead
+            lead = rng.choice([y, mul(2, z), sin(y), mul(Pi, power(y, -1))])
+            e = mul(poly(2), power(add(lead, mul(x, poly(1))), -rng.randint(1, 2)))
+        elif kind == 2:  # rational power with a rational lead power
+            k = rng.choice([Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3), Fraction(3, 2)])
+            lead = rng.choice([1, 2, Fraction(1, 3)]) ** k.denominator
+            e = power(add(lead, mul(x, poly(2))), k)
+        else:  # a quotient times a rational power
+            e = mul(
+                power(add(y, mul(x, poly(1))), -1),
+                power(add(1, mul(x, poly(1))), Fraction(1, 2)),
+            )
+        n = rng.randint(2, 5)
+        got = series_of(e, (x, 0), n)
+        tree = on_trees(series_of, e, (x, 0), n)
+        assert got.order == tree.order
+        want = {k: expand(c) for c, k in tree.terms}
+        have = {k: c for c, k in got.terms}
+        for k in set(want) | set(have):
+            assert have.get(k, lift(0)) == want.get(k, lift(0)), (trial, k)
+        for c in have.values():
+            assert expand(c) == c, (trial, to_string(c))
+
+
+def test_refused_coefficients_keep_the_tree_path():
+    # floats, I, sqrt(2) and symbolic exponents stay off the kernel, so
+    # these print as they did before the kernel took series arithmetic
+    x, y, n = symbols("x y n")
+    cases = [
+        (
+            mul(add(2, mul(lift(0.25), x)), power(add(1, mul(lift(0.5), x), mul(y, power(x, 2))), -1)),
+            "2-0.75*x+(0.375-2*y)*x^2+(-0.1875+1.75*y)*x^3+O(x^4)",
+        ),
+        (
+            power(add(1, mul(lift(1.5), x), mul(y, x)), Fraction(-1, 2)),
+            "1+(-0.75-1/2*y)*x-3/4*(-0.75-1/2*y)*(1.5+y)*x^2"
+            "+5/8*(-0.75-1/2*y)*(1.5+y)^2*x^3+O(x^4)",
+        ),
+        (
+            mul(add(1, mul(y, x)), power(add(1, mul(I, x)), -1)),
+            "1+(-1*I+y)*x+(-1-1*I*y)*x^2+(I-y)*x^3+O(x^4)",
+        ),
+        (
+            power(add(1, mul(I, x), power(x, 2)), Fraction(1, 2)),
+            "1+1/2*I*x+5/8*x^2-5/16*I*x^3+O(x^4)",
+        ),
+        (
+            mul(add(y, x), power(add(1, mul(sqrt(2), x)), -2)),
+            "y+(1-2*y*2^(1/2))*x+(6*y-2*2^(1/2))*x^2+(6-8*y*2^(1/2))*x^3+O(x^4)",
+        ),
+        (
+            # the lead's power 2^(1/2) is outside the kernel
+            power(add(2, mul(y, x)), Fraction(1, 2)),
+            "2^(1/2)+1/4*y*2^(1/2)*x-1/32*y^2*2^(1/2)*x^2+1/128*y^3*2^(1/2)*x^3+O(x^4)",
+        ),
+        (
+            gamma(add(1, mul(sqrt(2), x))),
+            "1-Euler*2^(1/2)*x+(1/6*Pi^2+Euler^2)*x^2+(-2/3*2^(1/2)*zeta(3)"
+            "-1/9*Pi^2*Euler*2^(1/2)-1/3*Euler*2^(1/2)*(1/6*Pi^2+Euler^2))*x^3+O(x^4)",
+        ),
+        (
+            power(add(1, mul(power(y, n), x)), -1),
+            "1-y^n*x+y^(2*n)*x^2-y^n*y^(2*n)*x^3+O(x^4)",
+        ),
+    ]
+    for e, printed in cases:
+        assert to_string(series_of(e, (x, 0), 4)) == printed
+
+
+def test_gamma_series_grows_slowly():
+    # [PAPER] the x^2 coefficient, expanded; and the printed series
+    # grows by at most 1.6x per order (the unexpanded coefficients
+    # doubled with every order)
+    x = symbols("x")[0]
+    s = series_of(gamma(x), (x, 0), 3)
+    assert to_string(s) == (
+        "x^(-1)-Euler+(1/12*Pi^2+1/2*Euler^2)*x"
+        "+(-1/6*Euler^3-1/12*Pi^2*Euler-1/3*zeta(3))*x^2+O(x^3)"
+    )
+    sizes = [len(to_string(series_of(gamma(x), (x, 0), n))) for n in range(8, 17)]
+    for small, big in zip(sizes, sizes[1:]):
+        assert big <= 1.6 * small, sizes
+    for c, _ in series_of(gamma(x), (x, 0), 10).terms:
+        assert expand(c) == c
+
+
+def test_exact_monomial_powers_take_no_products():
+    # (c x^e)^k is the monomial c^k x^(e k) whenever e k is an integer
+    x, y = symbols("x y")
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "ps_mul", lambda a, b: calls.append(1) or ps_mul(a, b))
+        for c, e, k, want in [
+            (lift(1), 1, 3, (lift(1), 3)),
+            (lift(1), 1, 0, (lift(1), 0)),
+            (add(1, y), 2, 2, (add(1, mul(2, y), power(y, 2)), 4)),
+            (mul(3, y), 1, -2, (mul(Fraction(1, 9), power(y, -2)), -2)),
+            (lift(4), 2, Fraction(1, 2), (lift(2), 1)),
+        ]:
+            s = ps_pow(pseries(x, 0, [(c, e)], None), k)
+            assert s.terms == (want,) and s.order is None
+    assert not calls

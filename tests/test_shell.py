@@ -67,7 +67,10 @@ def test_errors_keep_session_alive():
     deep_parens = "(" * 5000 + "x" + ")" * 5000 + ";"
     bad_subs = ["subs(x, 1);", "subs(x,[x]);", "subs(1,[[1,2],[3,4]]);"]
     printed, sh = feed_lines(
-        ["1/0;", "sin(;", "2+2;", deep_calls, "3+3;", deep_parens, "%+1;", *bad_subs, "%;"]
+        [
+            "1/0;", "sin(;", "2+2;", deep_calls, "3+3;", deep_parens, "%+1;",
+            "2^(10^10);", "%;", *bad_subs, "%;",
+        ]
     )
     # the second statement starts with the newline left over from the
     # first line, so the reported position is one past "sin("
@@ -78,6 +81,9 @@ def test_errors_keep_session_alive():
         "error: expression nested too deeply",
         "6",
         "error: expression nested too deeply",
+        "7",
+        # refused before a 1.25 GB integer is built
+        "error: exact power too large: about 10000000000 bits",
         "7",
         *["error: a substitution is a relation 'symbol == value' or a (symbol, value) pair"] * 3,
         "7",
