@@ -1023,15 +1023,15 @@ class _Polys:
     def _sum(self, x: Add) -> dict | None:
         if not x.coeff.is_rational():
             return None
-        parts = [{(): x.coeff.val}] if not x.coeff.is_zero() else []
+        terms = [({(): x.coeff.val}, 1)] if not x.coeff.is_zero() else []
         for r, k in x.pairs:
             if not k.is_rational():
                 return None
             p = self.poly(r)
             if p is None:
                 return None
-            parts.append(_pscale(p, k.val))
-        return _padd(parts)
+            terms.append((p, k.val))
+        return _padd(terms)
 
     def factors(self, x: Expr) -> list | None:
         """x as (polynomial, integer exponent) factors whose product is
@@ -1129,12 +1129,14 @@ def _pmul(a: dict, b: dict) -> dict:
     return out
 
 
-def _padd(ps) -> dict:
-    """The sum of an iterable of polynomials of _Polys."""
+def _padd(terms) -> dict:
+    """The sum of q * p over an iterable of (polynomial of _Polys, int or
+    Fraction q) pairs."""
     out: dict = {}
-    for p in ps:
+    for p, q in terms:
+        one = q == 1
         for m, c in p.items():
-            c += out.get(m, 0)
+            c = out.get(m, 0) + (c if one else c * q)
             if c:
                 out[m] = c
             else:

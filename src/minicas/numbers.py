@@ -462,17 +462,26 @@ def _bits(a: Number) -> int:
 
 
 def _check_pow_size(a: Number, n: int) -> None:
-    """Refuse the exact power a**n before building it when it would pass
-    _MAX_POW_BITS.  The estimate is a lower bound: an integer of bit
-    length L is at least 2^(L-1), and a complex z is sized by
-    |z|^2 = re^2 + im^2, whose n-th power is |z^n|^2."""
+    """Refuse the exact power a**n before building it when it could pass
+    _MAX_POW_BITS.  The estimate is an upper bound.  A real whose
+    numerator and denominator have at most L bits gives powers of at
+    most L*|n| bits.  A complex (p + r*I)/q, its parts over a common
+    denominator, with at most L bits in p, r and q, gives at most
+    (2L+1)*|n|: (p + r*I)^|n| has parts below |p + r*I|^|n| < 2^((L+1/2)|n|),
+    and a negative power divides by its norm.  The powers of 0, 1, -1,
+    I and -I take no room, and pass at any n."""
     if a.kind == _CPLX:
-        re, im = a.re, a.im
-        est = (_bits(num_add(num_mul(re, re), num_mul(im, im))) - 1) * abs(n) // 2
+        re, im = a.re.as_fraction(), a.im.as_fraction()
+        if re * im == 0 and abs(re + im) == 1:
+            return
+        q = math.lcm(re.denominator, im.denominator)
+        bits = max(q.bit_length(), int(re * q).bit_length(), int(im * q).bit_length())
+        est = (2 * bits + 1) * abs(n)
     else:
-        est = (_bits(a) - 1) * abs(n)
+        bits = _bits(a)
+        est = bits * abs(n) if bits > 1 else 0
     if est > _MAX_POW_BITS:
-        raise DomainError(f"exact power too large: about {est} bits")
+        raise DomainError(f"exact power too large: up to {est} bits")
 
 
 def num_pow(a: Number, b: Number) -> Number:

@@ -20,18 +20,26 @@ exact rational numbers, symbols, constants and function applications,
 with sums, products and integer powers of them.  Each output
 coefficient is then built once, expanded, so the printed gamma series
 grows about as fast as its number of distinct monomials, not doubling
-with every order as nested sums of earlier coefficients did.  A coefficient with a float, I, a
-numeric-base power such as 2^(1/2) or a symbolic exponent sends the
-whole operation to the same recurrences on the canonical trees, the
-split expand makes: products are not associative on such forms and
-floats round by the order of their operations, so only the tree order
-prints what these operations always printed.  Taylor-loop coefficients
-are what subs gives.
+with every order as nested sums of earlier coefficients did.
+
+The kernel refuses a float, I, a numeric-base power such as 2^(1/2) or
+a symbolic exponent, the split expand makes: products are not
+associative on such forms and floats round by the order of their
+operations, so only the tree order prints what these operations always
+printed.  It also refuses a sum under a negative power, such as the
+(1+y)^(-1) of a lead 1+y: that is an opaque atom there, which cannot
+cancel against 1+y multiplied out, so a coefficient that is zero would
+not read as zero, and a reciprocal would divide by it.  One refusal
+sends the whole of series_of to the same recurrences on the canonical
+trees, since the coefficients earlier operations expanded would not
+cancel either; operations called on their own fall back one at a time.
+Taylor-loop coefficients are what subs gives.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -136,18 +144,36 @@ def _dict_times(*fs) -> dict:
     return _pscale(p, q)
 
 
+class _Refused(Exception):
+    """The kernel refused an operation of an expansion."""
+
+
+# Which ring the operations of the running series_of take: "kernel" while
+# the kernel has taken every one of them, "trees" on the rerun after it
+# refused one, None for operations called outside series_of.
+_expansion: ContextVar[str | None] = ContextVar("_expansion", default=None)
+
+
 def _ring(coeffs) -> tuple[_Ring, list]:
     """The ring for an operation on these coefficients, and the
     coefficients as its elements: _Polys dicts read through one kernel
-    with expand as its walk, or the trees when it refuses one."""
-    polys = _Polys(expand)
-    ps = []
-    for c in coeffs:
-        p = polys.poly(c)
-        if p is None:
-            return _TREES, list(coeffs)
-        ps.append(p)
-    return _Ring(lambda *xs: _padd(xs), _dict_times, polys.tree, {(): 1}), ps
+    with expand as its walk, or the trees.  Inside series_of a refusal
+    raises _Refused, as the module docstring explains."""
+    mode = _expansion.get()
+    if mode != "trees":
+        polys = _Polys(expand)
+        ps = []
+        for c in coeffs:
+            p = polys.poly(c)
+            if p is None:
+                break
+            ps.append(p)
+        if len(ps) == len(coeffs) and not any(type(a) is Add for a in polys.atoms):
+            ring = _Ring(lambda *xs: _padd((x, 1) for x in xs), _dict_times, polys.tree, {(): 1})
+            return ring, ps
+        if mode == "kernel":
+            raise _Refused
+    return _TREES, list(coeffs)
 
 
 def ps_add(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
@@ -177,12 +203,6 @@ def ps_mul(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
     _check_compatible(a, b)
     if _is_exact_zero(a) or _is_exact_zero(b):
         return _zero_series(a.var, a.point)
-    for s, t in ((a, b), (b, a)):
-        if t.order is None and len(t.terms) == 1 and t.terms[0][0].is_one():
-            # times an exact x^e: a shift, with no coefficient arithmetic
-            e = t.terms[0][1]
-            order = None if s.order is None else s.order + e
-            return pseries(s.var, s.point, [(c, k + e) for c, k in s.terms], order)
     candidates = []
     if a.order is not None:
         candidates.append(a.order + _ldeg(b))
@@ -305,11 +325,27 @@ def series_of(e: Expr, at, order: int) -> PSeriesNode:
     t and expanding at t == 0, so the machinery below only ever sees the
     origin.  The result always carries an order exponent: a series that
     happens to terminate is still only claimed up to O((x-point)^order).
+
+    Every operation of one expansion takes the same ring: when the
+    kernel refuses one, the whole expansion runs again on the trees.
     """
     x, point = _normalize_at(at)
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise DomainError("series order must be a positive integer")
     e = lift(e)
+    if _expansion.get() is not None:
+        return _series_at(e, x, point, order)
+    token = _expansion.set("kernel")
+    try:
+        return _series_at(e, x, point, order)
+    except _Refused:
+        _expansion.set("trees")
+        return _series_at(e, x, point, order)
+    finally:
+        _expansion.reset(token)
+
+
+def _series_at(e: Expr, x: Symbol, point: Expr, order: int) -> PSeriesNode:
     if not point.is_zero():
         t = Symbol()
         s = _srs(subs(e, {x: add(point, t)}), t, lift(0), order)
@@ -338,20 +374,30 @@ def _srs(e: Expr, x: Symbol, point: Expr, n: int) -> PSeriesNode:
         return s
     if t is Mul:
         entities = [r if k.is_one() else power(r, Numeric(k)) for r, k in e.pairs]
-        first = [_srs(f, x, point, n) for f in entities]
+        # A factor is expanded at order n, then again higher when the low
+        # degrees of the others sum below zero.  The factor expanded last
+        # knows that sum and is expanded once: a function application,
+        # as its expansion tends to cost the most.
+        last = max(range(len(entities)), key=lambda i: type(entities[i]) is FunctionApp)
+        first = [_srs(f, x, point, n) if i != last else None for i, f in enumerate(entities)]
+        rest = sum(_ldeg(s) for s in first if s is not None)
+        first[last] = _srs(entities[last], x, point, max(n, n - rest))
         for s in first:
             if _is_exact_zero(s):
                 return _zero_series(x, point)
         ldegs = [_ldeg(s) for s in first]
+        if rest < 0 and first[last].order is not None:
+            # the low degree its expansion at order n would show
+            ldegs[last] = min(ldegs[last], n)
         total = sum(ldegs)
         parts = []
         for i, s in enumerate(first):
             target = n - (total - ldegs[i])
-            if target > n:
+            if target > n and i != last:
                 s = _srs(entities[i], x, point, target)
             parts.append(s)
-        out = _const_series(x, point, Numeric(e.coeff))
-        for s in parts:
+        out = parts[0] if e.coeff.is_one() else ps_scale(parts[0], Numeric(e.coeff))
+        for s in parts[1:]:
             out = ps_mul(out, s)
         return out
     if t is Power:

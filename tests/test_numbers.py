@@ -186,7 +186,7 @@ def test_integer_pow_and_division():
 
 
 def test_exact_pow_refuses_results_too_large_to_build():
-    # each of these would take 0.1 to 2.5 GB; the size is estimated
+    # each of these would take 13 MB to 3 GB; the size is estimated
     # from the exponent and the base's bit length before any work
     huge = 10**10
     for base, n in [
@@ -194,6 +194,10 @@ def test_exact_pow_refuses_results_too_large_to_build():
         (integer(-3), -huge),
         (rational(2, 3), -(10**9)),
         (complexnum(integer(1), integer(1)), huge),
+        # of absolute value 1, but 5^(10^10) in the denominator
+        (complexnum(rational(3, 5), rational(4, 5)), huge),
+        # 1.58 * 2^26 bits: the estimate is an upper bound
+        (integer(3), 2**26),
     ]:
         with pytest.raises(DomainError):
             num_pow(base, integer(n))

@@ -34,6 +34,7 @@ from minicas.expr import (
 from minicas.functions import gamma, sin, zeta
 from minicas.series import (
     ps_add,
+    ps_exp,
     ps_mul,
     ps_pow,
     ps_to_expr,
@@ -427,13 +428,15 @@ def on_trees(f, *args):
 
 def test_kernel_coefficients_are_the_expanded_tree_path():
     # invariant: every coefficient is expand of what the tree path
-    # gives, and is its own expand
+    # gives, and is its own expand; an expansion with a sum lead or a
+    # refused coefficient is the tree path itself
     rng = random.Random(29)
     x, y, z = symbols("x y z")
     pool = [
         lift(1), lift(-2), lift(Fraction(1, 3)), y, z, Pi, Euler,
         zeta(3), sin(y), power(y, -1), mul(power(y, -2), z),
     ]
+    sum_leads = [add(1, y), add(y, Pi)]
 
     def coeff():
         picked = rng.sample(pool, rng.randint(1, 2))
@@ -442,32 +445,62 @@ def test_kernel_coefficients_are_the_expanded_tree_path():
     def poly(deg):
         return add(*[mul(coeff(), power(x, k)) for k in range(deg + 1)])
 
-    for trial in range(40):
-        kind = trial % 4
-        if kind == 0:  # product, maybe Laurent
-            e = mul(poly(2), poly(2), power(x, -rng.randint(0, 2)))
-        elif kind == 1:  # quotient by a one-term lead
-            lead = rng.choice([y, mul(2, z), sin(y), mul(Pi, power(y, -1))])
+    for trial in range(50):
+        kind = trial % 5
+        on_kernel = True
+        if kind == 0:  # product, maybe Laurent, maybe by an unexpanded constant
+            i = trial // 5
+            first = [poly(2), power(add(1, y), 2), mul(y, add(z, Pi))][i % 3]
+            second = [lift(1), poly(rng.randint(1, 2))][i % 2]
+            e = mul(first, second, power(x, rng.choice([-2, -1, 1, 2])))
+        elif kind == 1:  # quotient by a one-term or a sum lead
+            lead = rng.choice([y, mul(2, z), sin(y), mul(Pi, power(y, -1))] + sum_leads)
+            on_kernel = lead not in sum_leads
             e = mul(poly(2), power(add(lead, mul(x, poly(1))), -rng.randint(1, 2)))
         elif kind == 2:  # rational power with a rational lead power
             k = rng.choice([Fraction(1, 2), Fraction(-1, 2), Fraction(-2, 3), Fraction(3, 2)])
             lead = rng.choice([1, 2, Fraction(1, 3)]) ** k.denominator
             e = power(add(lead, mul(x, poly(2))), k)
-        else:  # a quotient times a rational power
+        elif kind == 3:  # a quotient times a rational power
             e = mul(
                 power(add(y, mul(x, poly(1))), -1),
                 power(add(1, mul(x, poly(1))), Fraction(1, 2)),
             )
+        else:  # kernel products, then a factor the kernel refuses
+            on_kernel = False
+            refused = rng.choice([sqrt(2), lift(0.5), I])
+            e = mul(poly(2), poly(1), power(add(1, mul(refused, x)), -1))
         n = rng.randint(2, 5)
         got = series_of(e, (x, 0), n)
         tree = on_trees(series_of, e, (x, 0), n)
         assert got.order == tree.order
+        if not on_kernel:
+            assert got.terms == tree.terms, (trial, to_string(got))
+            continue
         want = {k: expand(c) for c, k in tree.terms}
         have = {k: c for c, k in got.terms}
         for k in set(want) | set(have):
             assert have.get(k, lift(0)) == want.get(k, lift(0)), (trial, k)
         for c in have.values():
             assert expand(c) == c, (trial, to_string(c))
+
+
+def test_a_sum_lead_cancels_as_on_the_tree_path():
+    # the kernel keeps a sum under a negative power as an opaque atom,
+    # where it cannot cancel against the same sum multiplied out: these
+    # differences vanish at x^0, so their reciprocals start at x^-1
+    x, y = symbols("x y")
+    q = power(add(1, y, x), -1)
+    for e in [
+        add(mul(add(1, y), q), -1),
+        add(mul(add(mul(y, add(1, y)), x), q), mul(-1, y)),
+    ]:
+        s = series_of(e, (x, 0), 3)
+        assert s.terms[0][1] == 1, to_string(s)
+        r = series_of(power(e, -1), (x, 0), 2)
+        assert r.terms[0][1] == -1, to_string(r)
+    r = series_of(power(add(mul(add(1, y), q), -1), -1), (x, 0), 2)
+    assert series_coeff(r, -1) == add(-1, mul(-1, y))
 
 
 def test_refused_coefficients_keep_the_tree_path():
@@ -530,6 +563,18 @@ def test_gamma_series_grows_slowly():
         assert big <= 1.6 * small, sizes
     for c, _ in series_of(gamma(x), (x, 0), 10).terms:
         assert expand(c) == c
+
+
+def test_a_pole_factor_leaves_the_gamma_series_expanded_once():
+    # gamma(x) = gamma(x+1)*x^(-1): the low degree of x^(-1) is known
+    # before gamma(x+1) is expanded, at order n+1, once
+    x = symbols("x")[0]
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "ps_exp", lambda *a: calls.append(1) or ps_exp(*a))
+        s = series_of(gamma(x), (x, 0), 6)
+    assert len(calls) == 1
+    assert s.order == 6 and s.terms[0][1] == -1
 
 
 def test_exact_monomial_powers_take_no_products():

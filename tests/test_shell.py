@@ -83,7 +83,7 @@ def test_errors_keep_session_alive():
         "error: expression nested too deeply",
         "7",
         # refused before a 1.25 GB integer is built
-        "error: exact power too large: about 10000000000 bits",
+        "error: exact power too large: up to 20000000000 bits",
         "7",
         *["error: a substitution is a relation 'symbol == value' or a (symbol, value) pair"] * 3,
         "7",
