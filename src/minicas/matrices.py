@@ -170,25 +170,23 @@ def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
     some entry is not a polynomial with rational coefficients (_to_dict
     refuses it) and the caller has to work on the trees.
 
-    A sparse matrix goes to minor expansion on integer coefficients:
-    each row is scaled by the lcm of its denominators, and the product
-    of those lcms divides out at the end.  Bareiss, on the rational
-    coefficients, takes a dense matrix and a sparse one whose expansion
-    would run over its budget.
+    Both methods run on integer coefficients: each row is scaled by the
+    lcm of its denominators, and the product of those lcms divides out
+    at the end.  A sparse matrix goes to minor expansion; Bareiss takes
+    a dense matrix and a sparse one whose expansion would run over its
+    budget.
     """
     vars = _ordered_vars(*m.entries)
     try:
         rows = [[_to_dict(e, vars) for e in row] for row in m.row_list()]
     except DomainError:
         return None
-    p = None
-    if _is_sparse(m):
-        scaled, scale = _integer_rows(rows)
-        p = _det_cofactor(scaled, _dmul, _dict_sum, operator.not_)
-        if p is not None and scale != 1:
-            p = {t: Fraction(c, scale) for t, c in p.items()}
+    rows, scale = _integer_rows(rows)
+    p = _det_cofactor(rows, _dmul, _dict_sum, operator.not_) if _is_sparse(m) else None
     if p is None:
         p = _bareiss_on_dicts(rows)
+    if scale != 1:
+        p = {t: Fraction(c, scale) for t, c in p.items()}
     return _from_dict(p, vars)
 
 
@@ -205,8 +203,9 @@ def _integer_rows(rows: list[list[dict]]) -> tuple[list[list[dict]], int]:
 
 
 def _bareiss_on_dicts(rows: list[list[dict]]) -> dict:
-    """Fraction-free Bareiss elimination on dict polynomials; every
-    division is exact by Sylvester's identity.  Consumes rows."""
+    """Fraction-free Bareiss elimination on dict polynomials with int
+    coefficients; every division is exact over Z by Sylvester's
+    identity.  Consumes rows."""
     n = len(rows)
     sign = 1
     prev = None

@@ -18,6 +18,7 @@ mutable state and is guarded by a lock.
 
 from __future__ import annotations
 
+import decimal
 import math
 import re as _re
 import threading
@@ -70,6 +71,8 @@ __all__ = [
     "bernoulli",
     "check_precision",
     "hash64",
+    "int_to_decimal",
+    "decimal_to_int",
 ]
 
 DEFAULT_DPS = 20
@@ -236,9 +239,12 @@ class Number:
 
     def __str__(self):
         if self.kind == _INT:
-            return str(self.val)
+            try:
+                return str(self.val)
+            except ValueError:  # past Python's limit on digits
+                return int_to_decimal(self.val)
         if self.kind == _RAT:
-            return f"{self.val.numerator}/{self.val.denominator}"
+            return f"{int_to_decimal(self.val.numerator)}/{int_to_decimal(self.val.denominator)}"
         if self.kind == _FLOAT:
             return _format_float(self.val, self.prec)
         re_s, im_s = self.re, self.im
@@ -256,6 +262,56 @@ def _imag_str(im: Number) -> str:
     if im.is_one():
         return "I"
     return f"{im}*I"
+
+
+# -- decimal conversion ---------------------------------------------------
+#
+# Python refuses str(n) and int(text) past a process-wide number of digits
+# (4300 by default, 640 at the least it can be set to).  These convert by
+# divide-and-conquer, so no single str() or int() call sees more than
+# about 480 digits.  Splitting an int by a power of ten would take a
+# quadratic-time divmod, so int_to_decimal splits by a power of two and
+# joins the halves in exact Decimal arithmetic, whose products of large
+# operands take subquadratic time.
+
+_LEAF_BITS = 1600
+
+
+def int_to_decimal(n: int) -> str:
+    """The decimal digits of n, with a minus sign when negative."""
+    if n.bit_length() <= _LEAF_BITS:
+        return str(n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def two_to(k: int) -> decimal.Decimal:
+        got = powers.get(k)
+        if got is None:
+            h = k // 2
+            got = decimal.Decimal(2) ** k if k <= _LEAF_BITS else two_to(h) * two_to(k - h)
+            powers[k] = got
+        return got
+
+    def convert(m: int, bits: int) -> decimal.Decimal:
+        if bits <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        k = bits // 2
+        hi = m >> k
+        return convert(hi, bits - k) * two_to(k) + convert(m - (hi << k), k)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def decimal_to_int(digits: str) -> int:
+    """The int a string of decimal digits spells."""
+    if len(digits) <= 480:
+        return int(digits)
+    k = len(digits) // 2
+    return decimal_to_int(digits[:-k]) * 10**k + decimal_to_int(digits[-k:])
 
 
 # -- constructors -------------------------------------------------------
@@ -296,6 +352,9 @@ _DECIMAL_RE = _re.compile(
 )
 
 
+_MAX_DECIMAL_EXP = 100_000
+
+
 def from_decimal(text: str, prec: int | None = None) -> Number:
     """Parse a decimal literal into a float Number.
 
@@ -317,9 +376,14 @@ def from_decimal(text: str, prec: int | None = None) -> Number:
     if prec is None:
         prec = max(DEFAULT_DPS, sig)
     check_precision(prec)
-    value = Fraction(int(int_part + frac_part or "0"), 10 ** len(frac_part))
+    value = Fraction(decimal_to_int(int_part + frac_part or "0"), 10 ** len(frac_part))
     if exp_s:
-        value *= Fraction(10) ** int(exp_s)
+        # the exact value is built before it is rounded, and dividing by
+        # 10**|e| takes time quadratic in |e|
+        e = decimal_to_int(exp_s.lstrip("+-"))
+        if e > _MAX_DECIMAL_EXP:
+            raise DomainError(f"decimal exponent too large: {exp_s}")
+        value *= Fraction(10) ** (-e if exp_s[0] == "-" else e)
     if sign_s == "-":
         value = -value
     return _fraction_to_float(value, prec)

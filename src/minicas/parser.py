@@ -44,7 +44,7 @@ from .expr import (
 )
 from .functions import fn_lookup
 from .matrices import mat_charpoly, mat_det, mat_inverse, solve_linear
-from .numbers import from_decimal
+from .numbers import decimal_to_int, from_decimal
 from .poly import coeff, collect, degree, lcm, normal, poly_gcd
 from .series import series_of
 
@@ -245,7 +245,7 @@ class _Parser:
 
     def prefix(self, tok: _Token) -> Expr:
         if tok.kind == "num":
-            return lift(int(tok.text))
+            return lift(decimal_to_int(tok.text))
         if tok.kind == "dec":
             return Numeric(from_decimal(tok.text))
         if tok.kind == "name":

@@ -8,13 +8,16 @@ canonical quotient form numerator over denominator with every common
 factor cancelled.
 
 GCD work happens on a dict representation mapping exponent vectors to
-Fraction coefficients.  The driver strips common monomial factors,
-drops variables private to one input, clears rational content, and then
-tries the heuristic gcd: evaluate at a big integer xi, take the gcd one
-level down, reconstruct a candidate from the balanced base-xi digits of
-the result, and verify it by trial division of both inputs.  When the
-heuristic keeps missing, the subresultant polynomial remainder sequence
-settles the matter.
+int coefficients.  A polynomial read from a tree may have rational
+coefficients; _integerize splits it once into its rational content and
+a primitive integer part, and everything behind that boundary (the gcd
+algorithms, trial and exact division, determinants) runs over Z.  The
+gcd driver strips common monomial factors, drops variables private to
+one input, and then tries the heuristic gcd: evaluate at a big integer
+xi, take the gcd one level down, reconstruct a candidate from the
+balanced base-xi digits of the result, and verify it by trial division
+of both inputs.  When the heuristic keeps missing, the subresultant
+polynomial remainder sequence settles the matter.
 
 normal() extends cancellation beyond plain polynomials.  Subexpressions
 that are not rational in the symbols (function applications, floats,
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add as _plus, sub as _minus
 
 from .errors import DomainError
 from .expr import (
@@ -141,11 +145,12 @@ def collect(e, x) -> Expr:
 # ---------------------------------------------------- dict representation
 #
 # A polynomial in n ordered variables is a dict from exponent tuples of
-# length n to nonzero Fraction coefficients; the zero polynomial is the
-# empty dict.  Tuples compare lexicographically, and that is the term
-# order used throughout.  _dmul, _dneg and _from_dict also take int
-# coefficients and keep them ints, which the determinant's minor
-# expansion relies on.
+# length n to nonzero int or Fraction coefficients; the zero polynomial
+# is the empty dict.  Tuples compare lexicographically, and that is the
+# term order used throughout.  _to_dict keeps the coefficients expand's
+# kernel gives, and _integerize turns them into a rational content and a
+# primitive part with int coefficients.  The arithmetic below keeps int
+# coefficients ints, and _ddiv_exact divides over Z only.
 
 Poly = dict
 
@@ -198,7 +203,7 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
         key = [0] * len(vars)
         for i, d in m:
             key[place[i]] = d
-        out[tuple(key)] = Fraction(c)
+        out[tuple(key)] = c
     return out
 
 
@@ -231,7 +236,7 @@ def _dneg(a: Poly) -> Poly:
 def _dsub(a: Poly, b: Poly) -> Poly:
     out = dict(a)
     for t, c in b.items():
-        s = out.get(t, Fraction(0)) - c
+        s = out.get(t, 0) - c
         if s:
             out[t] = s
         else:
@@ -239,7 +244,9 @@ def _dsub(a: Poly, b: Poly) -> Poly:
     return out
 
 
-def _dscale(a: Poly, c: Fraction) -> Poly:
+def _dscale(a: Poly, c) -> Poly:
+    if c == 1:
+        return a
     if not c:
         return {}
     return {t: v * c for t, v in a.items()}
@@ -249,7 +256,7 @@ def _dmul(a: Poly, b: Poly) -> Poly:
     out: Poly = {}
     for ta, ca in a.items():
         for tb, cb in b.items():
-            key = tuple(i + j for i, j in zip(ta, tb))
+            key = tuple(map(_plus, ta, tb))
             s = out.get(key)
             if s is None:
                 out[key] = ca * cb
@@ -263,18 +270,24 @@ def _dmul(a: Poly, b: Poly) -> Poly:
 
 
 def _dpow(a: Poly, n: int, width: int) -> Poly:
-    out: Poly = {(0,) * width: Fraction(1)}
-    for _ in range(n):
-        out = _dmul(out, a)
-    return out
+    """a**n for n >= 0, by repeated squaring."""
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else _dmul(result, a)
+        n >>= 1
+        if n:
+            a = _dmul(a, a)
+    return {(0,) * width: 1} if result is None else result
 
 
 def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
-    """Exact quotient a/b, or None when b does not divide a.
+    """Exact quotient a/b over Z, or None when b does not divide a.
 
-    Plain multivariate division: the lex leading term of the remainder
-    must be divisible by the lex leading term of b at every step, which
-    holds whenever the division as a whole is exact.
+    a and b have int coefficients.  Plain multivariate division: the lex
+    leading term of the remainder must be divisible by the lex leading
+    term of b at every step, coefficient included, which holds whenever
+    the division as a whole is exact.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -286,14 +299,16 @@ def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
     r = dict(a)
     while r:
         lr = max(r)
-        m = tuple(i - j for i, j in zip(lr, lb))
-        if any(i < 0 for i in m):
+        m = tuple(map(_minus, lr, lb))
+        if min(m, default=0) < 0:
             return None
-        c = r[lr] / cb
-        q[m] = q.get(m, Fraction(0)) + c
+        c, rest = divmod(r[lr], cb)
+        if rest:
+            return None
+        q[m] = c
         for t, v in b.items():
-            key = tuple(i + j for i, j in zip(m, t))
-            s = r.get(key, Fraction(0)) - c * v
+            key = tuple(map(_plus, m, t))
+            s = r.get(key, 0) - c * v
             if s:
                 r[key] = s
             else:
@@ -301,15 +316,14 @@ def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
     return q
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd for rationals: both inputs are integer multiples of it."""
-    return Fraction(
-        math.gcd(a.numerator, b.numerator),
-        math.lcm(a.denominator, b.denominator),
-    )
+def _qdiv(a, b):
+    """a / b for rationals, an int when b divides a."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return Fraction(a, b)
 
 
-def _dlexlead(p: Poly) -> Fraction:
+def _dlexlead(p: Poly):
     return p[max(p)]
 
 
@@ -317,21 +331,23 @@ def _dunit_normal(p: Poly) -> Poly:
     return _dneg(p) if _dlexlead(p) < 0 else dict(p)
 
 
-def _integerize(p: Poly) -> tuple[Fraction, Poly]:
+def _integerize(p: Poly) -> tuple:
     """Split p into content times primitive part.
 
-    The primitive part has coprime integer coefficients and a positive
-    lex leading one; the content carries the sign.
+    The primitive part has coprime int coefficients and a positive lex
+    leading one, and is p itself when p already is such; the content, an
+    int when p's coefficients are, carries the sign.
     """
     if not p:
-        return Fraction(0), {}
-    it = iter(p.values())
-    c = abs(next(it))
-    for v in it:
-        c = _frac_gcd(c, abs(v))
+        return 0, {}
+    den = math.lcm(*(v.denominator for v in p.values()))
+    if den != 1:
+        p = {t: v.numerator * (den // v.denominator) for t, v in p.items()}
+    g = math.gcd(*p.values())
     if _dlexlead(p) < 0:
-        c = -c
-    return c, {t: v / c for t, v in p.items()}
+        g = -g
+    prim = p if g == 1 else {t: v // g for t, v in p.items()}
+    return _qdiv(g, den), prim
 
 
 # ------------------------------------------------------------ heuristic gcd
@@ -348,14 +364,14 @@ _HEUR_TRIES = 7
 
 
 def _dheight(p: Poly) -> int:
-    return max(abs(c.numerator) for c in p.values())
+    return max(abs(c) for c in p.values())
 
 
 def _eval_last(p: Poly, xi: int) -> Poly:
     out: Poly = {}
     for t, c in p.items():
         key = t[:-1]
-        s = out.get(key, Fraction(0)) + c * xi ** t[-1]
+        s = out.get(key, 0) + c * xi ** t[-1]
         if s:
             out[key] = s
         else:
@@ -382,16 +398,15 @@ def _heur_gcd_z(a: Poly, b: Poly, nv: int) -> Poly | None:
 def _heur_attempt(a: Poly, b: Poly, nv: int, xi: int) -> Poly | None:
     ea, eb = _eval_last(a, xi), _eval_last(b, xi)
     if nv == 1:
-        gi = math.gcd(int(ea.get((), 0)), int(eb.get((), 0)))
-        gamma: Poly = {(): Fraction(gi)} if gi else {}
+        gi = math.gcd(ea.get((), 0), eb.get((), 0))
+        gamma: Poly = {(): gi} if gi else {}
     else:
         ca, pa = _integerize(ea)
         cb, pb = _integerize(eb)
         inner = _heur_gcd_z(pa, pb, nv - 1)
         if inner is None:
             return None
-        cg = math.gcd(abs(ca.numerator), abs(cb.numerator))
-        gamma = _dscale(inner, Fraction(cg))
+        gamma = _dscale(inner, math.gcd(ca, cb))
     if not gamma:
         return None
     # balanced xi-adic digits of gamma become the candidate's
@@ -401,10 +416,10 @@ def _heur_attempt(a: Poly, b: Poly, nv: int, xi: int) -> Poly | None:
     while gamma:
         carry: Poly = {}
         for t, c in gamma.items():
-            d = _balanced(int(c), xi)
+            d = _balanced(c, xi)
             if d:
-                cand[t + (i,)] = Fraction(d)
-            rest = (c - d) / xi
+                cand[t + (i,)] = d
+            rest = (c - d) // xi
             if rest:
                 carry[t] = rest
         gamma = carry
@@ -499,7 +514,7 @@ def _sr_gcd_z(a: Poly, b: Poly, nv: int) -> Poly:
     cg = _dict_gcd_front(cu, cv, w)
     u = {k: _must(_ddiv_exact(c, cu)) for k, c in u.items()}
     v = {k: _must(_ddiv_exact(c, cv)) for k, c in v.items()}
-    cone = {(0,) * w: Fraction(1)}
+    cone = {(0,) * w: 1}
     g = h = cone
     while True:
         if max(v) == 0:
@@ -581,16 +596,14 @@ def _dict_gcd_front(a: Poly, b: Poly, nv: int) -> Poly:
         return _dunit_normal(a)
     if a == b:
         return _dunit_normal(a)
-    if nv == 0:
-        return {(): _frac_gcd(abs(a[()]), abs(b[()]))}
     # common monomial factors come out before anything else
     ma = [min(t[i] for t in a) for i in range(nv)]
     mb = [min(t[i] for t in b) for i in range(nv)]
     mg = tuple(min(x, y) for x, y in zip(ma, mb))
     if any(ma):
-        a = {tuple(i - j for i, j in zip(t, ma)): c for t, c in a.items()}
+        a = {tuple(map(_minus, t, ma)): c for t, c in a.items()}
     if any(mb):
-        b = {tuple(i - j for i, j in zip(t, mb)): c for t, c in b.items()}
+        b = {tuple(map(_minus, t, mb)): c for t, c in b.items()}
     # a variable only one side sees cannot survive; that input shrinks
     # to the gcd of its coefficients along the private variable
     for i in range(nv):
@@ -602,7 +615,7 @@ def _dict_gcd_front(a: Poly, b: Poly, nv: int) -> Poly:
             b = _content_along(b, i, nv)
     g = _primitive_gcd(a, b, nv, _dict_gcd)
     if any(mg):
-        g = {tuple(i + j for i, j in zip(t, mg)): c for t, c in g.items()}
+        g = {tuple(map(_plus, t, mg)): c for t, c in g.items()}
     return g
 
 
@@ -615,14 +628,12 @@ def _dict_gcd(a: Poly, b: Poly, nv: int) -> Poly:
 
 
 def _primitive_gcd(a: Poly, b: Poly, nv: int, core) -> Poly | None:
-    """gcd of nonzero a and b from core(pa, pb, nv), which sees their
-    primitive parts with the best main variable first; None when core
-    gives up."""
-    if nv == 0:
-        return {(): _frac_gcd(abs(a[()]), abs(b[()]))}
+    """gcd of nonzero int polynomials a and b from core(pa, pb, nv),
+    which sees their primitive parts with the best main variable first;
+    None when core gives up."""
     ca, pa = _integerize(a)
     cb, pb = _integerize(b)
-    cg = _frac_gcd(abs(ca), abs(cb))
+    cg = math.gcd(ca, cb)
     if pa == pb:
         return _dscale(pa, cg)
     perm = _main_first_perm(pa, pb, nv)
@@ -644,27 +655,41 @@ def _unit_normal_expr(e: Expr) -> Expr:
 
 
 def exact_quotient(a, b) -> Expr:
-    """a / b when b divides a exactly as a polynomial."""
+    """a / b when b divides a exactly as a polynomial.
+
+    The primitive parts divide over Z, and the contents divide apart: by
+    Gauss's lemma a primitive divisor divides over Z exactly when it
+    divides over Q.
+    """
     a, b = lift(a), lift(b)
     vars = _ordered_vars(a, b)
-    q = _ddiv_exact(_to_dict(a, vars), _to_dict(b, vars))
+    ca, pa = _integerize(_to_dict(a, vars))
+    cb, pb = _integerize(_to_dict(b, vars))
+    q = _ddiv_exact(pa, pb)
     if q is None:
         raise DomainError("quotient is not exact")
-    return _from_dict(q, vars)
+    return _from_dict(_dscale(q, _qdiv(ca, cb)), vars)
 
 
 def _gcd_entry(a, b, core) -> Expr | None:
     """What the gcd entry points share: zero inputs answered directly,
-    the rest handed to core(pa, pb, nv) as dict polynomials over their
-    canonically ordered symbols.  None from core passes through."""
+    the rest handed to core(pa, pb, nv) as primitive int polynomials
+    over their canonically ordered symbols, and the gcd of the rational
+    contents multiplied back.  None from core passes through."""
     a, b = lift(a), lift(b)
     if _is_exact_zero(a):
         return _unit_normal_expr(b)
     if _is_exact_zero(b):
         return _unit_normal_expr(a)
     vars = _ordered_vars(a, b)
-    g = core(_to_dict(a, vars), _to_dict(b, vars), len(vars))
-    return None if g is None else _from_dict(g, vars)
+    ca, pa = _integerize(_to_dict(a, vars))
+    cb, pb = _integerize(_to_dict(b, vars))
+    g = core(pa, pb, len(vars))
+    if g is None:
+        return None
+    # the gcd of two rationals: both are integer multiples of it
+    cg = _qdiv(math.gcd(ca.numerator, cb.numerator), math.lcm(ca.denominator, cb.denominator))
+    return _from_dict(_dscale(g, cg), vars)
 
 
 def poly_gcd(a, b) -> Expr:
@@ -788,10 +813,16 @@ def _normal_pair(e: Expr, gm: _GenMap) -> tuple[Expr, Expr]:
         n, d = _ZERO, _ONE
         for term in _terms_of(e):
             tn, td = _normal_pair(term, gm)
-            g = poly_gcd(d, td)
-            co = exact_quotient(td, g)
-            n = add(mul(n, co), mul(tn, exact_quotient(d, g)))
-            d = expand(mul(d, co))
+            # a denominator of 1 shares nothing with the other one
+            if d == _ONE:
+                n, d = add(mul(n, td), tn), td
+            elif td == _ONE:
+                n = add(n, mul(tn, d))
+            else:
+                g = poly_gcd(d, td)
+                co = exact_quotient(td, g)
+                n = add(mul(n, co), mul(tn, exact_quotient(d, g)))
+                d = expand(mul(d, co))
         return _frac_cancel(n, d)
     if t is Mul:
         n, d = _normal_pair(Numeric(e.coeff), gm)
@@ -847,7 +878,7 @@ def _unit_normal_den(n: Expr, d: Expr) -> tuple[Expr, Expr]:
     vars = _ordered_vars(d)
     cd, pd = _integerize(_to_dict(d, vars))
     if cd != 1:
-        n = mul(lift(1 / cd), n)
+        n = mul(lift(Fraction(1, cd)), n)
     return n, _from_dict(pd, vars)
 
 

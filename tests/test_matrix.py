@@ -47,7 +47,7 @@ from minicas.matrices import (
 )
 from minicas import expr as expr_module
 from minicas import matrices as matrices_module
-from minicas.matrices import _bareiss_on_dicts, _det_bareiss, _det_bareiss_dict
+from minicas.matrices import _bareiss_on_dicts, _det_bareiss, _det_bareiss_dict, _integer_rows
 from minicas.poly import _from_dict, _ordered_vars, _to_dict, normal
 
 # ---------------------------------------------------------------- oracles
@@ -294,10 +294,12 @@ def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
         assert (_det_bareiss_dict(m) is not None) == polynomial
         if not polynomial:
             return
-        # the dict path: exactly what dict Bareiss gives, already normal
+        # the dict path: exactly what dict Bareiss gives on the rows scaled
+        # to integers, divided by the scale, already normal
         vars = _ordered_vars(*m.entries)
-        dicts = [[_to_dict(e, vars) for e in r] for r in rows]
-        assert d == _from_dict(_bareiss_on_dicts(dicts), vars)
+        dicts, scale = _integer_rows([[_to_dict(e, vars) for e in r] for r in rows])
+        got = {t: Fraction(c, scale) for t, c in _bareiss_on_dicts(dicts).items()}
+        assert d == _from_dict(got, vars)
         assert normal(d) == d
 
     monkeypatch.setattr(matrices_module, "_det_cofactor", recorded)

@@ -216,6 +216,44 @@ def test_exact_pow_refuses_results_too_large_to_build():
     assert power(4, lift(Fraction(-3, 2))) == lift(Fraction(1, 8))
 
 
+def _decimal_oracle(n: int) -> str:
+    """Decimal digits of n, 400 at a time, each chunk under Python's limit."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n:
+        n, r = divmod(n, 10**400)
+        chunks.append(str(r).rjust(400, "0"))
+    return sign + ("".join(reversed(chunks)).lstrip("0") or "0")
+
+
+def test_decimal_conversion_past_the_digit_limit():
+    from minicas.numbers import decimal_to_int, int_to_decimal
+
+    rng = random.Random(4300)
+    for bits in (1, 64, 1600, 1601, 3203, 14300, 20000, 100003):
+        for _ in range(3):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            for v in (n, -n, 10 ** len(str(bits)) * n):
+                want = _decimal_oracle(v)
+                assert int_to_decimal(v) == want
+                assert decimal_to_int(want.lstrip("-")) == abs(v)
+    assert int_to_decimal(0) == "0"
+    assert str(rational(-1, 3**9000)) == "-1/" + _decimal_oracle(3**9000)
+    # a long literal parses through the same conversion
+    sevens = (10**5000 - 1) // 9 * 7
+    want = floatval(Fraction(2 * sevens + 1, 2), 20)
+    assert from_decimal("7" * 5000 + ".5", 20) == want
+
+
+def test_decimal_literal_exponent_is_bounded():
+    # the exact value is built before rounding, so an exponent with
+    # hundreds of digits would never finish
+    assert from_decimal("2.5e-100000", 20) == floatval(Fraction(5, 2 * 10**100000), 20)
+    for text in ("1e100001", "2.5E-" + "9" * 700, "1e-1000000"):
+        with pytest.raises(DomainError):
+            from_decimal(text)
+
+
 def test_exact_pow_with_fractional_exponent_is_refused():
     with pytest.raises(DomainError):
         num_pow(integer(2), rational(1, 2))

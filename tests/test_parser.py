@@ -239,3 +239,30 @@ def test_roundtrip_500():
         drawn = rand_expr(rng, tab, 3)
         e = parse_expr(to_string(drawn), tab)
         assert roundtrip(e, tab) == e, to_string(drawn)
+
+
+def test_random_token_streams_never_escape_the_shell():
+    # every statement of a random token stream either prints a result or
+    # an error line; none raises out of Shell.feed
+    from minicas.shell import Shell
+
+    rng = random.Random(6120)
+    pools = [
+        ["x", "y", "z", "Pi", "I", "sin", "exp", "sqrt", "expand", "normal", "gcd",
+         "lcm", "diff", "series", "subs", "evalf", "coeff", "degree", "det", "lsolve"],
+        ["0", "1", "2", "7", "12", "3.5", "1e3", "2.5E-2", "9" * 700],
+        ["+", "-", "*", "/", "^", "==", "!=", "<", "<=", ">", ">=", "=", ",", "!", ".", ":", "$"],
+        ["(", ")", "(", ")", "[", "]", "{", "}"],
+        [";", ";", "%", "%%", "%%%"],
+    ]
+    statements = 0
+    for _ in range(300):
+        sh = Shell()
+        toks = [rng.choice(rng.choice(pools)) for _ in range(rng.randint(1, 24))]
+        sep = rng.choice([" ", ""])
+        text = sep.join(toks) + ";"
+        statements += text.count(";")
+        lines = sh.feed(text) + sh.finish()
+        assert isinstance(lines, list), text
+        assert all(type(line) is str for line in lines), text
+    assert statements > 400

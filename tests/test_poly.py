@@ -36,6 +36,7 @@ from minicas.expr import (
 )
 from minicas.expr import _expand_pairwise, _rewrite, _split_factor, _terms_of
 from minicas.functions import exp, sin
+from minicas.shell import Shell
 from minicas import poly as poly_module
 from minicas.poly import (
     _to_dict,
@@ -325,6 +326,67 @@ def test_heur_and_sr_agree():
     assert gave_up < 10
 
 
+def test_integer_kernel_gcds_agree_on_planted_and_coprime_pairs(monkeypatch):
+    # products of distinct primitive linear forms in 1-3 variables, times
+    # rational contents: the gcd is known, and every trial or exact
+    # division behind _integerize sees int coefficients only
+    rng = random.Random(8088)
+    divisions = []
+    divide = poly_module._ddiv_exact
+
+    def int_only(a, b):
+        assert all(type(c) is int for p in (a, b) for c in p.values())
+        divisions.append(len(a))
+        return divide(a, b)
+
+    monkeypatch.setattr(poly_module, "_ddiv_exact", int_only)
+    syms = symbols("x y z")
+    gave_up = 0
+    for trial in range(90):
+        vars = syms[: 1 + trial % 3]
+        forms = {}
+        while len(forms) < 3:
+            sig, e = rand_linear_form(rng, vars)
+            forms[sig] = e
+        fs = list(forms.values())
+        alphas = [rng.randint(0, 2) for _ in fs]
+        if trial % 2:
+            # coprime: no form occurs on both sides
+            betas = [0 if k else rng.randint(1, 2) for k in alphas]
+        else:
+            betas = [rng.randint(1, 2) for _ in fs]
+        ca = Fraction(rng.choice([-6, -3, -1, 1, 2, 4, 9]), rng.randint(1, 12))
+        cb = Fraction(rng.choice([-6, -3, -1, 1, 2, 4, 9]), rng.randint(1, 12))
+        a = expand(mul(ca, *(power(f, k) for f, k in zip(fs, alphas))))
+        b = expand(mul(cb, *(power(f, k) for f, k in zip(fs, betas))))
+        want = expand(
+            mul(list_content([ca, cb]), *(power(f, min(i, j)) for f, i, j in zip(fs, alphas, betas)))
+        )
+        assert poly_gcd(a, b) == want, (to_string(a), to_string(b))
+        assert sr_gcd(a, b) == want
+        hg = heur_gcd(a, b)
+        if hg is None:
+            gave_up += 1
+        else:
+            assert hg == want
+        assert poly_gcd(exact_quotient(a, want), exact_quotient(b, want)) == lift(1)
+    assert gave_up < 5
+    assert divisions
+
+
+def test_exact_quotient_divides_contents_apart():
+    x = Symbol("x")
+    half = lift(Fraction(1, 2))
+    assert to_string(exact_quotient(add(mul(half, x), 1), 2)) == "1/2+1/4*x"
+    a = add(mul(Fraction(3, 4), power(x, 2)), Fraction(-3, 4))
+    assert to_string(exact_quotient(a, add(mul(half, x), half))) == "-3/2+3/2*x"
+    with pytest.raises(DomainError):
+        exact_quotient(a, add(mul(half, x), 2))
+    with pytest.raises(DomainError):
+        # the leading coefficient 2 does not divide 1 over Z
+        exact_quotient(add(power(x, 2), 1), add(mul(2, x), 1))
+
+
 def test_gcd_factorwise_inputs():
     x, y = symbols("x y")
     a = mul(power(add(x, 1), 2), add(x, 2))
@@ -524,6 +586,22 @@ def test_normal_runs_the_top_level_gcd_once():
     assert [(a, b) for a, b in pairs if free_symbols(a) and free_symbols(b)] == [
         (add(power(x, 2), -1), add(power(x, 2), x, -2))
     ]
+
+
+def test_normal_sums_skip_trivial_gcds(monkeypatch):
+    # a running denominator of 1 combines with the next term directly;
+    # only _frac_cancel's gcd and its two quotients remain
+    calls = {"poly_gcd": 0, "exact_quotient": 0}
+    for name in calls:
+        inner = getattr(poly_module, name)
+
+        def counted(a, b, name=name, inner=inner):
+            calls[name] += 1
+            return inner(a, b)
+
+        monkeypatch.setattr(poly_module, name, counted)
+    assert Shell().feed("normal((x^2-49)/(x-7));") == ["7+x"]
+    assert calls == {"poly_gcd": 1, "exact_quotient": 2}
 
 
 def test_normal_floats_ride_through():

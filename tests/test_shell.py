@@ -8,6 +8,7 @@ running the same script twice and comparing bytes.
 """
 
 import io
+import math
 
 from minicas.shell import Shell, repl, run_script
 
@@ -169,3 +170,27 @@ def test_script_transcript_is_deterministic(tmp_path):
         runs.append(out.getvalue())
     assert runs[0] == runs[1]
     assert runs[0].splitlines()[0] == "x^3+y^3+3*x*y^2+3*x^2*y"
+
+
+def _digits_value(text: str) -> int:
+    """The int a long digit string spells, read 400 digits at a time."""
+    v = 0
+    for i in range(0, len(text), 400):
+        chunk = text[i : i + 400]
+        v = v * 10 ** len(chunk) + int(chunk)
+    return v
+
+
+def test_integers_past_the_conversion_limit_print_and_parse_back():
+    # Python's own str()/int() refuse more than 4300 digits by default
+    sh = Shell()
+    for stmt, want in (("factorial(2000);", math.factorial(2000)), ("2^(20000);", 2**20000)):
+        (line,) = sh.feed(stmt)
+        assert len(line) > 4300 and line.isdigit()
+        assert _digits_value(line) == want
+        # the printed digits parse back to the value % holds
+        assert sh.feed(f"{line}-%;") == ["0"]
+        assert sh.feed(f"%%-{line};") == ["0"]
+    (line,) = sh.feed("-2/3^9000;")
+    num, den = line.split("/")
+    assert num == "-2" and _digits_value(den) == 3**9000
