@@ -239,10 +239,7 @@ class Number:
 
     def __str__(self):
         if self.kind == _INT:
-            try:
-                return str(self.val)
-            except ValueError:  # past Python's limit on digits
-                return int_to_decimal(self.val)
+            return int_to_decimal(self.val)
         if self.kind == _RAT:
             return f"{int_to_decimal(self.val.numerator)}/{int_to_decimal(self.val.denominator)}"
         if self.kind == _FLOAT:
@@ -267,20 +264,27 @@ def _imag_str(im: Number) -> str:
 # -- decimal conversion ---------------------------------------------------
 #
 # Python refuses str(n) and int(text) past a process-wide number of digits
-# (4300 by default, 640 at the least it can be set to).  These convert by
-# divide-and-conquer, so no single str() or int() call sees more than
-# about 480 digits.  Splitting an int by a power of ten would take a
-# quadratic-time divmod, so int_to_decimal splits by a power of two and
-# joins the halves in exact Decimal arithmetic, whose products of large
-# operands take subquadratic time.
+# (4300 by default, 640 at the least it can be set to).  Past it, these
+# convert by divide-and-conquer, so no single str() or int() call sees
+# more than about 480 digits.  Splitting an int by a power of ten would
+# take a quadratic-time divmod, so int_to_decimal splits by a power of
+# two and joins the halves in exact Decimal arithmetic, whose products of
+# large operands take subquadratic time.
 
 _LEAF_BITS = 1600
 
 
 def int_to_decimal(n: int) -> str:
     """The decimal digits of n, with a minus sign when negative."""
-    if n.bit_length() <= _LEAF_BITS:
+    try:
         return str(n)
+    except ValueError:  # past Python's limit on digits
+        return _split_to_decimal(n)
+
+
+def _split_to_decimal(n: int) -> str:
+    # apart from int_to_decimal, so that the cells of these closures are
+    # set up past the digit limit only, not for every integer printed
     powers: dict[int, decimal.Decimal] = {}
 
     def two_to(k: int) -> decimal.Decimal:

@@ -145,10 +145,11 @@ def collect(e, x) -> Expr:
 # ---------------------------------------------------- dict representation
 #
 # A polynomial in n ordered variables is a dict from exponent tuples of
-# length n to nonzero int or Fraction coefficients; the zero polynomial
-# is the empty dict.  Tuples compare lexicographically, and that is the
-# term order used throughout.  _to_dict keeps the coefficients expand's
-# kernel gives, and _integerize turns them into a rational content and a
+# length n to nonzero coefficients, each an int when its value is
+# integral and a Fraction otherwise; the zero polynomial is the empty
+# dict.  Tuples compare lexicographically, and that is the term order
+# used throughout.  _to_dict reads the coefficients expand's kernel
+# gives, and _integerize turns them into a rational content and a
 # primitive part with int coefficients.  The arithmetic below keeps int
 # coefficients ints, and _ddiv_exact divides over Z only.
 
@@ -203,7 +204,8 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
         key = [0] * len(vars)
         for i, d in m:
             key[place[i]] = d
-        out[tuple(key)] = c
+        # the kernel's products can leave a Fraction with denominator 1
+        out[tuple(key)] = c if c.denominator != 1 else c.numerator
     return out
 
 
@@ -709,22 +711,38 @@ def poly_gcd(a, b) -> Expr:
 
 
 def _gcd_factorwise(a: Mul, b: Expr) -> Expr:
-    """gcd against a visibly factored input, one factor at a time."""
+    """gcd against a visibly factored input, one factor at a time.
+
+    Only primitive parts meet in the loop: each factor's rational content
+    joins a's coefficient (the content of (2*x+2)^2 is 4, not 2), and the
+    rest of b keeps its own, so the contents meet once, at the end.
+    """
     if not a.coeff.is_rational():
         raise DomainError("polynomial coefficients must be exact rationals")
     parts = []
+    content = a.coeff.val
     rem = b
     for r, k in a.pairs:
         if not k.is_integer() or k.val < 1:
             raise DomainError(f"{power(r, Numeric(k))} is not a polynomial factor")
+        cr, r = _content_split(r)
+        content *= cr**k.val
         for _ in range(k.val):
-            gi = poly_gcd(r, rem)
+            _, gi = _content_split(poly_gcd(r, rem))
             if gi == _ONE:
                 break
             parts.append(gi)
             rem = exact_quotient(rem, gi)
-    parts.append(poly_gcd(Numeric(a.coeff), rem))
+    parts.append(poly_gcd(lift(content), rem))
     return mul(*parts)
+
+
+def _content_split(e: Expr) -> tuple:
+    """e as its rational content and primitive part, the part being e
+    itself when the content is 1."""
+    vars = _ordered_vars(e)
+    c, p = _integerize(_to_dict(e, vars))
+    return c, e if c == 1 else _from_dict(p, vars)
 
 
 def heur_gcd(a, b) -> Expr | None:
@@ -875,11 +893,10 @@ def _unit_normal_den(n: Expr, d: Expr) -> tuple[Expr, Expr]:
     """Normalize the denominator of the fraction n/d, whose parts are
     expanded and coprime: it keeps no unit and no rational content; both
     move into the numerator."""
-    vars = _ordered_vars(d)
-    cd, pd = _integerize(_to_dict(d, vars))
+    cd, d = _content_split(d)
     if cd != 1:
         n = mul(lift(Fraction(1, cd)), n)
-    return n, _from_dict(pd, vars)
+    return n, d
 
 
 def normal(e) -> Expr:

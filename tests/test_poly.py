@@ -9,6 +9,7 @@ coprime quotients, heuristic and subresultant agreement, reassembly of
 unit * content * primpart, and value preservation through normal().
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -326,10 +327,20 @@ def test_heur_and_sr_agree():
     assert gave_up < 10
 
 
+def scaled_product(rng, c, fs, ks):
+    """c * prod f^k unexpanded, each f scaled by a random rational and c
+    divided by what the scales contribute."""
+    ss = [Fraction(rng.choice([-4, -1, 1, 2, 3]), rng.randint(1, 3)) for _ in fs]
+    c = c / math.prod(s**k for s, k in zip(ss, ks))
+    return mul(c, *(power(expand(mul(s, f)), k) for s, f, k in zip(ss, fs, ks)))
+
+
 def test_integer_kernel_gcds_agree_on_planted_and_coprime_pairs(monkeypatch):
     # products of distinct primitive linear forms in 1-3 variables, times
     # rational contents: the gcd is known, and every trial or exact
-    # division behind _integerize sees int coefficients only
+    # division behind _integerize sees int coefficients only.  Each pair
+    # also goes in unexpanded, its forms scaled by rationals that the
+    # outer coefficient cancels, so the contents of the factors matter.
     rng = random.Random(8088)
     divisions = []
     divide = poly_module._ddiv_exact
@@ -370,8 +381,35 @@ def test_integer_kernel_gcds_agree_on_planted_and_coprime_pairs(monkeypatch):
         else:
             assert hg == want
         assert poly_gcd(exact_quotient(a, want), exact_quotient(b, want)) == lift(1)
+        ua, ub = scaled_product(rng, ca, fs, alphas), scaled_product(rng, cb, fs, betas)
+        assert expand(ua) == a and expand(ub) == b
+        assert expand(poly_gcd(ua, ub)) == want, (to_string(ua), to_string(ub))
+        assert sr_gcd(ua, ub) == want
+        assert heur_gcd(ua, ub) in (want, None)
+        assert exact_quotient(ua, want) == exact_quotient(a, want)
     assert gave_up < 5
     assert divisions
+
+
+def test_unexpanded_factors_whose_contents_cancel():
+    # the tree kernel multiplies 1/2 by the contents 2 of the factors into
+    # Fractions with denominator 1, which the dict kernel reads as ints
+    x, y = Symbol("x"), Symbol("y")
+    a = mul(Fraction(1, 2), power(add(mul(2, x), 2), 2))  # 2*(1+x)^2
+    b = mul(add(mul(Fraction(1, 2), x), 1), add(mul(2, x), 2))  # (2+x)*(1+x)
+    assert to_string(a) == "1/2*(2+2*x)^2"
+    assert to_string(b) == "(1+1/2*x)*(2+2*x)"
+    for gcd in (poly_gcd, sr_gcd, heur_gcd):
+        assert to_string(gcd(a, add(x, 1))) == "1+x"
+        assert to_string(gcd(b, add(x, 2))) == "2+x"
+    assert to_string(poly_gcd(mul(a, y), mul(add(x, 1), y))) == "y*(1+x)"
+    assert to_string(poly_gcd(power(add(mul(-2, x), -2), 3), add(mul(4, x), 4))) == "4+4*x"
+    assert to_string(lcm(a, add(x, 1))) == "2+4*x+2*x^2"
+    assert to_string(exact_quotient(a, add(x, 1))) == "2+2*x"
+    assert to_string(exact_quotient(b, add(x, 2))) == "1+x"
+    assert to_string(normal(mul(a, power(b, -1)))) == "(2+x)^(-1)*(2+2*x)"
+    assert to_string(normal(power(b, -1))) == "(2+3*x+x^2)^(-1)"
+    assert Shell().feed("gcd((2*x+2)^2/2, x+1); gcd((x/2+1)*(2*x+2), x+2);") == ["1+x", "2+x"]
 
 
 def test_exact_quotient_divides_contents_apart():
