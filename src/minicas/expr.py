@@ -34,7 +34,8 @@ because products are not associative on canonical forms with such
 bases: sqrt(2)*sqrt(2)*sqrt(2) is 2^(3/2) but (sqrt(2)*sqrt(2))*sqrt(2)
 is 2*2^(1/2), and floats round by the order they are added in, so only
 the pairwise order prints what expand has always printed.
-poly._to_dict reads the kernel's dicts directly.
+poly._to_dict reads the kernel's dicts directly, and poly._from_dict
+builds its trees with the kernel's builder, _poly_tree.
 """
 
 from __future__ import annotations
@@ -1076,8 +1077,7 @@ class _Polys:
         return out
 
     def tree(self, p: dict) -> Expr:
-        """The canonical sum of p's terms, each term built once: as the
-        coefficient and coefficient-one product _split_term would make."""
+        """The canonical sum of p's terms, built by _poly_tree."""
         atoms = self.atoms
         if len(self.rank) != len(atoms):
             order = sorted(
@@ -1088,15 +1088,24 @@ class _Polys:
             for r, i in enumerate(order):
                 self.rank[i] = r
         rank = self.rank
-        overall = _NUM_ZERO
-        terms = []
-        for m, c in p.items():
-            if m:
-                pairs = [(atoms[i], num(e)) for i, e in sorted(m, key=lambda ie: rank[ie[0]])]
-                terms.append((_product(_NUM_ONE, pairs), num(c)))
-            else:
-                overall = num(c)
-        return _sum(overall, terms)
+        return _poly_tree(
+            ([(atoms[i], num(e)) for i, e in sorted(m, key=lambda ie: rank[ie[0]])], c)
+            for m, c in p.items()
+        )
+
+
+def _poly_tree(terms) -> Expr:
+    """The canonical sum of c * prod(b**k) over (settled (b, Number k)
+    pairs in order, nonzero rational c) terms, each term built once: as
+    the coefficient and coefficient-one product _split_term would make."""
+    overall = _NUM_ZERO
+    out = []
+    for pairs, c in terms:
+        if pairs:
+            out.append((_product(_NUM_ONE, pairs), num(c)))
+        else:
+            overall = num(c)
+    return _sum(overall, out)
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
@@ -1130,8 +1139,8 @@ def _pmul(a: dict, b: dict) -> dict:
 
 
 def _padd(terms) -> dict:
-    """The sum of q * p over an iterable of (polynomial of _Polys, int or
-    Fraction q) pairs."""
+    """The sum of q * p over an iterable of (dict polynomial, int or
+    Fraction q) pairs, for _Polys' monomials and poly's tuples alike."""
     out: dict = {}
     for p, q in terms:
         one = q == 1

@@ -34,6 +34,8 @@ from .expr import (
     Numeric,
     Relational,
     Symbol,
+    _padd,
+    _pscale,
     add,
     expand,
     free_symbols,
@@ -43,7 +45,7 @@ from .expr import (
     subs,
 )
 from .poly import coeff, collect, degree, normal
-from .poly import _ddiv_exact, _dmul, _dneg, _dsub, _from_dict, _ordered_vars, _to_dict
+from .poly import _ddiv_exact, _dmul, _from_dict, _ordered_vars, _to_dict
 
 __all__ = [
     "matrix",
@@ -182,11 +184,11 @@ def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
     except DomainError:
         return None
     rows, scale = _integer_rows(rows)
-    p = _det_cofactor(rows, _dmul, _dict_sum, operator.not_) if _is_sparse(m) else None
+    p = _det_cofactor(rows, _dmul, _padd, operator.not_) if _is_sparse(m) else None
     if p is None:
         p = _bareiss_on_dicts(rows)
     if scale != 1:
-        p = {t: Fraction(c, scale) for t, c in p.items()}
+        p = _pscale(p, Fraction(1, scale))
     return _from_dict(p, vars)
 
 
@@ -220,7 +222,7 @@ def _bareiss_on_dicts(rows: list[list[dict]]) -> dict:
         for i in range(k + 1, n):
             rik = rows[i][k]
             for j in range(k + 1, n):
-                t = _dsub(_dmul(pk, rows[i][j]), _dmul(rik, rows[k][j]))
+                t = _padd(((_dmul(pk, rows[i][j]), 1), (_dmul(rik, rows[k][j]), -1)))
                 if prev is not None and t:
                     t = _ddiv_exact(t, prev)
                     if t is None:
@@ -229,7 +231,7 @@ def _bareiss_on_dicts(rows: list[list[dict]]) -> dict:
             rows[i][k] = {}
         prev = pk
     d = rows[-1][-1]
-    return d if sign > 0 else _dneg(d)
+    return _pscale(d, sign)
 
 
 def _det_bareiss(rows: list[list[Expr]]) -> Expr:
@@ -262,7 +264,7 @@ def _det_cofactor(rows, times, plus, is_zero):
     by the bitmask of their rows; the minor on rows S of the first
     c + 1 columns is the signed sum, over r in S, of entry (r, c) times
     the minor on S - {r}.  times multiplies two ring elements, plus sums
-    a list of (negate, element) pairs.
+    a list of (element, sign) pairs, each sign 1 or -1, as _padd does.
 
     The steps are planned on the zero pattern first.  When they would
     take more than n^3 ring multiplications, Bareiss's cost on a dense
@@ -289,8 +291,8 @@ def _det_cofactor(rows, times, plus, is_zero):
             if minor is not None:
                 # the sign of entry (i, j) in the minor on mask + {i}:
                 # one flip for each of its rows after i
-                odd = (mask >> i).bit_count() & 1
-                terms.setdefault(mask | 1 << i, []).append((odd, times(rows[i][j], minor)))
+                sign = -1 if (mask >> i).bit_count() & 1 else 1
+                terms.setdefault(mask | 1 << i, []).append((times(rows[i][j], minor), sign))
         minors = {}
         for mask, ts in terms.items():
             t = plus(ts)
@@ -300,21 +302,7 @@ def _det_cofactor(rows, times, plus, is_zero):
 
 
 def _tree_sum(terms: list) -> Expr:
-    return add(*(mul(_M1, t) if odd else t for odd, t in terms))
-
-
-def _dict_sum(terms: list) -> dict:
-    if len(terms) == 1 and not terms[0][0]:
-        return terms[0][1]
-    out: dict = {}
-    for odd, p in terms:
-        for t, c in p.items():
-            s = out.get(t, 0) - c if odd else out.get(t, 0) + c
-            if s:
-                out[t] = s
-            else:
-                del out[t]
-    return out
+    return add(*(t if sign > 0 else mul(_M1, t) for t, sign in terms))
 
 
 # ---------------------------------------------------------------- inverse

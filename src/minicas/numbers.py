@@ -678,6 +678,9 @@ def num_gcd(a: Number, b: Number) -> Number:
 def num_factorial(n: Number) -> Number:
     if n.kind != _INT or n.val < 0:
         raise DomainError("factorial needs a nonnegative integer")
+    # n! has over n bits from n = 4 on; lgamma(n+1)/ln 2 is log2(n!)
+    if n.val > _MAX_POW_BITS or math.lgamma(n.val + 1) / math.log(2) + 64 > _MAX_POW_BITS:
+        raise DomainError(f"exact factorial too large: {n}! passes {_MAX_POW_BITS} bits")
     return Number(_INT, math.factorial(n.val))
 
 
@@ -731,28 +734,29 @@ def _float_digits(tup, ndigits: int):
     """Decimal digits of |value| rounded half-even to ndigits.
 
     Returns (digits, dec_exp) with value = 0.digits * 10**dec_exp and no
-    trailing zeros in digits.
+    trailing zeros in digits.  man * 2**exp is never expanded: one exact
+    divmod gives q = floor(value * 10**k), k read off exp so that q has
+    about ndigits + 2 digits, and a remainder that breaks ties.  Decimal
+    exponents past 2 * _MAX_DECIMAL_EXP (any literal's fits) raise.
     """
-    _, man, exp, _ = tup
-    man = int(man)
-    if exp >= 0:
-        s = str(man << exp)
-        dec_exp = len(s)
-    else:
-        s = str(man * 5**-exp)
-        dec_exp = len(s) + exp
-    if len(s) > ndigits:
-        head, tail = s[:ndigits], s[ndigits:]
-        half = "5" + "0" * (len(tail) - 1)
-        round_up = tail > half or (tail == half and int(head[-1]) % 2 == 1)
-        if round_up:
-            head = str(int(head) + 1)
-            if len(head) > ndigits:
-                head = head[:ndigits]
-                dec_exp += 1
-        s = head
-    s = s.rstrip("0") or "0"
-    return s, dec_exp
+    _, man, exp, bc = tup
+    # 2**(bc + exp - 1) <= value < 2**(bc + exp)
+    k = ndigits + 1 - math.floor((bc + exp - 1) * math.log10(2))
+    if abs(k - ndigits) > 2 * _MAX_DECIMAL_EXP:
+        raise DomainError("float exponent too large to print")
+    q, r = divmod(
+        (int(man) << max(exp + k, 0)) * 5 ** max(k, 0),
+        (1 << max(-exp - k, 0)) * 5 ** max(-k, 0),
+    )
+    drop = len(str(q)) - ndigits
+    head, tail = divmod(q, 10**drop)
+    dec_exp = ndigits + drop - k
+    if 2 * tail > 10**drop or (2 * tail == 10**drop and (r or head % 2)):
+        head += 1
+        if head == 10**ndigits:
+            head //= 10
+            dec_exp += 1
+    return str(head).rstrip("0"), dec_exp
 
 
 def _format_float(tup, prec: int) -> str:

@@ -7,17 +7,19 @@ greatest common divisors, and brings rational functions into the
 canonical quotient form numerator over denominator with every common
 factor cancelled.
 
-GCD work happens on a dict representation mapping exponent vectors to
-int coefficients.  A polynomial read from a tree may have rational
-coefficients; _integerize splits it once into its rational content and
-a primitive integer part, and everything behind that boundary (the gcd
-algorithms, trial and exact division, determinants) runs over Z.  The
-gcd driver strips common monomial factors, drops variables private to
-one input, and then tries the heuristic gcd: evaluate at a big integer
-xi, take the gcd one level down, reconstruct a candidate from the
-balanced base-xi digits of the result, and verify it by trial division
-of both inputs.  When the heuristic keeps missing, the subresultant
-polynomial remainder sequence settles the matter.
+Trees are met only at the edge.  Each public entry point reads every
+input tree once into a dict mapping exponent vectors to rational
+coefficients (_to_dict) and builds every output tree once (_from_dict);
+in between it composes dict operations.  _integerize splits a dict into
+its rational content and a primitive integer part, and everything
+behind that boundary (the gcd algorithms, trial and exact division,
+determinants) runs over Z.  The gcd driver strips common monomial
+factors, drops variables private to one input, and then tries the
+heuristic gcd: evaluate at a big integer xi, take the gcd one level
+down, reconstruct a candidate from the balanced base-xi digits of the
+result, and verify it by trial division of both inputs.  When the
+heuristic keeps missing, the subresultant polynomial remainder sequence
+settles the matter.
 
 normal() extends cancellation beyond plain polynomials.  Subexpressions
 that are not rational in the symbols (function applications, floats,
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import add as _plus, sub as _minus
 
 from .errors import DomainError
@@ -43,8 +46,11 @@ from .expr import (
     Power,
     PSeriesNode,
     Symbol,
+    _padd,
+    _poly_tree,
     _pproduct,
     _Polys,
+    _pscale,
     _rewrite,
     _terms_of,
     add,
@@ -55,6 +61,7 @@ from .expr import (
     power,
     subs,
 )
+from .numbers import num
 
 _ZERO = lift(0)
 _ONE = lift(1)
@@ -145,13 +152,17 @@ def collect(e, x) -> Expr:
 # ---------------------------------------------------- dict representation
 #
 # A polynomial in n ordered variables is a dict from exponent tuples of
-# length n to nonzero coefficients, each an int when its value is
-# integral and a Fraction otherwise; the zero polynomial is the empty
+# length n to nonzero int or Fraction coefficients (a Fraction may be
+# integral: _integerize makes ints); the zero polynomial is the empty
 # dict.  Tuples compare lexicographically, and that is the term order
-# used throughout.  _to_dict reads the coefficients expand's kernel
-# gives, and _integerize turns them into a rational content and a
-# primitive part with int coefficients.  The arithmetic below keeps int
-# coefficients ints, and _ddiv_exact divides over Z only.
+# used throughout.  Trees become dicts in _to_dict alone, which reads the
+# coefficients expand's kernel gives, and dicts become trees in
+# _from_dict alone, through the kernel's builder.  expr's _padd and
+# _pscale are the one way to add and scale dicts, here, in _Polys and in
+# the determinants; _dmul multiplies them.  _integerize turns a dict into
+# a rational content and a primitive part with int coefficients.  The
+# arithmetic keeps int coefficients ints, and _ddiv_exact divides over Z
+# only.
 
 Poly = dict
 
@@ -204,8 +215,7 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
         key = [0] * len(vars)
         for i, d in m:
             key[place[i]] = d
-        # the kernel's products can leave a Fraction with denominator 1
-        out[tuple(key)] = c if c.denominator != 1 else c.numerator
+        out[tuple(key)] = c
     return out
 
 
@@ -223,35 +233,11 @@ def _exponent_ranges(p: dict) -> dict[int, tuple[int, int]]:
 
 
 def _from_dict(p: Poly, vars: tuple[Symbol, ...]) -> Expr:
-    parts = []
-    for mono, c in p.items():
-        factors = [lift(c)]
-        factors.extend(power(v, k) for v, k in zip(vars, mono) if k)
-        parts.append(mul(*factors))
-    return add(*parts)
-
-
-def _dneg(a: Poly) -> Poly:
-    return {t: -c for t, c in a.items()}
-
-
-def _dsub(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for t, c in b.items():
-        s = out.get(t, 0) - c
-        if s:
-            out[t] = s
-        else:
-            out.pop(t, None)
-    return out
-
-
-def _dscale(a: Poly, c) -> Poly:
-    if c == 1:
-        return a
-    if not c:
-        return {}
-    return {t: v * c for t, v in a.items()}
+    """The canonical tree of p, each term built once.  vars are in
+    canonical order, as _ordered_vars gives them."""
+    return _poly_tree(
+        ([(v, num(k)) for v, k in zip(vars, mono) if k], c) for mono, c in p.items()
+    )
 
 
 def _dmul(a: Poly, b: Poly) -> Poly:
@@ -259,20 +245,16 @@ def _dmul(a: Poly, b: Poly) -> Poly:
     for ta, ca in a.items():
         for tb, cb in b.items():
             key = tuple(map(_plus, ta, tb))
-            s = out.get(key)
-            if s is None:
-                out[key] = ca * cb
+            s = out.get(key, 0) + ca * cb
+            if s:
+                out[key] = s
             else:
-                s += ca * cb
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+                del out[key]
     return out
 
 
-def _dpow(a: Poly, n: int, width: int) -> Poly:
-    """a**n for n >= 0, by repeated squaring."""
+def _dpow(a: Poly, n: int) -> Poly:
+    """a**n for nonzero a and n >= 0, by repeated squaring."""
     result = None
     while n:
         if n & 1:
@@ -280,7 +262,7 @@ def _dpow(a: Poly, n: int, width: int) -> Poly:
         n >>= 1
         if n:
             a = _dmul(a, a)
-    return {(0,) * width: 1} if result is None else result
+    return {(0,) * len(next(iter(a))): 1} if result is None else result
 
 
 def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
@@ -318,6 +300,18 @@ def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
     return q
 
 
+def _dquotient(a: Poly, b: Poly) -> Poly:
+    """a / b over Q, DomainError when b does not divide a.  By Gauss's
+    lemma a primitive divisor divides over Z exactly when it divides over
+    Q, so the primitive parts divide over Z and the contents apart."""
+    ca, pa = _integerize(a)
+    cb, pb = _integerize(b)
+    q = _ddiv_exact(pa, pb)
+    if q is None:
+        raise DomainError("quotient is not exact")
+    return _pscale(q, _qdiv(ca, cb))
+
+
 def _qdiv(a, b):
     """a / b for rationals, an int when b divides a."""
     if type(a) is int and type(b) is int and not a % b:
@@ -330,7 +324,7 @@ def _dlexlead(p: Poly):
 
 
 def _dunit_normal(p: Poly) -> Poly:
-    return _dneg(p) if _dlexlead(p) < 0 else dict(p)
+    return _pscale(p, -1) if p and _dlexlead(p) < 0 else p
 
 
 def _integerize(p: Poly) -> tuple:
@@ -343,7 +337,8 @@ def _integerize(p: Poly) -> tuple:
     if not p:
         return 0, {}
     den = math.lcm(*(v.denominator for v in p.values()))
-    if den != 1:
+    # expand's kernel and dict arithmetic over Q leave integral Fractions
+    if den != 1 or any(type(v) is not int for v in p.values()):
         p = {t: v.numerator * (den // v.denominator) for t, v in p.items()}
     g = math.gcd(*p.values())
     if _dlexlead(p) < 0:
@@ -408,7 +403,7 @@ def _heur_attempt(a: Poly, b: Poly, nv: int, xi: int) -> Poly | None:
         inner = _heur_gcd_z(pa, pb, nv - 1)
         if inner is None:
             return None
-        gamma = _dscale(inner, math.gcd(ca, cb))
+        gamma = _pscale(inner, math.gcd(ca, cb))
     if not gamma:
         return None
     # balanced xi-adic digits of gamma become the candidate's
@@ -490,13 +485,11 @@ def _prem(u: dict[int, Poly], v: dict[int, Poly], w: int) -> dict[int, Poly]:
             if k == dv:
                 continue
             key = k + dr - dv
-            prod = _dmul(c, lr)
-            got = nxt.get(key)
-            nxt[key] = _dsub(got, prod) if got is not None else _dneg(prod)
+            nxt[key] = _padd(((nxt.get(key, {}), 1), (_dmul(c, lr), -1)))
         r = {k: c for k, c in nxt.items() if c}
         steps -= 1
     if steps > 0 and r:
-        scale = _dpow(lv, steps, w)
+        scale = _dpow(lv, steps)
         r = {k: _dmul(c, scale) for k, c in r.items()}
     return r
 
@@ -529,14 +522,14 @@ def _sr_gcd_z(a: Poly, b: Poly, nv: int) -> Poly:
             cv2 = _coeff_content(v, w)
             result = {k: _must(_ddiv_exact(c, cv2)) for k, c in v.items()}
             break
-        divisor = _dmul(g, _dpow(h, delta, w))
+        divisor = _dmul(g, _dpow(h, delta))
         u, v = v, {k: _must(_ddiv_exact(c, divisor)) for k, c in r.items()}
         g = u[max(u)]
         if delta == 1:
             h = g
         elif delta > 1:
             # h = g**delta / h**(delta - 1), exact over the integers
-            h = _must(_ddiv_exact(_dpow(g, delta, w), _dpow(h, delta - 1, w)))
+            h = _must(_ddiv_exact(_dpow(g, delta), _dpow(h, delta - 1)))
     out = _join_main({k: _dmul(c, cg) for k, c in result.items()})
     return _dunit_normal(out)
 
@@ -590,14 +583,8 @@ def _content_along(p: Poly, i: int, nv: int) -> Poly:
 
 def _dict_gcd_front(a: Poly, b: Poly, nv: int) -> Poly:
     """Full gcd with the cheap structural reductions applied first."""
-    if not a and not b:
-        return {}
-    if not a:
-        return _dunit_normal(b)
-    if not b:
-        return _dunit_normal(a)
-    if a == b:
-        return _dunit_normal(a)
+    if not a or not b or a == b:
+        return _dunit_normal(a or b)
     # common monomial factors come out before anything else
     ma = [min(t[i] for t in a) for i in range(nv)]
     mb = [min(t[i] for t in b) for i in range(nv)]
@@ -637,7 +624,7 @@ def _primitive_gcd(a: Poly, b: Poly, nv: int, core) -> Poly | None:
     cb, pb = _integerize(b)
     cg = math.gcd(ca, cb)
     if pa == pb:
-        return _dscale(pa, cg)
+        return _pscale(pa, cg)
     perm = _main_first_perm(pa, pb, nv)
     if perm is None:
         return {(0,) * nv: cg}
@@ -645,53 +632,38 @@ def _primitive_gcd(a: Poly, b: Poly, nv: int, core) -> Poly | None:
     if g is None:
         return None
     # unit normality is judged in the canonical order, not the permuted one
-    return _dscale(_dunit_normal(_permute(g, _inverse_perm(perm))), cg)
+    return _pscale(_dunit_normal(_permute(g, _inverse_perm(perm))), cg)
 
 
-def _unit_normal_expr(e: Expr) -> Expr:
-    vars = _ordered_vars(e)
-    p = _to_dict(e, vars)
-    if not p:
-        return _ZERO
-    return _from_dict(_dunit_normal(p), vars)
+def _dgcd(a: Poly, b: Poly, nv: int, core=_dict_gcd_front) -> Poly | None:
+    """gcd of dicts over Q.  A zero input is answered by _dict_gcd_front;
+    otherwise core(pa, pb, nv) sees the primitive int parts, and the gcd
+    of the rational contents is multiplied back.  None from core passes
+    through."""
+    if not (a and b):
+        return _dict_gcd_front(a, b, nv)
+    ca, pa = _integerize(a)
+    cb, pb = _integerize(b)
+    g = core(pa, pb, nv)
+    # the gcd of two rationals: both are integer multiples of it
+    cg = _qdiv(math.gcd(ca.numerator, cb.numerator), math.lcm(ca.denominator, cb.denominator))
+    return None if g is None else _pscale(g, cg)
 
 
 def exact_quotient(a, b) -> Expr:
-    """a / b when b divides a exactly as a polynomial.
-
-    The primitive parts divide over Z, and the contents divide apart: by
-    Gauss's lemma a primitive divisor divides over Z exactly when it
-    divides over Q.
-    """
+    """a / b when b divides a exactly as a polynomial (_dquotient)."""
     a, b = lift(a), lift(b)
     vars = _ordered_vars(a, b)
-    ca, pa = _integerize(_to_dict(a, vars))
-    cb, pb = _integerize(_to_dict(b, vars))
-    q = _ddiv_exact(pa, pb)
-    if q is None:
-        raise DomainError("quotient is not exact")
-    return _from_dict(_dscale(q, _qdiv(ca, cb)), vars)
+    return _from_dict(_dquotient(_to_dict(a, vars), _to_dict(b, vars)), vars)
 
 
 def _gcd_entry(a, b, core) -> Expr | None:
-    """What the gcd entry points share: zero inputs answered directly,
-    the rest handed to core(pa, pb, nv) as primitive int polynomials
-    over their canonically ordered symbols, and the gcd of the rational
-    contents multiplied back.  None from core passes through."""
+    """What heur_gcd and sr_gcd share: both inputs read over their
+    canonically ordered symbols and handed to _dgcd with core."""
     a, b = lift(a), lift(b)
-    if _is_exact_zero(a):
-        return _unit_normal_expr(b)
-    if _is_exact_zero(b):
-        return _unit_normal_expr(a)
     vars = _ordered_vars(a, b)
-    ca, pa = _integerize(_to_dict(a, vars))
-    cb, pb = _integerize(_to_dict(b, vars))
-    g = core(pa, pb, len(vars))
-    if g is None:
-        return None
-    # the gcd of two rationals: both are integer multiples of it
-    cg = _qdiv(math.gcd(ca.numerator, cb.numerator), math.lcm(ca.denominator, cb.denominator))
-    return _from_dict(_dscale(g, cg), vars)
+    g = _dgcd(_to_dict(a, vars), _to_dict(b, vars), len(vars), core)
+    return None if g is None else _from_dict(g, vars)
 
 
 def poly_gcd(a, b) -> Expr:
@@ -701,48 +673,71 @@ def poly_gcd(a, b) -> Expr:
     canonical variable order.  The gcd of e and 0 is unit-normal e, and
     rational contents participate, so gcd(4, 6) is 2 and the quotients
     of any two inputs by their gcd are coprime integer polynomials.
+    Against a visibly factored input the result is a product too.
     """
     a, b = lift(a), lift(b)
+    vars = _ordered_vars(a, b)
+    return mul(*(_from_dict(p, vars) for p in _gcd_parts(a, b, vars)))
+
+
+def _gcd_parts(a: Expr, b: Expr, vars) -> list[Poly]:
+    """gcd(a, b) as dicts whose product it is, each input read once: one
+    dict, or, when an input is a product, the parts _factors_gcd finds."""
+    if type(b) is Mul and type(a) is not Mul and not _is_exact_zero(a):
+        a, b = b, a
     if type(a) is Mul and not _is_exact_zero(b):
-        return _gcd_factorwise(a, b)
-    if type(b) is Mul and not _is_exact_zero(a):
-        return _gcd_factorwise(b, a)
-    return _gcd_entry(a, b, _dict_gcd_front)
+        return _factors_gcd((a.coeff.val, _factors(a, vars)), b, vars)
+    return [_dgcd(_to_dict(a, vars), _to_dict(b, vars), len(vars))]
 
 
-def _gcd_factorwise(a: Mul, b: Expr) -> Expr:
-    """gcd against a visibly factored input, one factor at a time.
-
-    Only primitive parts meet in the loop: each factor's rational content
-    joins a's coefficient (the content of (2*x+2)^2 is 4, not 2), and the
-    rest of b keeps its own, so the contents meet once, at the end.
-    """
-    if not a.coeff.is_rational():
+def _factors(m: Mul, vars):
+    """The factors of m, read one at a time, as (rational content,
+    primitive part, exponent): (2*x+2)^2 is (2, 1+x, 2)."""
+    if not m.coeff.is_rational():
         raise DomainError("polynomial coefficients must be exact rationals")
-    parts = []
-    content = a.coeff.val
-    rem = b
-    for r, k in a.pairs:
+    for r, k in m.pairs:
         if not k.is_integer() or k.val < 1:
             raise DomainError(f"{power(r, Numeric(k))} is not a polynomial factor")
-        cr, r = _content_split(r)
-        content *= cr**k.val
-        for _ in range(k.val):
-            _, gi = _content_split(poly_gcd(r, rem))
-            if gi == _ONE:
+        yield *_integerize(_to_dict(r, vars)), k.val
+
+
+def _factors_gcd(fa: tuple, rem, vars) -> list[Poly]:
+    """gcd of the product fa, a (coefficient, factors) pair, and rem as
+    dicts whose product it is, one factor at a time: primitive parts meet
+    in the loop, the contents once at the end.  rem is a tree, read after
+    fa's first factor, a dict, or another such pair, which, while whole,
+    meets each factor factor by factor (a gcd so found with content 1
+    stays a product)."""
+    one = {(0,) * len(vars): 1}
+    content, parts = fa[0], []
+    for c, p, k in fa[1]:
+        content *= c**k
+        if type(rem) is Mul:
+            rem = rem.coeff.val, list(_factors(rem, vars))
+        elif isinstance(rem, Expr):
+            rem = _to_dict(rem, vars)
+        for _ in range(k):
+            if type(rem) is tuple and p:
+                g = _factors_gcd(rem, p, vars)
+            else:
+                g = [_dgcd(p, _whole(rem), len(vars))]
+            cg, prim = _integerize(reduce(_dmul, g))
+            if prim == one:
                 break
-            parts.append(gi)
-            rem = exact_quotient(rem, gi)
-    parts.append(poly_gcd(lift(content), rem))
-    return mul(*parts)
+            parts += g if cg == 1 else [prim]
+            rem = _dquotient(_whole(rem), prim)
+    last = {(0,) * len(vars): content} if content else {}
+    if type(rem) is tuple and last:
+        return parts + _factors_gcd(rem, last, vars)
+    return parts + [_dgcd(last, _whole(rem), len(vars))]
 
 
-def _content_split(e: Expr) -> tuple:
-    """e as its rational content and primitive part, the part being e
-    itself when the content is 1."""
-    vars = _ordered_vars(e)
-    c, p = _integerize(_to_dict(e, vars))
-    return c, e if c == 1 else _from_dict(p, vars)
+def _whole(x) -> Poly:
+    """x itself, or the product a (coefficient, factors) pair stands for."""
+    if type(x) is dict:
+        return x
+    p = reduce(_dmul, (_dpow(p, k) for _, p, k in x[1]))
+    return _pscale(p, x[0] * math.prod(c**k for c, _, k in x[1]))
 
 
 def heur_gcd(a, b) -> Expr | None:
@@ -758,10 +753,11 @@ def sr_gcd(a, b) -> Expr:
 def lcm(a, b) -> Expr:
     """Least common multiple a * b / gcd, unit normal."""
     a, b = lift(a), lift(b)
-    g = poly_gcd(a, b)
-    if _is_exact_zero(g):
+    vars = _ordered_vars(a, b)
+    g = reduce(_dmul, _gcd_parts(a, b, vars))
+    if not g:
         return _ZERO
-    return _unit_normal_expr(exact_quotient(expand(mul(a, b)), g))
+    return _from_dict(_dunit_normal(_dquotient(_to_dict(mul(a, b), vars), g)), vars)
 
 
 def content_primpart(e, x) -> tuple[Expr, Expr, Expr]:
@@ -828,27 +824,32 @@ def _normal_pair(e: Expr, gm: _GenMap) -> tuple[Expr, Expr]:
     if t is Symbol:
         return e, _ONE
     if t is Add:
-        n, d = _ZERO, _ONE
-        for term in _terms_of(e):
-            tn, td = _normal_pair(term, gm)
+        pairs = [_normal_pair(term, gm) for term in _terms_of(e)]
+        if all(td == _ONE for _, td in pairs):
+            return add(*(tn for tn, _ in pairs)), _ONE
+        vars = _ordered_vars(*(x for pair in pairs for x in pair))
+        one = {(0,) * len(vars): 1}
+        n, d = {}, one
+        for tn, td in pairs:
+            tn, td = _to_dict(tn, vars), _to_dict(td, vars)
+            co, q = td, d
             # a denominator of 1 shares nothing with the other one
-            if d == _ONE:
-                n, d = add(mul(n, td), tn), td
-            elif td == _ONE:
-                n = add(n, mul(tn, d))
-            else:
-                g = poly_gcd(d, td)
-                co = exact_quotient(td, g)
-                n = add(mul(n, co), mul(tn, exact_quotient(d, g)))
-                d = expand(mul(d, co))
-        return _frac_cancel(n, d)
+            if d != one and td != one:
+                g = _dgcd(d, td, len(vars))
+                co, q = _dquotient(td, g), _dquotient(d, g)
+            n = _padd(((_dmul(n, co), 1), (_dmul(tn, q), 1)))
+            d = _dmul(d, co)
+        return _frac_cancel(n, d, vars)
     if t is Mul:
         n, d = _normal_pair(Numeric(e.coeff), gm)
         for r, k in e.pairs:
             fn, fd = _normal_pair(power(r, Numeric(k)), gm)
             n = mul(n, fn)
             d = mul(d, fd)
-        return _frac_cancel(n, d)
+        if d == _ONE:
+            return n, _ONE
+        vars = _ordered_vars(n, d)
+        return _frac_cancel(_to_dict(n, vars), _to_dict(d, vars), vars)
     if t is Power:
         k = e.exponent
         if type(k) is Numeric and k.value.is_integer():
@@ -873,30 +874,22 @@ def _normal_pair(e: Expr, gm: _GenMap) -> tuple[Expr, Expr]:
     raise DomainError(f"cannot bring {t.__name__} into a rational form")
 
 
-def _frac_cancel(n: Expr, d: Expr) -> tuple[Expr, Expr]:
-    """Cancel the fraction n/d and normalize the denominator."""
-    if d == _ONE:
-        return n, _ONE
-    n, d = expand(n), expand(d)
-    if _is_exact_zero(d):
+def _frac_cancel(n: Poly, d: Poly, vars) -> tuple[Expr, Expr]:
+    """The fraction n/d of dicts over vars, cancelled and built, with
+    its denominator normalized."""
+    if not d:
         raise ZeroDivisionError("zero denominator after cancellation")
-    if _is_exact_zero(n):
-        return _ZERO, _ONE
-    g = poly_gcd(n, d)
-    if g != _ONE:
-        n = exact_quotient(n, g)
-        d = exact_quotient(d, g)
-    return _unit_normal_den(n, d)
+    g = _dgcd(n, d, len(vars))
+    if g != {(0,) * len(vars): 1}:
+        n, d = _dquotient(n, g), _dquotient(d, g)
+    return _unit_normal_den(n, d, vars)
 
 
-def _unit_normal_den(n: Expr, d: Expr) -> tuple[Expr, Expr]:
-    """Normalize the denominator of the fraction n/d, whose parts are
-    expanded and coprime: it keeps no unit and no rational content; both
-    move into the numerator."""
-    cd, d = _content_split(d)
-    if cd != 1:
-        n = mul(lift(Fraction(1, cd)), n)
-    return n, d
+def _unit_normal_den(n: Poly, d: Poly, vars) -> tuple[Expr, Expr]:
+    """The coprime fraction n/d as trees, the unit and rational content
+    of the denominator moved into the numerator."""
+    cd, d = _integerize(d)
+    return _from_dict(_pscale(n, _qdiv(1, cd)), vars), _from_dict(d, vars)
 
 
 def normal(e) -> Expr:
@@ -921,6 +914,7 @@ def _normal_rule(x: Expr, walk):
     n, d = _normal_pair(x, gm)
     if d != _ONE:
         # every branch of _normal_pair makes its pair coprime already
-        n, d = _unit_normal_den(expand(n), expand(d))
+        vars = _ordered_vars(n, d)
+        n, d = _unit_normal_den(_to_dict(n, vars), _to_dict(d, vars), vars)
     out = n if d == _ONE else mul(n, power(d, -1))
     return gm.restore(out)

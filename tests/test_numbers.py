@@ -9,12 +9,17 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from mpmath.libmp import from_man_exp
 
+from minicas import numbers as numbers_module
 from minicas.errors import DomainError
 from minicas.numbers import (
+    _FLOAT,
+    _format_float,
     DEFAULT_DPS,
     IUNIT,
     Number,
@@ -359,6 +364,71 @@ def test_factorial():
     assert num_div(num_factorial(integer(10)), num_factorial(integer(8))) == integer(90)
     with pytest.raises(DomainError):
         num_factorial(integer(-1))
+    assert num_factorial(integer(1000)) == integer(math.factorial(1000))
+
+
+def test_factorial_refuses_results_too_large_to_build():
+    # the bit length of n! is bounded before anything is multiplied
+    for n in (10**7, 3_500_000, 10**100):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            num_factorial(integer(n))
+        assert time.perf_counter() - start < 0.1
+    assert num_factorial(integer(20_000)).val == math.factorial(20_000)
+
+
+def _float_digits_by_expansion(tup, ndigits: int):
+    """The printing digits of a float from its full decimal expansion:
+    the exact integer man * 2**exp or man * 5**-exp, cut and rounded half
+    even as a string."""
+    _, man, exp, _ = tup
+    man = int(man)
+    if exp >= 0:
+        s = str(man << exp)
+        dec_exp = len(s)
+    else:
+        s = str(man * 5**-exp)
+        dec_exp = len(s) + exp
+    if len(s) > ndigits:
+        head, tail = s[:ndigits], s[ndigits:]
+        half = "5" + "0" * (len(tail) - 1)
+        round_up = tail > half or (tail == half and int(head[-1]) % 2 == 1)
+        if round_up:
+            head = str(int(head) + 1)
+            if len(head) > ndigits:
+                head = head[:ndigits]
+                dec_exp += 1
+        s = head
+    s = s.rstrip("0") or "0"
+    return s, dec_exp
+
+
+def test_float_printing_matches_the_full_expansion(monkeypatch):
+    # mantissas with many factors of 5 put ties and carries at the cut
+    rng = random.Random(1871)
+    floats = []
+    for _ in range(2500):
+        if rng.random() < 0.3:
+            man = rng.randint(1, 999) * 5 ** rng.randint(0, 40)
+        else:
+            man = rng.getrandbits(rng.randint(1, 220)) | 1
+        tup = from_man_exp(rng.choice([-1, 1]) * man, rng.randint(-3000, 3000))
+        floats.append((tup, rng.randint(2, 60)))
+    got = [_format_float(tup, prec) for tup, prec in floats]
+    monkeypatch.setattr(numbers_module, "_float_digits", _float_digits_by_expansion)
+    assert [_format_float(tup, prec) for tup, prec in floats] == got
+    assert len(set(got)) > 2400
+
+
+def test_floats_far_from_one_print():
+    start = time.perf_counter()
+    assert str(from_decimal("2.5e-10000")) == "2.5E-10000"
+    assert str(from_decimal("1.0e4400")) == "1.0E4400"
+    assert str(from_decimal("-7.25e-100000")) == "-7.25E-100000"
+    assert str(num_to_float(num_pow(integer(10), integer(5000)), DEFAULT_DPS)) == "1.0E5000"
+    assert time.perf_counter() - start < 1
+    with pytest.raises(DomainError):
+        str(Number(_FLOAT, from_man_exp(3, 10**7), DEFAULT_DPS))
 
 
 def test_bernoulli_against_recurrence_oracle():

@@ -26,7 +26,6 @@ from minicas.expr import (
     diff,
     evalf,
     expand,
-    free_symbols,
     lift,
     mul,
     power,
@@ -40,6 +39,7 @@ from minicas.functions import exp, sin
 from minicas.shell import Shell
 from minicas import poly as poly_module
 from minicas.poly import (
+    _from_dict,
     _to_dict,
     coeff,
     collect,
@@ -230,6 +230,14 @@ def test_gcd_numeric_and_zero_cases():
     assert poly_gcd(mul(Fraction(1, 2), x), mul(Fraction(1, 3), x)) == mul(
         Fraction(1, 6), x
     )
+
+
+def test_gcd_of_a_tree_that_expands_to_zero():
+    # the zero test is made on the dicts, so every entry point sees 0
+    x = Symbol("x")
+    zero = add(power(add(x, 1), 2), mul(-1, power(x, 2)), mul(-2, x), -1)
+    for gcd in (poly_gcd, heur_gcd, sr_gcd):
+        assert gcd(zero, add(mul(-2, x), -6)) == add(mul(2, x), 6)
 
 
 def test_gcd_univariate_against_euclid():
@@ -606,40 +614,91 @@ def test_normal_maps_rational_powers_to_root_generators():
     assert normal(e) == e
 
 
-def test_normal_runs_the_top_level_gcd_once():
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call to poly's private helper name."""
+    calls = []
+    inner = getattr(poly_module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(poly_module, name, counted)
+    return calls
+
+
+def test_normal_runs_the_top_level_gcd_once(monkeypatch):
     # the pair _normal_pair returns is coprime already, so the last step
     # only normalizes the denominator, with no second gcd
     x = Symbol("x")
-    pairs = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            poly_module,
-            "poly_gcd",
-            lambda a, b: pairs.append((a, b)) or poly_gcd(a, b),
-        )
-        got = normal(
-            mul(add(power(x, 2), -1), power(mul(add(x, -1), add(x, 2)), -1))
-        )
+    gcds = _count_calls(monkeypatch, "_dgcd")
+    got = normal(mul(add(power(x, 2), -1), power(mul(add(x, -1), add(x, 2)), -1)))
     assert got == mul(add(x, 1), power(add(x, 2), -1))
-    assert [(a, b) for a, b in pairs if free_symbols(a) and free_symbols(b)] == [
-        (add(power(x, 2), -1), add(power(x, 2), x, -2))
+    assert [(a, b) for a, b, _ in gcds if len(a) > 1 and len(b) > 1] == [
+        ({(2,): 1, (0,): -1}, {(2,): 1, (1,): 1, (0,): -2})
     ]
 
 
 def test_normal_sums_skip_trivial_gcds(monkeypatch):
     # a running denominator of 1 combines with the next term directly;
-    # only _frac_cancel's gcd and its two quotients remain
-    calls = {"poly_gcd": 0, "exact_quotient": 0}
-    for name in calls:
-        inner = getattr(poly_module, name)
-
-        def counted(a, b, name=name, inner=inner):
-            calls[name] += 1
-            return inner(a, b)
-
-        monkeypatch.setattr(poly_module, name, counted)
+    # only the gcd of the final fraction remains, and numerator and
+    # denominator are each read into a dict once
+    gcds = _count_calls(monkeypatch, "_dgcd")
+    reads = _count_calls(monkeypatch, "_to_dict")
     assert Shell().feed("normal((x^2-49)/(x-7));") == ["7+x"]
-    assert calls == {"poly_gcd": 1, "exact_quotient": 2}
+    assert len(gcds) == 1
+    assert sorted(to_string(e) for e, _ in reads) == ["-49+x^2", "-7+x"]
+
+
+def test_internal_steps_never_call_the_tree_entry_points(monkeypatch):
+    # normal and lcm compose dict operations between one read and one
+    # build, so they work with every tree-level gcd entry point broken
+    rng = random.Random(404)
+    t, y = symbols("t y")
+    # sum_i i*y*t^i / (y + w_i*t)^i, the normal-sum items' shape
+    e = add(*(mul(i, y, power(t, i), power(add(y, mul(rng.randint(1, 9), t)), -i))
+              for i in range(1, 6)))
+    x = Symbol("x")
+    pairs = [
+        (mul(power(add(x, 1), 2), y), mul(add(x, 1), add(x, 2))),
+        (expand(mul(add(x, 1), add(x, y))), mul(Fraction(1, 2), add(x, y), y)),
+        (add(mul(2, x), 2), add(mul(3, x), 3)),
+    ]
+    want_normal = normal(e)
+    want_lcm = [lcm(a, b) for a, b in pairs]
+
+    def broken(*args):
+        raise AssertionError("a tree-level entry point was called")
+
+    for name in ("poly_gcd", "exact_quotient", "heur_gcd", "sr_gcd", "lcm"):
+        monkeypatch.setattr(poly_module, name, broken)
+    assert normal(e) == want_normal
+    assert [lcm(a, b) for a, b in pairs] == want_lcm
+    assert to_string(want_lcm[0]) == "2*y+5*y*x+4*y*x^2+y*x^3"
+
+
+def test_from_dict_builds_what_the_constructors_build():
+    rng = random.Random(3141)
+    vars = symbols("a b c d")
+    empty = 0
+    for trial in range(500):
+        nv = rng.randint(1, 4)
+        p = {}
+        for _ in range(rng.randint(0, 6)):
+            mono = [0] * nv
+            if rng.random() < 0.7:
+                for i in rng.sample(range(nv), rng.randint(1, nv)):
+                    mono[i] = rng.randint(1, 4)
+            c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+            if c:
+                p[tuple(mono)] = c
+        empty += not p
+        # the construction _from_dict had, one mul and one add per term
+        want = add(*(mul(lift(c), *(power(v, k) for v, k in zip(vars, m) if k))
+                     for m, c in p.items()))
+        got = _from_dict(p, vars[:nv])
+        assert got == want and to_string(got) == to_string(want), p
+    assert empty > 10
 
 
 def test_normal_floats_ride_through():

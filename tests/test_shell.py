@@ -9,6 +9,7 @@ running the same script twice and comparing bytes.
 
 import io
 import math
+import time
 
 from minicas.shell import Shell, repl, run_script
 
@@ -194,3 +195,16 @@ def test_integers_past_the_conversion_limit_print_and_parse_back():
     (line,) = sh.feed("-2/3^9000;")
     num, den = line.split("/")
     assert num == "-2" and _digits_value(den) == 3**9000
+
+
+def test_huge_factorials_and_far_floats_answer_at_once():
+    sh = Shell()
+    start = time.perf_counter()
+    (line,) = sh.feed("factorial(10^7);")
+    assert line.startswith("error:")
+    assert time.perf_counter() - start < 1
+    assert sh.feed("factorial(1000);") == [str(math.factorial(1000))]
+    # no float's decimal expansion is built in full, so none meets
+    # Python's 4300-digit limit on integer printing
+    lines = sh.feed("2.5e-10000; evalf(10^5000); 1.0e4400;")
+    assert lines == ["2.5E-10000", "1.0E5000", "1.0E4400"]
