@@ -839,6 +839,9 @@ def _normal_pair(e: Expr, gm: _GenMap) -> tuple[Expr, Expr]:
                 co, q = _dquotient(td, g), _dquotient(d, g)
             n = _padd(((_dmul(n, co), 1), (_dmul(tn, q), 1)))
             d = _dmul(d, co)
+        if d == one and all(type(td) is Numeric for _, td in pairs):
+            # constant denominators whose lcm is 1: each term keeps its tree
+            return add(*(mul(tn, lift(1 / td.value.as_fraction())) for tn, td in pairs)), _ONE
         return _frac_cancel(n, d, vars)
     if t is Mul:
         n, d = _normal_pair(Numeric(e.coeff), gm)

@@ -650,6 +650,16 @@ def test_normal_sums_skip_trivial_gcds(monkeypatch):
     assert sorted(to_string(e) for e, _ in reads) == ["-49+x^2", "-7+x"]
 
 
+def test_normal_sum_over_number_denominators_keeps_its_terms():
+    # the denominators 1/2 and 1/3 have lcm 1: as with no denominators,
+    # each term keeps its tree, scaled
+    got = Shell().feed(
+        "normal(1/(1/(x+1)+x/(x+1)-1/2) + 1/(1/(x+1)+x/(x+1)-2/3) + (x+1)*(y+1));"
+        "normal(1/(1/(x+1)+x/(x+1)-1/2) + (x+1)*(y+1));"
+    )
+    assert got == ["5+(1+x)*(1+y)", "3+x+y+x*y"]
+
+
 def test_internal_steps_never_call_the_tree_entry_points(monkeypatch):
     # normal and lcm compose dict operations between one read and one
     # build, so they work with every tree-level gcd entry point broken
