@@ -9,9 +9,12 @@ as GiNaC's matrix::determinant does: a matrix at least half zero takes a
 division-free minor expansion that computes each nonzero minor once (GiNaC's
 determinant_minor), and a denser one, or one whose minors would cost more
 multiplications than elimination, takes fraction-free Bareiss
-elimination.
-Inversion is exact Gauss-Jordan, and solve_linear() reduces a list of
-relations to Gaussian elimination on the coefficient matrix.
+elimination.  Each method is one loop that takes the ring's operations
+as arguments.
+Inversion and solve_linear() share one Gauss-Jordan elimination, on
+[m | I] and on the augmented coefficient rows.  solve_linear() expands
+each equation once and reads the coefficients of its unknowns off the
+expanded terms, as GiNaC's lsolve collects them into a matrix.
 
 Pivots are the first nonzero candidates in canonical order.  A symbolic
 pivot is assumed nonzero; there is no case splitting, and the
@@ -36,6 +39,7 @@ from .expr import (
     Symbol,
     _padd,
     _pscale,
+    _terms_of,
     add,
     expand,
     free_symbols,
@@ -44,8 +48,8 @@ from .expr import (
     power,
     subs,
 )
-from .poly import coeff, collect, degree, normal
-from .poly import _ddiv_exact, _dmul, _from_dict, _ordered_vars, _to_dict
+from .poly import collect, normal
+from .poly import _by_degree, _ddiv_exact, _dmul, _from_dict, _ordered_vars, _to_dict
 
 __all__ = [
     "matrix",
@@ -159,7 +163,7 @@ def mat_det(m: MatrixNode) -> Expr:
     rows = m.row_list()
     d = _det_cofactor(rows, mul, _tree_sum, _is_zero) if _is_sparse(m) else None
     if d is None:
-        d = _det_bareiss(rows)
+        d = _det_bareiss(rows, mul, _tree_sum, _tree_quo, _is_zero)
     return _norm(d)
 
 
@@ -186,7 +190,7 @@ def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
     rows, scale = _integer_rows(rows)
     p = _det_cofactor(rows, _dmul, _padd, operator.not_) if _is_sparse(m) else None
     if p is None:
-        p = _bareiss_on_dicts(rows)
+        p = _det_bareiss(rows, _dmul, _padd, _dict_quo, operator.not_)
     if scale != 1:
         p = _pscale(p, Fraction(1, scale))
     return _from_dict(p, vars)
@@ -204,17 +208,20 @@ def _integer_rows(rows: list[list[dict]]) -> tuple[list[list[dict]], int]:
     return out, scale
 
 
-def _bareiss_on_dicts(rows: list[list[dict]]) -> dict:
-    """Fraction-free Bareiss elimination on dict polynomials with int
-    coefficients; every division is exact over Z by Sylvester's
-    identity.  Consumes rows."""
+def _det_bareiss(rows, times, plus, quo, is_zero):
+    """Fraction-free Bareiss elimination (Bareiss 1968) on either ring.
+
+    times, plus and is_zero are _det_cofactor's.  quo(t, p) divides t
+    by the previous pivot p, exactly by Sylvester's identity; at the
+    first step there is no pivot yet and p is None.  Consumes rows.
+    """
     n = len(rows)
     sign = 1
     prev = None
     for k in range(n - 1):
-        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        piv = next((i for i in range(k, n) if not is_zero(rows[i][k])), None)
         if piv is None:
-            return {}
+            return plus([])
         if piv != k:
             rows[k], rows[piv] = rows[piv], rows[k]
             sign = -sign
@@ -222,39 +229,22 @@ def _bareiss_on_dicts(rows: list[list[dict]]) -> dict:
         for i in range(k + 1, n):
             rik = rows[i][k]
             for j in range(k + 1, n):
-                t = _padd(((_dmul(pk, rows[i][j]), 1), (_dmul(rik, rows[k][j]), -1)))
-                if prev is not None and t:
-                    t = _ddiv_exact(t, prev)
-                    if t is None:
-                        raise ArithmeticError("inexact Bareiss division")
-                rows[i][j] = t
-            rows[i][k] = {}
+                t = plus([(times(pk, rows[i][j]), 1), (times(rik, rows[k][j]), -1)])
+                rows[i][j] = quo(t, prev)
         prev = pk
-    d = rows[-1][-1]
-    return _pscale(d, sign)
+    return plus([(rows[-1][-1], sign)])
 
 
-def _det_bareiss(rows: list[list[Expr]]) -> Expr:
-    n = len(rows)
-    sign = 1
-    prev = _ONE
-    for k in range(n - 1):
-        piv = next((i for i in range(k, n) if not _is_zero(rows[i][k])), None)
-        if piv is None:
-            return _ZERO
-        if piv != k:
-            rows[k], rows[piv] = rows[piv], rows[k]
-            sign = -sign
-        pk = rows[k][k]
-        for i in range(k + 1, n):
-            rik = rows[i][k]
-            for j in range(k + 1, n):
-                t = add(mul(pk, rows[i][j]), mul(_M1, rik, rows[k][j]))
-                rows[i][j] = _div(t, prev)
-            rows[i][k] = _ZERO
-        prev = pk
-    d = rows[-1][-1]
-    return d if sign > 0 else mul(_M1, d)
+def _dict_quo(t: dict, p: dict | None) -> dict:
+    q = t if p is None else _ddiv_exact(t, p)
+    if q is None:
+        raise ArithmeticError("inexact Bareiss division")
+    return q
+
+
+def _tree_quo(t: Expr, p: Expr | None) -> Expr:
+    # the first step divides by 1, which still brings t to normal form
+    return _div(t, _ONE if p is None else p)
 
 
 def _det_cofactor(rows, times, plus, is_zero):
@@ -305,6 +295,45 @@ def _tree_sum(terms: list) -> Expr:
     return add(*(t if sign > 0 else mul(_M1, t) for t, sign in terms))
 
 
+# ---------------------------------------------------------------- Gauss-Jordan
+
+
+def _gauss_jordan(rows: list[list[Expr]], ncols: int) -> dict[int, int]:
+    """Gauss-Jordan elimination on the first ncols columns of rows, in
+    place; returns {pivot column: its row}.
+
+    Each pivot row is divided by its pivot and the pivot's column is
+    cleared in every other row; later columns, such as the right-hand
+    sides of a system, ride along.  A column without a pivot is skipped:
+    it stays zero in every row at or below the running pivot row, so
+    rows left below the last pivot row have only zeros in the first
+    ncols columns.
+    """
+    width = len(rows[0])
+    r = 0
+    pivots: dict[int, int] = {}
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if not _is_zero(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pk = rows[r][c]
+        if pk != _ONE:
+            # the pivot row's columns left of c are zero already
+            rows[r][c:] = [_div(x, pk) for x in rows[r][c:]]
+        rr = rows[r]
+        for i, ri in enumerate(rows):
+            f = ri[c]
+            if i == r or _is_zero(f):
+                continue
+            for j in range(c + 1, width):
+                ri[j] = _norm(add(ri[j], mul(_M1, f, rr[j])))
+            ri[c] = _ZERO
+        pivots[c] = r
+        r += 1
+    return pivots
+
+
 # ---------------------------------------------------------------- inverse
 
 
@@ -317,29 +346,10 @@ def mat_inverse(m: MatrixNode) -> MatrixNode:
         + [_ONE if i == j else _ZERO for j in range(n)]
         for i in range(n)
     ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not _is_zero(rows[i][c])), None)
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-        pk = rows[c][c]
-        if pk != _ONE:
-            rows[c] = rows[c][:c] + [_div(x, pk) for x in rows[c][c:]]
-        rc = rows[c]
-        for i in range(n):
-            if i == c:
-                continue
-            f = rows[i][c]
-            if _is_zero(f):
-                continue
-            ri = rows[i]
-            # columns left of c are already reduced to zero in both rows
-            for j in range(c + 1, 2 * n):
-                ri[j] = _norm(add(ri[j], mul(_M1, f, rc[j])))
-            ri[c] = _ZERO
-    out = [_norm(x) for i in range(n) for x in rows[i][n:]]
-    return MatrixNode(n, n, out)
+    if len(_gauss_jordan(rows, n)) < n:
+        raise SingularMatrixError("matrix is singular")
+    # n pivots on n rows: column i's pivot is in row i
+    return MatrixNode(n, n, [_norm(x) for row in rows for x in row[n:]])
 
 
 # ---------------------------------------------------------------- charpoly
@@ -359,7 +369,7 @@ def mat_charpoly(m: MatrixNode, lam: Symbol) -> Expr:
     ent = list(m.entries)
     for i in range(n):
         ent[i * n + i] = add(ent[i * n + i], mul(_M1, lam))
-    return collect(expand(mat_det(MatrixNode(n, n, ent))), lam)
+    return collect(mat_det(MatrixNode(n, n, ent)), lam)
 
 
 # ---------------------------------------------------------------- linear solve
@@ -395,47 +405,30 @@ def solve_linear(eqs, unknowns) -> ExprList:
         if not isinstance(eq, Relational) or eq.op != "==":
             raise DomainError("equations must be == relations")
         f = expand(add(eq.lhs, mul(_M1, eq.rhs)))
+        terms = _terms_of(f)
         row = []
         for v in unknowns:
-            if degree(f, v) > 1:
+            by = _by_degree(terms, v)
+            if max(by, default=0) > 1:
                 raise DomainError(f"system is not linear in {v.name}")
-            c = coeff(f, v, 1)
+            c = add(*by.get(1, ()))
             if free_symbols(c) & vset:
                 raise DomainError("unknowns multiply each other in one equation")
             row.append(_norm(c))
+            # a term in v is free of the later unknowns, so they read only
+            # the terms without v; after a negative power of v, which ends
+            # in an error, every term stays, so the checks meet them in order
+            if min(by, default=0) >= 0:
+                terms = by.get(0, [])
         row.append(_norm(mul(_M1, subs(f, zeros))))
         rows.append(row)
 
-    # Gauss-Jordan on the augmented rows; a skipped column stays zero in
-    # every row at or below the running pivot row, so leftover rows can
-    # only carry a right-hand side
-    r = 0
-    pivot_row: dict[int, int] = {}
-    for c in range(nc):
-        piv = next((i for i in range(r, len(rows)) if not _is_zero(rows[i][c])), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pk = rows[r][c]
-        if pk != _ONE:
-            rows[r] = [_div(x, pk) for x in rows[r]]
-        rr = rows[r]
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if _is_zero(f):
-                continue
-            ri = rows[i]
-            for j in range(c + 1, nc + 1):
-                ri[j] = _norm(add(ri[j], mul(_M1, f, rr[j])))
-            ri[c] = _ZERO
-        pivot_row[c] = r
-        r += 1
-    for i in range(r, len(rows)):
-        if not _is_zero(rows[i][nc]):
+    pivots = _gauss_jordan(rows, nc)
+    # rows below the last pivot row can only carry a right-hand side
+    for row in rows[len(pivots) :]:
+        if not _is_zero(row[nc]):
             raise NoUniqueSolutionError("system is inconsistent")
-    if len(pivot_row) < nc:
-        free = next(v for c, v in enumerate(unknowns) if c not in pivot_row)
+    if len(pivots) < nc:
+        free = next(v for c, v in enumerate(unknowns) if c not in pivots)
         raise NoUniqueSolutionError(f"system does not determine {free.name}")
-    return ExprList(Eq(v, rows[pivot_row[c]][nc]) for c, v in enumerate(unknowns))
+    return ExprList(Eq(v, rows[pivots[c]][nc]) for c, v in enumerate(unknowns))

@@ -2,7 +2,8 @@
 
 Symbols, integers, and rationals generate multivariate polynomial rings
 inside the expression language.  This module answers structural
-questions about such expressions (degree, coeff, collect), computes
+questions about such expressions (degree, coeff, collect), all from one
+grouping of the expanded terms by their exponent (_by_degree), computes
 greatest common divisors, and brings rational functions into the
 canonical quotient form numerator over denominator with every common
 factor cancelled.
@@ -114,16 +115,26 @@ def _term_split(term: Expr, x: Symbol) -> tuple[int, Expr]:
     return 0, term
 
 
+def _by_degree(terms, x: Symbol) -> dict[int, list[Expr]]:
+    """The cofactors of the expanded terms, grouped by their exponent of
+    x (_term_split), each group in the order of terms."""
+    out: dict[int, list[Expr]] = {}
+    for t in terms:
+        k, c = _term_split(t, x)
+        out.setdefault(k, []).append(c)
+    return out
+
+
 def degree(e, x) -> int:
     """Highest exponent of x in expanded e.  degree(0, x) is 0."""
     x = _as_symbol(x)
-    return max(_term_split(t, x)[0] for t in _terms_of(expand(lift(e))))
+    return max(_by_degree(_terms_of(expand(lift(e))), x))
 
 
 def ldegree(e, x) -> int:
     """Lowest exponent of x in expanded e."""
     x = _as_symbol(x)
-    return min(_term_split(t, x)[0] for t in _terms_of(expand(lift(e))))
+    return min(_by_degree(_terms_of(expand(lift(e))), x))
 
 
 def coeff(e, x, k: int) -> Expr:
@@ -131,22 +142,14 @@ def coeff(e, x, k: int) -> Expr:
     x = _as_symbol(x)
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainError("coefficient exponent must be an int")
-    parts = []
-    for t in _terms_of(expand(lift(e))):
-        kk, c = _term_split(t, x)
-        if kk == k:
-            parts.append(c)
-    return add(*parts)
+    return add(*_by_degree(_terms_of(expand(lift(e))), x).get(k, ()))
 
 
 def collect(e, x) -> Expr:
     """Regroup expanded e as a sum of coefficients times powers of x."""
     x = _as_symbol(x)
-    buckets: dict[int, list[Expr]] = {}
-    for t in _terms_of(expand(lift(e))):
-        k, c = _term_split(t, x)
-        buckets.setdefault(k, []).append(c)
-    return add(*(mul(add(*cs), power(x, k)) for k, cs in sorted(buckets.items())))
+    by = _by_degree(_terms_of(expand(lift(e))), x)
+    return add(*(mul(add(*cs), power(x, k)) for k, cs in sorted(by.items())))
 
 
 # ---------------------------------------------------- dict representation
@@ -704,10 +707,10 @@ def _factors(m: Mul, vars):
 def _factors_gcd(fa: tuple, rem, vars) -> list[Poly]:
     """gcd of the product fa, a (coefficient, factors) pair, and rem as
     dicts whose product it is, one factor at a time: primitive parts meet
-    in the loop, the contents once at the end.  rem is a tree, read after
-    fa's first factor, a dict, or another such pair, which, while whole,
-    meets each factor factor by factor (a gcd so found with content 1
-    stays a product)."""
+    in the loop, the contents once at the end, so the list is primitive
+    parts followed by one content.  rem is a tree, read after fa's first
+    factor, a dict, or another such pair, which, while whole, meets each
+    factor factor by factor."""
     one = {(0,) * len(vars): 1}
     content, parts = fa[0], []
     for c, p, k in fa[1]:
@@ -721,11 +724,11 @@ def _factors_gcd(fa: tuple, rem, vars) -> list[Poly]:
                 g = _factors_gcd(rem, p, vars)
             else:
                 g = [_dgcd(p, _whole(rem), len(vars))]
-            cg, prim = _integerize(reduce(_dmul, g))
-            if prim == one:
+            prims = [q for _, q in map(_integerize, g) if q != one]
+            if not prims:
                 break
-            parts += g if cg == 1 else [prim]
-            rem = _dquotient(_whole(rem), prim)
+            parts += prims
+            rem = _dquotient(_whole(rem), reduce(_dmul, prims))
     last = {(0,) * len(vars): content} if content else {}
     if type(rem) is tuple and last:
         return parts + _factors_gcd(rem, last, vars)
@@ -772,11 +775,7 @@ def content_primpart(e, x) -> tuple[Expr, Expr, Expr]:
     e = expand(lift(e))
     if _is_exact_zero(e):
         return _ONE, _ZERO, _ZERO
-    buckets: dict[int, list[Expr]] = {}
-    for t in _terms_of(e):
-        k, c = _term_split(t, x)
-        buckets.setdefault(k, []).append(c)
-    coeffs = {k: add(*cs) for k, cs in buckets.items()}
+    coeffs = {k: add(*cs) for k, cs in _by_degree(_terms_of(e), x).items()}
     lead = coeffs[max(coeffs)]
     unit = _ONE if _dlexlead(_to_dict(lead, _ordered_vars(lead))) > 0 else lift(-1)
     cont = _ZERO

@@ -7,9 +7,12 @@ it never uses: textbook Laplace expansion along the first row over plain
 Python Fractions and Exprs.
 Inverses are checked against the adjugate formula and the defining
 product, solve_linear against Cramer's rule, and the Hilbert family
-against its factorial closed form.
+against its factorial closed form.  Both also print, statement by
+statement, what their own elimination loops printed before they came to
+share one; those loops are kept here as the reference.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import factorial
@@ -24,10 +27,14 @@ from minicas.errors import (
 )
 from minicas.expr import (
     Eq,
+    ExprList,
     MatrixNode,
+    Numeric,
+    Relational,
     Symbol,
     add,
     expand,
+    free_symbols,
     lift,
     mul,
     power,
@@ -47,8 +54,19 @@ from minicas.matrices import (
 )
 from minicas import expr as expr_module
 from minicas import matrices as matrices_module
-from minicas.matrices import _bareiss_on_dicts, _det_bareiss, _det_bareiss_dict, _integer_rows
-from minicas.poly import _from_dict, _ordered_vars, _to_dict, normal
+from minicas import parser as parser_module
+from minicas.expr import _padd
+from minicas.matrices import (
+    _det_bareiss,
+    _det_bareiss_dict,
+    _dict_quo,
+    _integer_rows,
+    _is_zero,
+    _tree_quo,
+    _tree_sum,
+)
+from minicas.poly import _dmul, _from_dict, _ordered_vars, _to_dict, coeff, degree, normal
+from minicas.shell import Shell
 
 # ---------------------------------------------------------------- oracles
 
@@ -288,19 +306,24 @@ def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
             vals = [[subs(e, pt).value.as_fraction() for e in r] for r in rows]
             assert subs(d, pt) == lift(oracle(vals))
         # against Bareiss on the trees, which pays a normal() per division
+        tree = None
         if n <= 4:
-            tree = _det_bareiss([list(r) for r in rows])
+            tree = _det_bareiss([list(r) for r in rows], mul, _tree_sum, _tree_quo, _is_zero)
             assert expand(normal(add(d, mul(-1, tree)))) == lift(0)
         assert (_det_bareiss_dict(m) is not None) == polynomial
         if not polynomial:
             return
-        # the dict path: exactly what dict Bareiss gives on the rows scaled
-        # to integers, divided by the scale, already normal
+        # the dict path: exactly what the same Bareiss gives on the dict
+        # ring, on the rows scaled to integers, divided by the scale, already
+        # normal, and equal to the tree ring's answer
         vars = _ordered_vars(*m.entries)
         dicts, scale = _integer_rows([[_to_dict(e, vars) for e in r] for r in rows])
-        got = {t: Fraction(c, scale) for t, c in _bareiss_on_dicts(dicts).items()}
-        assert d == _from_dict(got, vars)
+        on_dicts = _det_bareiss(dicts, _dmul, _padd, _dict_quo, operator.not_)
+        got = _from_dict({t: Fraction(c, scale) for t, c in on_dicts.items()}, vars)
+        assert d == got
         assert normal(d) == d
+        if tree is not None:
+            assert got == expand(normal(tree))
 
     monkeypatch.setattr(matrices_module, "_det_cofactor", recorded)
     sizes = {
@@ -326,30 +349,32 @@ def test_checkerboard_runs_out_of_budget_and_ends_in_bareiss(monkeypatch):
     rng = random.Random(202609)
     x = Symbol("x")
     outcomes = []
-    bareiss_runs = 0
+    bareiss_rings = []
     expand_minors = matrices_module._det_cofactor
-    eliminate = matrices_module._bareiss_on_dicts
+    eliminate = matrices_module._det_bareiss
 
     def expansion(*args):
         got = expand_minors(*args)
         outcomes.append(got is None)
         return got
 
-    def bareiss(rows):
-        nonlocal bareiss_runs
-        bareiss_runs += 1
-        return eliminate(rows)
+    def bareiss(rows, times, *ring):
+        bareiss_rings.append("dict" if times is _dmul else "tree")
+        return eliminate(rows, times, *ring)
 
     monkeypatch.setattr(matrices_module, "_det_cofactor", expansion)
-    monkeypatch.setattr(matrices_module, "_bareiss_on_dicts", bareiss)
+    monkeypatch.setattr(matrices_module, "_det_bareiss", bareiss)
     n = 16
     ints = [[rng.randint(-5, 5) or 1 if (i + j) % 2 == 0 else 0 for j in range(n)]
             for i in range(n)]
-    assert mat_det(matrix(ints)) == lift(det_gauss(ints))
-    assert (outcomes, bareiss_runs) == ([True], 1)
+    d = mat_det(matrix(ints))
+    assert d == lift(det_gauss(ints))
+    assert (outcomes, bareiss_rings) == ([True], ["dict"])
+    # the tree ring, run directly, is the reference for the dict ring
+    assert d == eliminate(matrix(ints).row_list(), mul, _tree_sum, _tree_quo, _is_zero)
     polys = [[add(e, x) if e else lift(0) for e in r] for r in ints]
     d = mat_det(matrix(polys))
-    assert (outcomes, bareiss_runs) == ([True, True], 2)
+    assert (outcomes, bareiss_rings) == ([True, True], ["dict", "dict"])
     for r in (Fraction(1, 3), Fraction(-7, 2)):
         vals = [[e + r if e else 0 for e in row] for row in ints]
         assert subs(d, {x: lift(r)}) == lift(det_gauss(vals))
@@ -544,6 +569,198 @@ def test_solve_errors():
     # coefficients free of the unknowns may be anything
     (rel,) = solve_linear([Eq(mul(sin(a), x), sin(a))], [x])
     assert rel.rhs == lift(1)
+
+
+# ---------------------------------------------------------------- against the old loops
+
+
+def _ref_is_zero(e):
+    return type(e) is Numeric and e.value.is_zero()
+
+
+def _ref_norm(e):
+    return e if type(e) is Numeric else normal(e)
+
+
+def _ref_div(a, b):
+    q = mul(a, power(b, -1))
+    return q if type(q) is Numeric else normal(q)
+
+
+def ref_mat_inverse(m):
+    """mat_inverse as it was before elimination was shared with
+    solve_linear: its own Gauss-Jordan loop on [m | I], singular at the
+    first column without a pivot."""
+    if not isinstance(m, MatrixNode):
+        raise DomainError("expected a matrix")
+    if m.rows != m.cols:
+        raise ShapeError(f"inversion needs a square matrix, not {m.rows}x{m.cols}")
+    n = m.rows
+    one, zero = lift(1), lift(0)
+    rows = [
+        list(m.entries[i * n : (i + 1) * n]) + [one if i == j else zero for j in range(n)]
+        for i in range(n)
+    ]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if not _ref_is_zero(rows[i][c])), None)
+        if piv is None:
+            raise SingularMatrixError("matrix is singular")
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+        pk = rows[c][c]
+        if pk != one:
+            rows[c] = rows[c][:c] + [_ref_div(x, pk) for x in rows[c][c:]]
+        rc = rows[c]
+        for i in range(n):
+            if i == c:
+                continue
+            f = rows[i][c]
+            if _ref_is_zero(f):
+                continue
+            ri = rows[i]
+            for j in range(c + 1, 2 * n):
+                ri[j] = _ref_norm(add(ri[j], mul(-1, f, rc[j])))
+            ri[c] = zero
+    return MatrixNode(n, n, [_ref_norm(x) for i in range(n) for x in rows[i][n:]])
+
+
+def ref_solve_linear(eqs, unknowns):
+    """solve_linear as it was before it read each equation once: degree
+    and coeff per unknown on the expanded equation, then its own
+    Gauss-Jordan loop on the augmented rows."""
+    eqs = list(eqs)
+    unknowns = list(unknowns)
+    if not unknowns:
+        raise DomainError("no unknowns to solve for")
+    for v in unknowns:
+        if type(v) is not Symbol:
+            raise DomainError("unknowns must be plain symbols")
+    if len(set(unknowns)) != len(unknowns):
+        raise DomainError("unknowns repeat")
+    if not eqs:
+        raise NoUniqueSolutionError("no equations constrain the unknowns")
+    vset = set(unknowns)
+    nc = len(unknowns)
+    rows = []
+    zeros = {v: lift(0) for v in unknowns}
+    for eq in eqs:
+        if not isinstance(eq, Relational) or eq.op != "==":
+            raise DomainError("equations must be == relations")
+        f = expand(add(eq.lhs, mul(-1, eq.rhs)))
+        row = []
+        for v in unknowns:
+            if degree(f, v) > 1:
+                raise DomainError(f"system is not linear in {v.name}")
+            c = coeff(f, v, 1)
+            if free_symbols(c) & vset:
+                raise DomainError("unknowns multiply each other in one equation")
+            row.append(_ref_norm(c))
+        row.append(_ref_norm(mul(-1, subs(f, zeros))))
+        rows.append(row)
+    r = 0
+    pivot_row = {}
+    for c in range(nc):
+        piv = next((i for i in range(r, len(rows)) if not _ref_is_zero(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pk = rows[r][c]
+        if pk != lift(1):
+            rows[r] = [_ref_div(x, pk) for x in rows[r]]
+        rr = rows[r]
+        for i in range(len(rows)):
+            if i == r:
+                continue
+            f = rows[i][c]
+            if _ref_is_zero(f):
+                continue
+            ri = rows[i]
+            for j in range(c + 1, nc + 1):
+                ri[j] = _ref_norm(add(ri[j], mul(-1, f, rr[j])))
+            ri[c] = lift(0)
+        pivot_row[c] = r
+        r += 1
+    for i in range(r, len(rows)):
+        if not _ref_is_zero(rows[i][nc]):
+            raise NoUniqueSolutionError("system is inconsistent")
+    if len(pivot_row) < nc:
+        free = next(v for c, v in enumerate(unknowns) if c not in pivot_row)
+        raise NoUniqueSolutionError(f"system does not determine {free.name}")
+    return ExprList(Eq(v, rows[pivot_row[c]][nc]) for c, v in enumerate(unknowns))
+
+
+COEFFICIENT_FAMILIES = {
+    "rational": lambda rng, k: f"{k}/{rng.randint(2, 5)}",
+    "float": lambda rng, k: f"{k}.5",
+    "sin": lambda rng, k: f"{k}*sin(a)",
+    "sqrt": lambda rng, k: f"{k}*sqrt(2)",
+    "Pi": lambda rng, k: f"{k}*Pi",
+    "rational-function": lambda rng, k: rng.choice(
+        [f"{k}/(a+{rng.randint(1, 3)})", f"(a^2-{k * k})/(a+{k})", f"{k}*a"]
+    ),
+}
+
+
+def _coefficient(rng, family):
+    k = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+    r = rng.random()
+    return "0" if r < 0.1 else str(k) if r < 0.55 else COEFFICIENT_FAMILIES[family](rng, k)
+
+
+def _lsolve_statement(rng):
+    family = rng.choice(list(COEFFICIENT_FAMILIES))
+    unknowns = ["x", "y", "z"][: rng.choice([1, 2, 2, 2, 3])]
+
+    def lhs():
+        terms = [f"({_coefficient(rng, family)})*{v}" for v in unknowns if rng.random() < 0.9]
+        if rng.random() < 0.1:
+            terms.append(rng.choice(["x^2", "x*y", "y/x", "sin(x)", "x*a", "x^(1/2)"]))
+        return "+".join(terms) or "0"
+
+    count = max(1, len(unknowns) + rng.choice([-1, 0, 0, 0, 1]))
+    eqs = [f"{lhs()}=={_coefficient(rng, family)}" for _ in range(count)]
+    if rng.random() < 0.2:
+        # twice the first equation: singular, and consistent or not
+        left, right = eqs[0].split("==")
+        eqs.append(f"2*({left})=={rng.choice([f'2*({right})', _coefficient(rng, family)])}")
+    return f"lsolve([{', '.join(eqs)}], [{', '.join(unknowns)}]);"
+
+
+def _inverse_statement(rng):
+    family = rng.choice(list(COEFFICIENT_FAMILIES))
+    n = rng.choice([1, 2, 2, 2, 3])
+    rows = [[_coefficient(rng, family) for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        rows[-1] = [f"2*({e})" for e in rows[0]]
+    return f"inverse([{', '.join('[' + ', '.join(r) + ']' for r in rows)}]);"
+
+
+def test_elimination_prints_what_the_old_loops_printed(monkeypatch):
+    rng = random.Random(202611)
+    statements = [
+        (_lsolve_statement if rng.random() < 0.7 else _inverse_statement)(rng)
+        for _ in range(1000)
+    ] + [
+        "lsolve([1.5*x==x*y], [x]);",
+        "lsolve([y/x==1], [x, y]);",
+        "lsolve([x+y/x==1, y==2], [x, y]);",
+        "lsolve([sqrt(y)/x+sin(y)==1], [x, y]);",
+        "lsolve([x==x], [x]);",
+        "inverse([[0, 1], [0, 2]]);",
+    ]
+    got = [Shell().feed(s) for s in statements]
+    monkeypatch.setattr(parser_module, "solve_linear", ref_solve_linear)
+    monkeypatch.setattr(parser_module, "mat_inverse", ref_mat_inverse)
+    want = [Shell().feed(s) for s in statements]
+    for s, g, w in zip(statements, got, want):
+        assert (s, g) == (s, w)
+    printed = [line for lines in got for line in lines]
+    # every kind of outcome is exercised
+    for needle in ("==", "error: matrix is singular", "error: system is inconsistent",
+                   "error: system does not determine", "error: system is not linear",
+                   "error: unknowns multiply", "error: zero to a negative power"):
+        assert any(needle in line for line in printed), needle
+    assert sum(not line.startswith("error:") for line in printed) > 400
 
 
 # ---------------------------------------------------------------- plumbing

@@ -447,6 +447,49 @@ def test_gcd_factorwise_inputs():
     )
 
 
+# Irreducible primitive factors.  A gcd found factor by factor is a
+# product of the factors one input shows it, so either argument order
+# finds the same factors when one input's factors are all from the pool
+# and the other has at most one factor that shares anything with it.
+GCD_FACTOR_POOL = ("x+1", "x-1", "x+2", "2*x+3", "x^2+1", "y+1", "x+y", "x*y+1", "x^2+y")
+GCD_CONTENTS = ("1", "2", "1/2", "3/4", "-6", "5/3")
+
+
+def _factored_operand(rng):
+    """Pool factors, each scaled by a rational and raised to 1 or 2,
+    times a rational."""
+    factors = [
+        f"({rng.choice([1, 2, 3, '1/2', '2/3', -1])}*({p}))^{rng.randint(1, 2)}"
+        for p in rng.sample(GCD_FACTOR_POOL, rng.randint(1, 3))
+    ]
+    return "*".join([rng.choice(GCD_CONTENTS)] + factors)
+
+
+def _grouped_operand(rng):
+    """One factor that multiplies out up to three pool factors, times z,
+    which no pool factor shares, and a rational."""
+    grouped = "*".join(f"({p})" for p in rng.sample(GCD_FACTOR_POOL, rng.randint(1, 3)))
+    return f"{rng.choice(GCD_CONTENTS)}*z*expand({grouped})"
+
+
+def test_factored_gcd_prints_the_same_in_either_order():
+    rng = random.Random(202612)
+    sh = Shell()
+    for _ in range(200):
+        a = _factored_operand(rng)
+        b = rng.choice([_factored_operand, _grouped_operand, _grouped_operand])(rng)
+        if rng.random() < 0.2:
+            b = f"expand({b})"
+        ab, ba, expanded, want = sh.feed(
+            f"gcd({a}, {b}); gcd({b}, {a}); expand(%%); gcd(expand({a}), expand({b}));"
+        )
+        assert ab == ba, (a, b)
+        assert expanded == want, (a, b)
+    assert sh.feed("gcd((x^2-1)*y, (x-1)*(x+1)/2); gcd((x-1)*(x+1)/2, (x^2-1)*y);") == [
+        "1/2*(-1+x)*(1+x)", "1/2*(-1+x)*(1+x)"
+    ]
+
+
 def test_gcd_monomial_and_exclusive_variable_prepasses():
     x, y, z = symbols("x y z")
     # [DERIVED] shared monomial x y, remaining parts coprime, contents 6, 4
