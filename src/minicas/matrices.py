@@ -313,8 +313,13 @@ def _gauss_jordan(rows: list[list[Expr]], ncols: int) -> dict[int, int]:
     r = 0
     pivots: dict[int, int] = {}
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if not _is_zero(rows[i][c])), None)
-        if piv is None:
+        for piv in range(r, len(rows)):
+            e = rows[piv][c]
+            # normal alone keeps (x+1)^2-x^2-2*x-1; expanded first, it is 0
+            if not _is_zero(e) and (type(e) is Numeric or not _is_zero(normal(expand(e)))):
+                break
+            rows[piv][c] = _ZERO
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         pk = rows[r][c]

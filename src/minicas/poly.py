@@ -24,9 +24,12 @@ settles the matter.
 
 normal() extends cancellation beyond plain polynomials.  Subexpressions
 that are not rational in the symbols (function applications, floats,
-powers with fractional or symbolic exponents, constants like Pi) are
-replaced by temporary generator symbols, the quotient is cancelled in
-that enlarged ring, and the stand-ins are substituted back at the end.
+powers with fractional or symbolic exponents, constants like Pi) become
+generator symbols, newer than every symbol, so each adds a column on the
+right that older dicts pad with zeros.  A pair is a tree over a rational
+(1 but for a number or its reciprocal), which keeps its grouping while
+it meets only such pairs, or coprime dicts, the denominator primitive
+with a positive lex leading coefficient; the last pair is built once.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .expr import (
     _rewrite,
     _terms_of,
     add,
+    compare,
     expand,
     free_symbols,
     lift,
@@ -171,11 +175,7 @@ Poly = dict
 
 
 def _ordered_vars(*exprs: Expr) -> tuple[Symbol, ...]:
-    seen: dict[int, Symbol] = {}
-    for e in exprs:
-        for s in free_symbols(e):
-            seen[s.serial] = s
-    return tuple(seen[i] for i in sorted(seen))
+    return tuple(sorted(set().union(*map(free_symbols, exprs)), key=lambda s: s.serial))
 
 
 def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
@@ -457,13 +457,12 @@ def _is_done(g: Poly, w: int) -> bool:
 
 def _coeff_content(u: dict[int, Poly], w: int) -> Poly:
     """gcd of the coefficient polynomials (w counts the inner variables)."""
-    vals = list(u.values())
-    g = vals[0]
-    for c in vals[1:]:
+    g: Poly = {}
+    for c in u.values():
         g = _dict_gcd_front(g, c, w)
         if _is_done(g, w):
             break
-    return _dunit_normal(g)
+    return g
 
 
 def _must(q: Poly | None) -> Poly:
@@ -544,13 +543,6 @@ def _permute(p: Poly, perm: list[int]) -> Poly:
     return {tuple(t[i] for i in perm): c for t, c in p.items()}
 
 
-def _inverse_perm(perm: list[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for j, i in enumerate(perm):
-        inv[i] = j
-    return inv
-
-
 def _main_first_perm(a: Poly, b: Poly, nv: int) -> list[int] | None:
     """Put the best main variable first: the one of lowest minimum
     degree across both inputs, ties broken by canonical order.  None
@@ -575,13 +567,7 @@ def _content_along(p: Poly, i: int, nv: int) -> Poly:
     groups: dict[int, Poly] = {}
     for t, c in p.items():
         groups.setdefault(t[i], {})[t[:i] + (0,) + t[i + 1 :]] = c
-    vals = list(groups.values())
-    g = vals[0]
-    for q in vals[1:]:
-        g = _dict_gcd_front(g, q, nv)
-        if _is_done(g, nv):
-            break
-    return g
+    return _coeff_content(groups, nv)
 
 
 def _dict_gcd_front(a: Poly, b: Poly, nv: int) -> Poly:
@@ -635,7 +621,7 @@ def _primitive_gcd(a: Poly, b: Poly, nv: int, core) -> Poly | None:
     if g is None:
         return None
     # unit normality is judged in the canonical order, not the permuted one
-    return _pscale(_dunit_normal(_permute(g, _inverse_perm(perm))), cg)
+    return _pscale(_dunit_normal(_permute(g, sorted(range(nv), key=perm.__getitem__))), cg)
 
 
 def _dgcd(a: Poly, b: Poly, nv: int, core=_dict_gcd_front) -> Poly | None:
@@ -648,9 +634,12 @@ def _dgcd(a: Poly, b: Poly, nv: int, core=_dict_gcd_front) -> Poly | None:
     ca, pa = _integerize(a)
     cb, pb = _integerize(b)
     g = core(pa, pb, nv)
-    # the gcd of two rationals: both are integer multiples of it
-    cg = _qdiv(math.gcd(ca.numerator, cb.numerator), math.lcm(ca.denominator, cb.denominator))
-    return None if g is None else _pscale(g, cg)
+    return None if g is None else _pscale(g, _qgcd(ca, cb))
+
+
+def _qgcd(a, b):
+    """The gcd of two rationals: both are integer multiples of it."""
+    return _qdiv(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
 
 
 def exact_quotient(a, b) -> Expr:
@@ -685,8 +674,9 @@ def poly_gcd(a, b) -> Expr:
 
 def _gcd_parts(a: Expr, b: Expr, vars) -> list[Poly]:
     """gcd(a, b) as dicts whose product it is, each input read once: one
-    dict, or, when an input is a product, the parts _factors_gcd finds."""
-    if type(b) is Mul and type(a) is not Mul and not _is_exact_zero(a):
+    dict, or the parts _factors_gcd finds in a product, of two the first
+    by compare."""
+    if type(b) is Mul and (compare(b, a) < 0 if type(a) is Mul else not _is_exact_zero(a)):
         a, b = b, a
     if type(a) is Mul and not _is_exact_zero(b):
         return _factors_gcd((a.coeff.val, _factors(a, vars)), b, vars)
@@ -791,107 +781,113 @@ def content_primpart(e, x) -> tuple[Expr, Expr, Expr]:
 
 
 class _GenMap:
-    """Stand-in symbols for subexpressions gcd arithmetic cannot touch."""
+    """The walk's variables: the symbols, then stand-ins gcds cannot touch."""
 
-    def __init__(self):
-        self.stack: list[tuple[Symbol, Expr]] = []
+    def __init__(self, e: Expr):
+        self.vars = _ordered_vars(e)
         self.index: dict[Expr, Symbol] = {}
 
     def sym_for(self, sub: Expr) -> Symbol:
         got = self.index.get(sub)
         if got is None:
-            got = Symbol()
-            self.index[sub] = got
-            self.stack.append((got, sub))
+            got = self.index[sub] = Symbol()
+            self.vars += (got,)
         return got
 
     def restore(self, e: Expr) -> Expr:
-        for s, sub in reversed(self.stack):
+        # newest first, one at a time: floats among the stand-ins then
+        # meet in the order they always have, and round the same way
+        for sub, s in reversed(self.index.items()):
             e = subs(e, {s: sub})
         return e
 
 
-def _normal_pair(e: Expr, gm: _GenMap) -> tuple[Expr, Expr]:
-    """Numerator and denominator of e, coprime, over symbols plus
-    whatever generators the walk had to invent."""
+def _fraction(pair, gm: _GenMap) -> tuple[Poly, Poly]:
+    """pair as numerator and denominator dicts; a number is not read."""
+    a, b = pair
+    nv = len(gm.vars)
+    if type(b) is dict:
+        return tuple({t + (0,) * (nv - len(t)): c for t, c in p.items()} for p in pair)
+    one = {(0,) * nv: 1}
+    p = _pscale(one, a.value.val) if type(a) is Numeric else _to_dict(a, gm.vars)
+    return _pscale(p, _qdiv(1, b)), one
+
+
+def _normal_pair(e: Expr, gm: _GenMap):
+    """The pair of e, as the module docstring describes it."""
     t = type(e)
     if t is Numeric:
         if e.value.is_rational():
             fr = e.value.as_fraction()
-            return lift(fr.numerator), lift(fr.denominator)
-        return gm.sym_for(e), _ONE
+            return lift(fr.numerator), fr.denominator
+        return gm.sym_for(e), 1
     if t is Symbol:
-        return e, _ONE
+        return e, 1
     if t is Add:
-        pairs = [_normal_pair(term, gm) for term in _terms_of(e)]
-        if all(td == _ONE for _, td in pairs):
-            return add(*(tn for tn, _ in pairs)), _ONE
-        vars = _ordered_vars(*(x for pair in pairs for x in pair))
-        one = {(0,) * len(vars): 1}
+        a, qs = zip(*(_normal_pair(term, gm) for term in _terms_of(e)))
+        if dict not in map(type, qs) and reduce(_number_lcm, qs, 1) == 1:
+            # number denominators that cancel: each term keeps its tree
+            return add(*(x if q == 1 else mul(x, lift(_qdiv(1, q))) for x, q in zip(a, qs))), 1
+        one = {(0,) * len(gm.vars): 1}
         n, d = {}, one
-        for tn, td in pairs:
-            tn, td = _to_dict(tn, vars), _to_dict(td, vars)
+        for tn, td in (_fraction(p, gm) for p in zip(a, qs)):
             co, q = td, d
             # a denominator of 1 shares nothing with the other one
             if d != one and td != one:
-                g = _dgcd(d, td, len(vars))
+                g = _dgcd(d, td, len(gm.vars))
                 co, q = _dquotient(td, g), _dquotient(d, g)
             n = _padd(((_dmul(n, co), 1), (_dmul(tn, q), 1)))
             d = _dmul(d, co)
-        if d == one and all(type(td) is Numeric for _, td in pairs):
-            # constant denominators whose lcm is 1: each term keeps its tree
-            return add(*(mul(tn, lift(1 / td.value.as_fraction())) for tn, td in pairs)), _ONE
-        return _frac_cancel(n, d, vars)
+        return _frac_cancel(n, d, gm)
     if t is Mul:
-        n, d = _normal_pair(Numeric(e.coeff), gm)
-        for r, k in e.pairs:
-            fn, fd = _normal_pair(power(r, Numeric(k)), gm)
-            n = mul(n, fn)
-            d = mul(d, fd)
-        if d == _ONE:
-            return n, _ONE
-        vars = _ordered_vars(n, d)
-        return _frac_cancel(_to_dict(n, vars), _to_dict(d, vars), vars)
-    if t is Power:
-        k = e.exponent
-        if type(k) is Numeric and k.value.is_integer():
-            bn, bd = _normal_pair(e.base, gm)
-            kk = k.value.val
-            if kk >= 0:
-                return power(bn, kk), power(bd, kk)
-            if _is_exact_zero(bn):
-                raise ZeroDivisionError("zero denominator after cancellation")
-            return power(bd, -kk), power(bn, -kk)
-        if type(k) is Numeric and k.value.is_rational():
+        factors = [Numeric(e.coeff)] + [power(r, Numeric(k)) for r, k in e.pairs]
+        a, qs = zip(*(_normal_pair(f, gm) for f in factors))
+        if dict not in map(type, qs) and math.prod(qs) == 1:
+            return reduce(mul, a), 1
+        ns, ds = zip(*(_fraction(p, gm) for p in zip(a, qs)))
+        return _frac_cancel(reduce(_dmul, ns), reduce(_dmul, ds), gm)
+    if t is Power and type(e.exponent) is Numeric and e.exponent.value.is_rational():
+        fr = e.exponent.value.as_fraction()
+        if fr.denominator == 1:
+            a, b = _normal_pair(e.base, gm)
+        else:
             # map the q-th root of the base to a generator, so that
             # rational powers of one base cancel among themselves
-            fr = k.value.as_fraction()
-            root = gm.sym_for(power(e.base, lift(Fraction(1, fr.denominator))))
-            if fr.numerator >= 0:
-                return power(root, fr.numerator), _ONE
-            return _ONE, power(root, -fr.numerator)
-        return gm.sym_for(e), _ONE
-    if t in (Constant, FunctionApp, PSeriesNode):
-        return gm.sym_for(e), _ONE
+            a, b = gm.sym_for(power(e.base, lift(Fraction(1, fr.denominator)))), 1
+        k = fr.numerator
+        if k > 0:
+            return (_dpow(a, k), _dpow(b, k)) if type(b) is dict else (power(a, k), b**k)
+        # a base's pair is a tree over 1 or dicts
+        n, d = _fraction((a, b), gm)
+        if not n:
+            raise ZeroDivisionError("zero denominator after cancellation")
+        c, p = _integerize(n)
+        if type(a) is Numeric or type(b) is dict and p == {(0,) * len(gm.vars): 1}:
+            # a number numerator: the reciprocal is a tree over a number
+            return power(_from_dict(d, gm.vars), -k), c**-k
+        return _pscale(_dpow(d, -k), _qdiv(1, c**-k)), _dpow(p, -k)
+    if t in (Power, Constant, FunctionApp, PSeriesNode):
+        return gm.sym_for(e), 1
     raise DomainError(f"cannot bring {t.__name__} into a rational form")
 
 
-def _frac_cancel(n: Poly, d: Poly, vars) -> tuple[Expr, Expr]:
-    """The fraction n/d of dicts over vars, cancelled and built, with
-    its denominator normalized."""
+def _number_lcm(d, q):
+    # the Add branch's loop on numbers: no gcd where one of them is 1
+    return d * q if d == 1 or q == 1 else _qdiv(d * q, _qgcd(d, q))
+
+
+def _frac_cancel(n: Poly, d: Poly, gm: _GenMap):
+    """The pair of n/d: cancelled, the unit and rational content of the
+    denominator moved up, and built as a tree when d cancels to 1."""
     if not d:
         raise ZeroDivisionError("zero denominator after cancellation")
-    g = _dgcd(n, d, len(vars))
-    if g != {(0,) * len(vars): 1}:
+    one = {(0,) * len(gm.vars): 1}
+    g = _dgcd(n, d, len(gm.vars))
+    if g != one:
         n, d = _dquotient(n, g), _dquotient(d, g)
-    return _unit_normal_den(n, d, vars)
-
-
-def _unit_normal_den(n: Poly, d: Poly, vars) -> tuple[Expr, Expr]:
-    """The coprime fraction n/d as trees, the unit and rational content
-    of the denominator moved into the numerator."""
     cd, d = _integerize(d)
-    return _from_dict(_pscale(n, _qdiv(1, cd)), vars), _from_dict(d, vars)
+    n = _pscale(n, _qdiv(1, cd))
+    return (n, d) if d != one else (_from_dict(n, gm.vars), 1)
 
 
 def normal(e) -> Expr:
@@ -912,11 +908,10 @@ def _normal_rule(x: Expr, walk):
     # PSeries up) are normalized entry by entry
     if x.kind >= PSeriesNode.kind:
         return None
-    gm = _GenMap()
-    n, d = _normal_pair(x, gm)
-    if d != _ONE:
-        # every branch of _normal_pair makes its pair coprime already
-        vars = _ordered_vars(n, d)
-        n, d = _unit_normal_den(_to_dict(n, vars), _to_dict(d, vars), vars)
-    out = n if d == _ONE else mul(n, power(d, -1))
-    return gm.restore(out)
+    gm = _GenMap(x)
+    a, b = _normal_pair(x, gm)
+    if b != 1:
+        # a pair of dicts, or a tree over a number, built once
+        a, b = (_from_dict(p, gm.vars) for p in _fraction((a, b), gm))
+        a = mul(a, power(b, -1))
+    return gm.restore(a)

@@ -735,6 +735,20 @@ def _inverse_statement(rng):
     return f"inverse([{', '.join('[' + ', '.join(r) + ']' for r in rows)}]);"
 
 
+def _unexpanded_zero_inverse(rng):
+    """A singular matrix whose first column is 0 and whose other entries
+    include sums that are zero only once expanded."""
+    n = rng.choice([2, 3])
+    k = rng.randint(1, 3)
+    zeros = [f"(a+{k})^2-a^2-{2 * k}*a-{k * k}", "(x+1)*(x-1)-x^2+1", f"{k}/(a+1)-{k}/(1+a)"]
+
+    def entry():
+        return rng.choice(zeros) if rng.random() < 0.5 else _coefficient(rng, "rational-function")
+
+    rows = [["0"] + [entry() for _ in range(n - 1)] for _ in range(n)]
+    return f"inverse([{', '.join('[' + ', '.join(r) + ']' for r in rows)}]);"
+
+
 def test_elimination_prints_what_the_old_loops_printed(monkeypatch):
     rng = random.Random(202611)
     statements = [
@@ -747,7 +761,8 @@ def test_elimination_prints_what_the_old_loops_printed(monkeypatch):
         "lsolve([sqrt(y)/x+sin(y)==1], [x, y]);",
         "lsolve([x==x], [x]);",
         "inverse([[0, 1], [0, 2]]);",
-    ]
+        "inverse([[0, (x+1)^2-x^2-2*x-1], [0, 1]]);",
+    ] + [_unexpanded_zero_inverse(rng) for _ in range(30)]
     got = [Shell().feed(s) for s in statements]
     monkeypatch.setattr(parser_module, "solve_linear", ref_solve_linear)
     monkeypatch.setattr(parser_module, "mat_inverse", ref_mat_inverse)

@@ -17,10 +17,16 @@ import pytest
 
 from minicas.errors import DomainError
 from minicas.expr import (
+    Add,
+    Constant,
+    ExprList,
+    FunctionApp,
     MatrixNode,
     Mul,
     Numeric,
     Pi,
+    Power,
+    PSeriesNode,
     Symbol,
     add,
     diff,
@@ -35,7 +41,7 @@ from minicas.expr import (
     to_string,
 )
 from minicas.expr import _expand_pairwise, _rewrite, _split_factor, _terms_of
-from minicas.functions import exp, sin
+from minicas.functions import cos, exp, sin
 from minicas.shell import Shell
 from minicas import poly as poly_module
 from minicas.poly import (
@@ -448,9 +454,9 @@ def test_gcd_factorwise_inputs():
 
 
 # Irreducible primitive factors.  A gcd found factor by factor is a
-# product of the factors one input shows it, so either argument order
-# finds the same factors when one input's factors are all from the pool
-# and the other has at most one factor that shares anything with it.
+# product of the factors one input shows it; of two products, the one
+# compare puts first is walked, so either argument order finds the same
+# factors however each input groups them.
 GCD_FACTOR_POOL = ("x+1", "x-1", "x+2", "2*x+3", "x^2+1", "y+1", "x+y", "x*y+1", "x^2+y")
 GCD_CONTENTS = ("1", "2", "1/2", "3/4", "-6", "5/3")
 
@@ -466,18 +472,20 @@ def _factored_operand(rng):
 
 
 def _grouped_operand(rng):
-    """One factor that multiplies out up to three pool factors, times z,
-    which no pool factor shares, and a rational."""
-    grouped = "*".join(f"({p})" for p in rng.sample(GCD_FACTOR_POOL, rng.randint(1, 3)))
-    return f"{rng.choice(GCD_CONTENTS)}*z*expand({grouped})"
+    """Up to four pool factors in one to three groups, each multiplied
+    out, times z, which no pool factor shares, and a rational."""
+    pool = rng.sample(GCD_FACTOR_POOL, rng.randint(1, 4))
+    cuts = sorted(rng.sample(range(1, len(pool)), min(len(pool) - 1, rng.randint(0, 2))))
+    groups = [pool[i:j] for i, j in zip([0] + cuts, cuts + [len(pool)])]
+    grouped = "*".join("expand(" + "*".join(f"({p})" for p in g) + ")" for g in groups)
+    return f"{rng.choice(GCD_CONTENTS)}*z*{grouped}"
 
 
 def test_factored_gcd_prints_the_same_in_either_order():
     rng = random.Random(202612)
     sh = Shell()
     for _ in range(200):
-        a = _factored_operand(rng)
-        b = rng.choice([_factored_operand, _grouped_operand, _grouped_operand])(rng)
+        a, b = (rng.choice([_factored_operand, _grouped_operand])(rng) for _ in range(2))
         if rng.random() < 0.2:
             b = f"expand({b})"
         ab, ba, expanded, want = sh.feed(
@@ -487,6 +495,12 @@ def test_factored_gcd_prints_the_same_in_either_order():
         assert expanded == want, (a, b)
     assert sh.feed("gcd((x^2-1)*y, (x-1)*(x+1)/2); gcd((x-1)*(x+1)/2, (x^2-1)*y);") == [
         "1/2*(-1+x)*(1+x)", "1/2*(-1+x)*(1+x)"
+    ]
+    # grouped differently on each side: the factors of the product
+    # compare puts first
+    assert sh.feed("gcd((x^2-1)*(x+2), (x-1)*(x^2+3*x+2));"
+                   "gcd((x-1)*(x^2+3*x+2), (x^2-1)*(x+2));") == [
+        "(-1+x)*(2+3*x+x^2)", "(-1+x)*(2+3*x+x^2)"
     ]
 
 
@@ -671,8 +685,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_normal_runs_the_top_level_gcd_once(monkeypatch):
-    # the pair _normal_pair returns is coprime already, so the last step
-    # only normalizes the denominator, with no second gcd
+    # the dict pair _normal_pair returns is coprime, its denominator
+    # normalized, so the last step only builds the two trees: no second
+    # gcd and no second read
     x = Symbol("x")
     gcds = _count_calls(monkeypatch, "_dgcd")
     got = normal(mul(add(power(x, 2), -1), power(mul(add(x, -1), add(x, 2)), -1)))
@@ -730,6 +745,45 @@ def test_internal_steps_never_call_the_tree_entry_points(monkeypatch):
     assert to_string(want_lcm[0]) == "2*y+5*y*x+4*y*x^2+y*x^3"
 
 
+def _walked_subtrees(e):
+    """The subtrees of e, with the terms of a sum and the coefficient and
+    factors of a product as normal's walk meets them."""
+    seen, todo = set(), [e]
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            if type(x) is Add:
+                todo += _terms_of(x)
+            elif type(x) is Mul:
+                todo += [Numeric(x.coeff)] + [power(r, Numeric(k)) for r, k in x.pairs]
+            elif type(x) is Power:
+                todo += [x.base, x.exponent]
+    return seen
+
+
+def test_normal_reads_input_subtrees_and_builds_the_output_once(monkeypatch):
+    rng = random.Random(405)
+    t, y, x = symbols("t y x")
+    reads = _count_calls(monkeypatch, "_to_dict")
+    builds = _count_calls(monkeypatch, "_from_dict")
+    for _ in range(5):
+        # sum_i i*y*t^i / (y + w_i*t)^i, the normal-sum items' shape
+        e = add(*(mul(i, y, power(t, i), power(add(y, mul(rng.randint(1, 9), t)), -i))
+                  for i in range(1, rng.randint(3, 6))))
+        del reads[:], builds[:]
+        normal(e)
+        # no tree built inside the walk is read back, and the output
+        # is built once, as a numerator and a denominator
+        subtrees = _walked_subtrees(e)
+        assert reads and all(a in subtrees for a, _ in reads)
+        assert len(builds) == 2
+    del reads[:], builds[:]
+    big = power(add(x, 1), 50)
+    assert normal(big) == big
+    assert reads == [] and builds == []
+
+
 def test_from_dict_builds_what_the_constructors_build():
     rng = random.Random(3141)
     vars = symbols("a b c d")
@@ -765,6 +819,12 @@ def test_normal_zero_denominator_raises():
     e = add(power(add(x, -1), -1), power(add(1, mul(-1, x)), -1))
     with pytest.raises(ZeroDivisionError):
         normal(power(e, -1))
+    # a sum that is zero only once expanded, under a negative power: its
+    # dict is read before the reciprocal is taken
+    zero = add(power(add(x, 1), 2), mul(-1, power(x, 2)), mul(-2, x), -1)
+    for e in (power(zero, -1), mul(x, power(zero, -2)), add(1, power(zero, -1))):
+        with pytest.raises(ZeroDivisionError, match="^zero denominator after cancellation$"):
+            normal(e)
 
 
 def test_normal_idempotent():
@@ -815,3 +875,198 @@ def test_normal_walks_containers():
     s = half.series((x, 0), 3)
     ns = normal(s)
     assert ns.terms[0][0] == lift(1)
+
+
+# ------------------------------------------- normal against the tree pairs
+#
+# normal as it was while its walk returned trees: every branch built its
+# pair as trees, the Add step read them back into dicts, and the last
+# step read the final pair once more to normalize its denominator.
+
+
+class _RefGenMap:
+    def __init__(self):
+        self.stack = []
+        self.index = {}
+
+    def sym_for(self, sub):
+        got = self.index.get(sub)
+        if got is None:
+            got = Symbol()
+            self.index[sub] = got
+            self.stack.append((got, sub))
+        return got
+
+    def restore(self, e):
+        for s, sub in reversed(self.stack):
+            e = subs(e, {s: sub})
+        return e
+
+
+def _ref_normal_pair(e, gm):
+    P = poly_module
+    one_tree = lift(1)
+    t = type(e)
+    if t is Numeric:
+        if e.value.is_rational():
+            fr = e.value.as_fraction()
+            return lift(fr.numerator), lift(fr.denominator)
+        return gm.sym_for(e), one_tree
+    if t is Symbol:
+        return e, one_tree
+    if t is Add:
+        pairs = [_ref_normal_pair(term, gm) for term in _terms_of(e)]
+        if all(td == one_tree for _, td in pairs):
+            return add(*(tn for tn, _ in pairs)), one_tree
+        vars = P._ordered_vars(*(x for pair in pairs for x in pair))
+        one = {(0,) * len(vars): 1}
+        n, d = {}, one
+        for tn, td in pairs:
+            tn, td = P._to_dict(tn, vars), P._to_dict(td, vars)
+            co, q = td, d
+            if d != one and td != one:
+                g = P._dgcd(d, td, len(vars))
+                co, q = P._dquotient(td, g), P._dquotient(d, g)
+            n = P._padd(((P._dmul(n, co), 1), (P._dmul(tn, q), 1)))
+            d = P._dmul(d, co)
+        if d == one and all(type(td) is Numeric for _, td in pairs):
+            return add(*(mul(tn, lift(1 / td.value.as_fraction())) for tn, td in pairs)), one_tree
+        return _ref_frac_cancel(n, d, vars)
+    if t is Mul:
+        n, d = _ref_normal_pair(Numeric(e.coeff), gm)
+        for r, k in e.pairs:
+            fn, fd = _ref_normal_pair(power(r, Numeric(k)), gm)
+            n = mul(n, fn)
+            d = mul(d, fd)
+        if d == one_tree:
+            return n, one_tree
+        vars = P._ordered_vars(n, d)
+        return _ref_frac_cancel(P._to_dict(n, vars), P._to_dict(d, vars), vars)
+    if t is Power:
+        k = e.exponent
+        if type(k) is Numeric and k.value.is_integer():
+            bn, bd = _ref_normal_pair(e.base, gm)
+            kk = k.value.val
+            if kk >= 0:
+                return power(bn, kk), power(bd, kk)
+            if P._is_exact_zero(bn):
+                raise ZeroDivisionError("zero denominator after cancellation")
+            return power(bd, -kk), power(bn, -kk)
+        if type(k) is Numeric and k.value.is_rational():
+            fr = k.value.as_fraction()
+            root = gm.sym_for(power(e.base, lift(Fraction(1, fr.denominator))))
+            if fr.numerator >= 0:
+                return power(root, fr.numerator), one_tree
+            return one_tree, power(root, -fr.numerator)
+        return gm.sym_for(e), one_tree
+    if t in (Constant, FunctionApp, PSeriesNode):
+        return gm.sym_for(e), one_tree
+    raise DomainError(f"cannot bring {t.__name__} into a rational form")
+
+
+def _ref_frac_cancel(n, d, vars):
+    P = poly_module
+    if not d:
+        raise ZeroDivisionError("zero denominator after cancellation")
+    g = P._dgcd(n, d, len(vars))
+    if g != {(0,) * len(vars): 1}:
+        n, d = P._dquotient(n, g), P._dquotient(d, g)
+    return _ref_unit_normal_den(n, d, vars)
+
+
+def _ref_unit_normal_den(n, d, vars):
+    P = poly_module
+    cd, d = P._integerize(d)
+    return P._from_dict(P._pscale(n, P._qdiv(1, cd)), vars), P._from_dict(d, vars)
+
+
+def _ref_normal_rule(x, walk):
+    P = poly_module
+    if x.kind >= PSeriesNode.kind:
+        return None
+    gm = _RefGenMap()
+    n, d = _ref_normal_pair(x, gm)
+    if d != lift(1):
+        vars = P._ordered_vars(n, d)
+        n, d = _ref_unit_normal_den(P._to_dict(n, vars), P._to_dict(d, vars), vars)
+    out = n if d == lift(1) else mul(n, power(d, -1))
+    return gm.restore(out)
+
+
+def _printed(f, e):
+    try:
+        return to_string(f(e))
+    except Exception as exc:  # the error text is part of the answer
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _random_rational_expr(rng, x, y, depth):
+    """A seeded rational expression in x and y with generators in it:
+    functions, floats, Pi, sqrt(2), half-integer powers of x, negative
+    powers of sums, nested quotients and sums that cancel to a number."""
+    one_plus_x = add(x, 1)
+    x2_minus_1 = add(power(x, 2), -1)
+    # sums that cancel to the number 1 - q, and their reciprocals
+    numbers = [add(mul(x, power(one_plus_x, -1)), power(one_plus_x, -1), lift(-q))
+               for q in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), 2, -1)]
+    c = rng.choice([1, 2, -1])
+    leaves = [
+        x, y, x, y, lift(Fraction(1, 2)), lift(Fraction(-2, 3)), lift(3), lift(-1),
+        add(x, 1), add(y, mul(-2, x)), x2_minus_1, add(x, y),
+        sin(x), cos(x), exp(y), lift(0.5), lift(1.5), lift(0.1), Pi, sqrt(2),
+        power(x, Fraction(3, 2)), power(x, Fraction(-1, 2)), sqrt(add(x, 1)),
+        rng.choice(numbers), power(rng.choice(numbers), -1), power(rng.choice(numbers), -1),
+        add(*(power(q, -1) for q in rng.sample(numbers, 2)), mul(one_plus_x, add(y, 1))),
+        # c/(x+1), whose reciprocal has a number numerator
+        add(mul(c, x, power(x2_minus_1, -1)), mul(-c, power(x2_minus_1, -1))),
+        # a sum that is 1 only once expanded
+        add(power(one_plus_x, 2), mul(-1, power(x, 2)), mul(-2, x)),
+    ]
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(leaves)
+
+    def sub():
+        return _random_rational_expr(rng, x, y, depth - 1)
+
+    kind = rng.choice(["add", "add", "mul", "mul", "power", "quotient", "nested"])
+    if kind == "add":
+        return add(*(sub() for _ in range(rng.randint(2, 3))))
+    if kind == "mul":
+        return mul(*(sub() for _ in range(rng.randint(2, 3))))
+    if kind == "power":
+        return power(sub(), rng.choice([2, 3, -1, -1, -2]))
+    if kind == "quotient":
+        return mul(sub(), power(sub(), -1))
+    return power(add(sub(), power(sub(), -1)), -1)
+
+
+def test_normal_prints_what_the_tree_pairs_printed():
+    rng = random.Random(1212)
+    x, y = symbols("x y")
+    inputs = []
+    while len(inputs) < 1100:
+        r = rng.random()
+        try:
+            if r < 0.85:
+                inputs.append(_random_rational_expr(rng, x, y, rng.randint(1, 3)))
+            elif r < 0.93:
+                inputs.append(ExprList([_random_rational_expr(rng, x, y, 2) for _ in range(2)]))
+            else:
+                inputs.append(MatrixNode(2, 2, [_random_rational_expr(rng, x, y, 2)
+                                                for _ in range(4)]))
+        except ZeroDivisionError:
+            pass  # the constructors met a number 0 under a negative power
+    inputs.append(power(add(power(add(x, 1), 2), mul(-1, power(x, 2)), mul(-2, x), -1), -1))
+    outcomes = {"same": 0, "zero denominator": 0}
+    for e in inputs:
+        want = _printed(lambda v: _rewrite(lift(v), _ref_normal_rule), e)
+        got = _printed(normal, e)
+        if want == "ZeroDivisionError: integer modulo by zero":
+            # the old walk kept a sum that expands to 0 as a denominator
+            # tree, and failed on its content; the dicts name the cause
+            assert got == "ZeroDivisionError: zero denominator after cancellation", to_string(e)
+            outcomes["zero denominator"] += 1
+            continue
+        assert got == want, to_string(e)
+        outcomes["same"] += 1
+    assert outcomes["same"] >= 1000 and outcomes["zero denominator"] >= 1, outcomes

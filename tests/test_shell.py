@@ -93,6 +93,13 @@ def test_errors_keep_session_alive():
     assert not sh.done
 
 
+def test_a_sum_that_expands_to_zero_is_not_a_denominator():
+    printed, _ = feed_lines(
+        ["normal(1/((x+1)^2-x^2-2*x-1));", "inverse([[0, (x+1)^2-x^2-2*x-1], [0, 1]]);"]
+    )
+    assert printed == ["error: zero denominator after cancellation", "error: matrix is singular"]
+
+
 def test_unprintable_result_stays_out_of_history():
     # each statement nests one level deeper until printing runs out of
     # stack; the result that failed to print must not become %
