@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -123,7 +124,11 @@ _NUM_ONE = num(1)
 
 
 class Expr:
-    """Base class.  Instances are immutable and hash-consable by value."""
+    """Base class.  Instances are immutable and hash-consable by value.
+
+    Every node above the atoms has a _free slot, which caches its free
+    symbols: None until free_symbols first asks.
+    """
 
     __slots__ = ("_hash",)
     kind = -1
@@ -273,7 +278,7 @@ class Constant(Expr):
 class Add(Expr):
     """overall + sum of key*rest.  Construct via add()."""
 
-    __slots__ = ("coeff", "pairs")
+    __slots__ = ("coeff", "pairs", "_free")
     kind = KIND_ADD
 
     def __init__(self, coeff: Number, pairs):
@@ -282,12 +287,13 @@ class Add(Expr):
         self._hash = hash64(
             KIND_ADD, coeff._hash, *(v for r, k in pairs for v in (r._hash, k._hash))
         )
+        self._free = None
 
 
 class Mul(Expr):
     """overall * product of rest^key.  Construct via mul()."""
 
-    __slots__ = ("coeff", "pairs")
+    __slots__ = ("coeff", "pairs", "_free")
     kind = KIND_MUL
 
     def __init__(self, coeff: Number, pairs):
@@ -296,28 +302,31 @@ class Mul(Expr):
         self._hash = hash64(
             KIND_MUL, coeff._hash, *(v for r, k in pairs for v in (r._hash, k._hash))
         )
+        self._free = None
 
 
 class Power(Expr):
-    __slots__ = ("base", "exponent")
+    __slots__ = ("base", "exponent", "_free")
     kind = KIND_POWER
 
     def __init__(self, base: Expr, exponent: Expr):
         self.base = base
         self.exponent = exponent
         self._hash = hash64(KIND_POWER, base._hash, exponent._hash)
+        self._free = None
 
 
 class FunctionApp(Expr):
     """A deferred function application; exists only when eval declined."""
 
-    __slots__ = ("fdef", "args")
+    __slots__ = ("fdef", "args", "_free")
     kind = KIND_FUNCTION
 
     def __init__(self, fdef, args):
         self.fdef = fdef
         self.args = args
         self._hash = hash64(KIND_FUNCTION, fdef.serial, *(a._hash for a in args))
+        self._free = None
 
 
 class PSeriesNode(Expr):
@@ -329,7 +338,7 @@ class PSeriesNode(Expr):
     that is exact (no order term).
     """
 
-    __slots__ = ("var", "point", "terms", "order")
+    __slots__ = ("var", "point", "terms", "order", "_free")
     kind = KIND_PSERIES
 
     def __init__(self, var: Symbol, point: Expr, terms, order: int | None):
@@ -344,10 +353,11 @@ class PSeriesNode(Expr):
             -1 if order is None else order,
             *(v for c, e in terms for v in (c._hash, e)),
         )
+        self._free = None
 
 
 class Relational(Expr):
-    __slots__ = ("lhs", "rhs", "op")
+    __slots__ = ("lhs", "rhs", "op", "_free")
     kind = KIND_RELATIONAL
 
     OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -359,15 +369,17 @@ class Relational(Expr):
         self.rhs = rhs
         self.op = op
         self._hash = hash64(KIND_RELATIONAL, self.OPS.index(op), lhs._hash, rhs._hash)
+        self._free = None
 
 
 class ExprList(Expr):
-    __slots__ = ("items",)
+    __slots__ = ("items", "_free")
     kind = KIND_LIST
 
     def __init__(self, items):
         self.items = tuple(lift(a) for a in items)
         self._hash = hash64(KIND_LIST, *(a._hash for a in self.items))
+        self._free = None
 
     def __iter__(self):
         return iter(self.items)
@@ -379,7 +391,7 @@ class ExprList(Expr):
 class MatrixNode(Expr):
     """Dense rows x cols matrix of expressions."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_free")
     kind = KIND_MATRIX
 
     def __init__(self, rows: int, cols: int, entries):
@@ -390,6 +402,7 @@ class MatrixNode(Expr):
         self.cols = cols
         self.entries = entries
         self._hash = hash64(KIND_MATRIX, rows, cols, *(a._hash for a in entries))
+        self._free = None
 
     def __getitem__(self, rc):
         r, c = rc
@@ -766,7 +779,8 @@ def _rewrite(e: Expr, rule) -> Expr:
     """Memoized bottom-up rewrite of e.
 
     rule(x, walk) returns the image of x, or None to rebuild x canonically
-    from walk applied to its children; an atom rebuilds as itself.  walk
+    from walk applied to its children; a node whose children all come
+    back as themselves, an atom among them, stays the same object.  walk
     may also be given nodes built on the fly, so every walked node stays
     referenced until the rewrite ends: the memo is keyed by id.
     """
@@ -779,9 +793,12 @@ def _rewrite(e: Expr, rule) -> Expr:
             return got
         out = rule(x, walk)
         if out is None:
-            kids = [walk(c) for c in _children(x)]
+            old = _children(x)
+            kids = [walk(c) for c in old]
             t = type(x)
-            if t is Add:
+            if all(map(operator.is_, kids, old)):
+                out = x
+            elif t is Add:
                 out = _add_terms(
                     [Numeric(x.coeff)]
                     + [_scaled_expr(c, k) for c, (_, k) in zip(kids, x.pairs)]
@@ -804,8 +821,6 @@ def _rewrite(e: Expr, rule) -> Expr:
                 out = ExprList(kids)
             elif t is MatrixNode:
                 out = MatrixNode(x.rows, x.cols, kids)
-            else:
-                out = x
         cache[id(x)] = out
         keep.append(x)
         return out
@@ -980,6 +995,11 @@ class _Polys:
     exponent, and walk(x) gives the expansion of a function
     application or of such a sum.  poly() and factors() answer None
     for every other shape.
+
+    memo maps id(x) to (x, polynomial) for every tree x read or built
+    here, and built maps id(p) to (p, tree) for every polynomial p a
+    tree was built from, so a tree built here reads back, and a
+    polynomial builds again, with one lookup.
     """
 
     def __init__(self, walk):
@@ -987,14 +1007,19 @@ class _Polys:
         self.atoms: list[Expr] = []
         self.index: dict[Expr, int] = {}
         self.memo: dict[int, tuple] = {}
+        self.built: dict[int, tuple] = {}
         self.rank: list[int] = []
 
-    def atom(self, a: Expr) -> dict:
+    def index_of(self, a: Expr) -> int:
+        """The index of atom a, given on first sight."""
         i = self.index.get(a)
         if i is None:
             i = self.index[a] = len(self.atoms)
             self.atoms.append(a)
-        return {((i, 1),): 1}
+        return i
+
+    def atom(self, a: Expr) -> dict:
+        return {((self.index_of(a), 1),): 1}
 
     def poly(self, x: Expr) -> dict | None:
         """The expansion of x as a polynomial, None outside the shape."""
@@ -1008,9 +1033,11 @@ class _Polys:
         if t is Add:
             p = self._sum(x)
         elif t is Mul or t is Power:
-            fs = self.factors(x)
-            if fs is not None:
-                p = _pproduct(fs)
+            p = self._monomial(x)
+            if p is None:
+                fs = self.factors(x)
+                if fs is not None:
+                    p = _pproduct(fs)
         elif t is Numeric:
             if x.value.is_rational():
                 p = {(): x.value.val} if not x.value.is_zero() else {}
@@ -1020,6 +1047,25 @@ class _Polys:
                 p = self.atom(y)
         self.memo[id(x)] = (x, p)
         return p
+
+    def _monomial(self, x: Expr) -> dict | None:
+        """A rational multiple of a product of symbol and constant
+        powers with integer exponents as its one term, else None."""
+        if type(x) is Mul:
+            if not x.coeff.is_rational():
+                return None
+            c, pairs = x.coeff.val, x.pairs
+        elif type(x.exponent) is Numeric:
+            c, pairs = 1, ((x.base, x.exponent.value),)
+        else:
+            return None
+        m = []
+        for r, k in pairs:
+            if (type(r) is not Symbol and type(r) is not Constant) or not k.is_integer():
+                return None
+            m.append((self.index_of(r), k.val))
+        m.sort()
+        return {tuple(m): c}
 
     def _sum(self, x: Add) -> dict | None:
         if not x.coeff.is_rational():
@@ -1077,7 +1123,11 @@ class _Polys:
         return out
 
     def tree(self, p: dict) -> Expr:
-        """The canonical sum of p's terms, built by _poly_tree."""
+        """The canonical sum of p's terms, built by _poly_tree once per
+        polynomial object."""
+        got = self.built.get(id(p))
+        if got is not None:
+            return got[1]
         atoms = self.atoms
         if len(self.rank) != len(atoms):
             order = sorted(
@@ -1088,10 +1138,13 @@ class _Polys:
             for r, i in enumerate(order):
                 self.rank[i] = r
         rank = self.rank
-        return _poly_tree(
+        t = _poly_tree(
             ([(atoms[i], num(e)) for i, e in sorted(m, key=lambda ie: rank[ie[0]])], c)
             for m, c in p.items()
         )
+        self.built[id(p)] = (p, t)
+        self.memo[id(t)] = (t, p)
+        return t
 
 
 def _poly_tree(terms) -> Expr:
@@ -1455,22 +1508,55 @@ def _render_series(e: PSeriesNode, parent: int) -> str:
 # ------------------------------------------------------------------ helpers
 
 
-def free_symbols(e: Expr) -> set[Symbol]:
-    # shared subtrees are visited once; without the seen set the walk is
-    # exponential on the reuse-heavy trees series arithmetic builds
-    out: set[Symbol] = set()
-    seen: set[int] = set()
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        if type(x) is Symbol:
-            out.add(x)
+def free_symbols(e: Expr) -> frozenset[Symbol]:
+    """The symbols e depends on, as a frozenset (equal to the set of the
+    same symbols).
+
+    Each node above the atoms keeps its answer in _free, so a subtree
+    shared by many trees, or asked about again, is walked once.  The
+    walk is iterative and post-order; within one walk equal answers are
+    one object, so a large sum of monomials in a few symbols holds a
+    few sets.
+    """
+    t = type(e)
+    if t is Symbol:
+        return frozenset((e,))
+    if t is Numeric or t is Constant:
+        return _NO_SYMBOLS
+    if e._free is not None:
+        return e._free
+    ones: dict = {}  # id of a symbol -> its one-element set
+    unions: dict = {}  # each set this walk made, by value
+    # (node, its children still to read, the sets of those read)
+    stack = [(e, iter(_children(e)), [])]
+    while True:
+        x, kids, sets = stack[-1]
+        for c in kids:
+            t = type(c)
+            if t is Symbol:
+                s = ones.get(id(c))
+                if s is None:
+                    s = ones[id(c)] = frozenset((c,))
+                sets.append(s)
+            elif t is not Numeric and t is not Constant:
+                s = c._free
+                if s is None:
+                    stack.append((c, iter(_children(c)), []))
+                    break
+                sets.append(s)
         else:
-            stack.extend(_children(x))
-    return out
+            stack.pop()
+            out = sets[0] if sets else _NO_SYMBOLS
+            if any(s is not out for s in sets):
+                out = out.union(*sets)
+                out = unions.setdefault(out, out)
+            x._free = out
+            if not stack:
+                return out
+            stack[-1][2].append(out)
+
+
+_NO_SYMBOLS: frozenset = frozenset()
 
 
 def symbols(names: str) -> tuple[Symbol, ...]:

@@ -22,6 +22,17 @@ coefficient is then built once, expanded, so the printed gamma series
 grows about as fast as its number of distinct monomials, not doubling
 with every order as nested sums of earlier coefficients did.
 
+One kernel serves a whole expansion: series_of makes one _Polys, and
+every operation inside it reads and builds through it.  The kernel
+remembers the trees it built, so the next operation reads them back
+with one lookup, and an unchanged coefficient, such as one multiplied
+by x^(-1) or by 1, is not built again.  Inside an operation each
+coefficient is split once into a rational content and a primitive
+int dict: the Cauchy products and the power and exp recurrences add
+and multiply ints only, and each output coefficient takes one
+rational scale.  The values are exact, so the dicts, and the trees
+built from them, are the same as on dicts over Q.
+
 The kernel refuses a float, I, a numeric-base power such as 2^(1/2) or
 a symbolic exponent, the split expand makes: products are not
 associative on such forms and floats round by the order of their
@@ -32,7 +43,8 @@ cancel against 1+y multiplied out, so a coefficient that is zero would
 not read as zero, and a reciprocal would divide by it.  One refusal
 sends the whole of series_of to the same recurrences on the canonical
 trees, since the coefficients earlier operations expanded would not
-cancel either; operations called on their own fall back one at a time.
+cancel either; operations called on their own take a kernel each and
+fall back one at a time.
 Taylor-loop coefficients are what subs gives.
 """
 
@@ -132,46 +144,113 @@ class _Ring(NamedTuple):
 
 _TREES = _Ring(add, mul, lambda c: c, lift(1))
 
+# The kernel's elements are (n, d, ints, whole): a rational content n/d
+# in lowest terms with d > 0, times ints, a dict polynomial with int
+# coefficients, and whole, the dict over Q they make once it is built,
+# else None.  Products and sums run on ints alone.
+_ZERO = (0, 1, {}, {})
+_ONE = (1, 1, {(): 1}, {(): 1})
 
-def _dict_times(*fs) -> dict:
-    """The product of dict polynomials and rational numbers."""
-    q, p = 1, None
+
+def _content(n: int, d: int, ints: dict, whole) -> tuple:
+    """The element n/d * ints, its int gcd moved into the content."""
+    if not ints:
+        return _ZERO
+    g = math.gcd(*ints.values())
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+        n *= g
+    g = math.gcd(n, d)
+    return n // g, d // g, ints, whole
+
+
+def _split(p: dict) -> tuple:
+    """p as a kernel element."""
+    if not p:
+        return _ZERO
+    d = math.lcm(*(c.denominator for c in p.values()))
+    return _content(1, d, {m: c.numerator * (d // c.denominator) for m, c in p.items()}, p)
+
+
+def _whole(e: tuple) -> dict:
+    n, d, ints, whole = e
+    if whole is not None:
+        return whole
+    if d == 1:
+        return _pscale(ints, n)
+    return {m: Fraction(c * n, d) for m, c in ints.items()}
+
+
+def _dict_times(*fs) -> tuple:
+    """The product of kernel elements and rational numbers.  A constant
+    element joins the scalar, and a lone element times 1 is itself."""
+    n, d, ps, lone = 1, 1, [], None
     for f in fs:
-        if type(f) is dict:
-            p = f if p is None else _pmul(p, f)
+        if type(f) is tuple:
+            fn, fd, p, _ = f
+            if len(p) == 1 and () in p:
+                fn *= p[()]
+            else:
+                ps.append(p)
+                lone = f
+        elif type(f) is int:
+            fn, fd = f, 1
         else:
-            q *= f
-    return _pscale(p, q)
+            fn, fd = f.numerator, f.denominator
+        n *= fn
+        d *= fd
+    if not n:
+        return _ZERO
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    if len(ps) == 1 and n == lone[0] and d == lone[1]:
+        return lone
+    p = ps[0] if ps else {(): 1}
+    for other in ps[1:]:
+        p = _pmul(p, other)
+    return n, d, p, None
+
+
+def _dict_plus(*xs) -> tuple:
+    """The sum of kernel elements, added on ints over their common
+    denominator."""
+    if len(xs) == 1:
+        return xs[0]
+    d = math.lcm(*(x[1] for x in xs))
+    return _content(1, d, _padd((p, n * (d // e)) for n, e, p, _ in xs), None)
 
 
 class _Refused(Exception):
     """The kernel refused an operation of an expansion."""
 
 
-# Which ring the operations of the running series_of take: "kernel" while
-# the kernel has taken every one of them, "trees" on the rerun after it
-# refused one, None for operations called outside series_of.
-_expansion: ContextVar[str | None] = ContextVar("_expansion", default=None)
+# The ring the operations of the running series_of take: its kernel, a
+# _Polys shared by all of them while it has taken every one, "trees" on
+# the rerun after it refused one, None for operations called outside
+# series_of.
+_expansion: ContextVar[_Polys | str | None] = ContextVar("_expansion", default=None)
 
 
 def _ring(coeffs) -> tuple[_Ring, list]:
     """The ring for an operation on these coefficients, and the
-    coefficients as its elements: _Polys dicts read through one kernel
-    with expand as its walk, or the trees.  Inside series_of a refusal
-    raises _Refused, as the module docstring explains."""
-    mode = _expansion.get()
-    if mode != "trees":
-        polys = _Polys(expand)
-        ps = []
+    coefficients as its elements: _Polys dicts read through the
+    expansion's kernel, or a kernel of their own, split into content
+    and int dict; or the trees.  Inside series_of a refusal raises
+    _Refused, as the module docstring explains."""
+    kernel = _expansion.get()
+    if kernel != "trees":
+        polys = kernel or _Polys(expand)
+        seen = len(polys.atoms)
+        es = []
         for c in coeffs:
             p = polys.poly(c)
             if p is None:
                 break
-            ps.append(p)
-        if len(ps) == len(coeffs) and not any(type(a) is Add for a in polys.atoms):
-            ring = _Ring(lambda *xs: _padd((x, 1) for x in xs), _dict_times, polys.tree, {(): 1})
-            return ring, ps
-        if mode == "kernel":
+            es.append(_split(p))
+        if len(es) == len(coeffs) and not any(type(a) is Add for a in polys.atoms[seen:]):
+            ring = _Ring(_dict_plus, _dict_times, lambda e: polys.tree(_whole(e)), _ONE)
+            return ring, es
+        if kernel is not None:
             raise _Refused
     return _TREES, list(coeffs)
 
@@ -234,6 +313,21 @@ def ps_pow(a: PSeriesNode, k, rel_hint: int | None = None) -> PSeriesNode:
         ((c, e),) = a.terms
         ring, (ck,) = _ring([power(c, k)])
         return pseries(a.var, a.point, [(ring.out(ck), int(e * k))], None)
+    if k.denominator == 1 and k >= 1 and len(a.terms) == 1:
+        # (c x^e + O(x^N))^k is c^k x^(ek) + O(x^(N+(k-1)e)): the
+        # coefficient and order ps_mul's squarings give, as e < N
+        # keeps the one term in every square
+        ((c, e),) = a.terms
+        ring, (sq,) = _ring([c])
+        ck, n = ring.one, int(k)
+        while n:
+            if n & 1:
+                ck = ring.plus(ring.times(ck, sq))
+            n >>= 1
+            if n:
+                sq = ring.plus(ring.times(sq, sq))
+        n = int(k)
+        return pseries(a.var, a.point, [(ring.out(ck), e * n)], a.order + (n - 1) * e)
     if k.denominator == 1 and k >= 0:
         n = int(k)
         result = _const_series(a.var, a.point, lift(1))
@@ -335,7 +429,7 @@ def series_of(e: Expr, at, order: int) -> PSeriesNode:
     e = lift(e)
     if _expansion.get() is not None:
         return _series_at(e, x, point, order)
-    token = _expansion.set("kernel")
+    token = _expansion.set(_Polys(expand))
     try:
         return _series_at(e, x, point, order)
     except _Refused:

@@ -703,6 +703,136 @@ def test_walkers_on_every_node_kind(e, want):
             subs(e, {_X: _A})
 
 
+def test_free_symbols_is_a_cached_frozenset_on_deep_trees():
+    # a product nested 5,000 deep: the walk is iterative, and a repeated
+    # call answers from the node's cache with the very same set
+    x, y = symbols("x y")
+    e = x
+    for _ in range(5000):
+        e = mul(y, add(e, 1))
+    got = free_symbols(e)
+    assert type(got) is frozenset and got == {x, y} and {x, y} == got
+    assert free_symbols(e) is got
+    inner = e.pairs[0][0] if type(e.pairs[0][0]) is Add else e.pairs[1][0]
+    assert free_symbols(inner) == {x, y}
+    assert free_symbols(pseries(x, y, [(Pi, 1)], 2)) == {x, y}
+    assert free_symbols(lift(2)) == frozenset() == set()
+
+
+def _rebuild_always(e, rule):
+    """_rewrite as it was, rebuilding every node it walks."""
+    cache = {}
+    keep = []
+
+    def walk(x):
+        got = cache.get(id(x))
+        if got is not None:
+            return got
+        out = rule(x, walk)
+        if out is None:
+            kids = [walk(c) for c in expr_module._children(x)]
+            t = type(x)
+            if t is Add:
+                out = expr_module._add_terms(
+                    [Numeric(x.coeff)]
+                    + [expr_module._scaled_expr(c, k) for c, (_, k) in zip(kids, x.pairs)]
+                )
+            elif t is Mul:
+                out = expr_module._mul_factors(
+                    [Numeric(x.coeff)] + [power(c, Numeric(k)) for c, (_, k) in zip(kids, x.pairs)]
+                )
+            elif t is Power:
+                out = power(*kids)
+            elif t is expr_module.FunctionApp:
+                out = expr_module.apply_function(x.fdef, kids)
+            elif t is PSeriesNode:
+                out = pseries(kids[0], kids[1], [(c, k) for c, (_, k) in zip(kids[2:], x.terms)],
+                              x.order)
+            elif t is Relational:
+                out = Relational(kids[0], kids[1], x.op)
+            elif t is ExprList:
+                out = ExprList(kids)
+            elif t is MatrixNode:
+                out = MatrixNode(x.rows, x.cols, kids)
+            else:
+                out = x
+        cache[id(x)] = out
+        keep.append(x)
+        return out
+
+    return walk(e)
+
+
+def _walker_tree(rng, depth, atoms):
+    """A random tree of sums, products, powers, functions, series,
+    relations, lists and matrices over atoms, floats among them."""
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(atoms)
+    sub = [_walker_tree(rng, depth - 1, atoms) for _ in range(rng.randint(2, 4))]
+    r = rng.randrange(9)
+    if r == 0:
+        return add(*sub)
+    if r == 1:
+        return mul(*sub)
+    if r == 2:
+        return power(add(*sub[:2]), rng.choice([2, 3, -1, Fraction(1, 2), atoms[1]]))
+    if r == 3:
+        return rng.choice([sin, zeta])(add(*sub[:2]))
+    if r == 4:
+        # coefficients free of the series variable atoms[0]
+        var, free = atoms[0], [a for a in atoms if a is not atoms[0]]
+        terms = [(_walker_tree(rng, depth - 1, free), k) for k in range(rng.randint(1, 3))]
+        return pseries(var, rng.choice([0, 1, atoms[1]]), terms, rng.choice([3, None]))
+    if r == 5:
+        return Relational(sub[0], sub[1], rng.choice(Relational.OPS))
+    if r == 6:
+        return ExprList(sub)
+    if r == 7:
+        return MatrixNode(2, 2, (sub * 2)[:4])
+    return mul(sub[0], add(*sub[1:]))
+
+
+def _walked(f, *args) -> str:
+    try:
+        return to_string(f(*args))
+    except (ValueError, ArithmeticError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def test_rewrite_keeps_nodes_whose_children_come_back_unchanged():
+    # subs of an unused symbol returns the tree itself, and subs,
+    # expand, evalf and normal print what rebuilding every node printed
+    from minicas import poly as poly_module
+
+    x, y, z, unused = symbols("x y z unused")
+    atoms = [x, y, z, Pi, Euler, lift(2), lift(Fraction(-1, 3)), lift(0.5), lift(-1.25), I,
+             sqrt(2), sqrt(y)]
+    rng = random.Random(83)
+    trees = []
+    while len(trees) < 1000:
+        try:
+            trees.append(_walker_tree(rng, 3, atoms))
+        except (ValueError, ArithmeticError):
+            continue
+    ops = [
+        lambda e: subs(e, {y: add(z, 1)}),
+        lambda e: subs(e, {z: lift(Fraction(1, 2)), y: x}),
+        expand,
+        lambda e: evalf(e, 12),
+        normal,
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr_module, "_rewrite", _rebuild_always)
+        mp.setattr(poly_module, "_rewrite", _rebuild_always)
+        want = [[_walked(op, e) for op in ops] for e in trees]
+    kinds = set()
+    for e, printed in zip(trees, want):
+        assert subs(e, {unused: lift(1)}) is e
+        assert [_walked(op, e) for op in ops] == printed, to_string(e)
+        kinds.add(type(e).__name__)
+    assert len(kinds) >= 8
+
+
 _HASH_PROBE = r"""
 import importlib.util, sys, types
 

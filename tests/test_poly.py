@@ -28,6 +28,7 @@ from minicas.expr import (
     Power,
     PSeriesNode,
     Symbol,
+    Euler,
     add,
     diff,
     evalf,
@@ -40,7 +41,8 @@ from minicas.expr import (
     symbols,
     to_string,
 )
-from minicas.expr import _expand_pairwise, _rewrite, _split_factor, _terms_of
+from minicas import expr as expr_module
+from minicas.expr import _expand_pairwise, _padd, _Polys, _rewrite, _split_factor, _terms_of
 from minicas.functions import cos, exp, sin
 from minicas.shell import Shell
 from minicas import poly as poly_module
@@ -553,7 +555,8 @@ def test_to_dict_matches_reading_the_expanded_tree():
     x, y, w = symbols("x y w")
     vars = (x, y, w)
     polynomial = [x, y, w, add(x, 1), lift(Fraction(1, 3)), lift(-2)]
-    others = [power(x, -1), sin(w), Pi, power(add(x, y), -1), sqrt(x), lift(0.5)]
+    others = [power(x, -1), sin(w), Pi, power(add(x, y), -1), sqrt(x), lift(0.5),
+              power(Pi, -1), mul(3, x, power(Pi, -2)), mul(Fraction(-1, 2), power(Euler, -1), y)]
     rng = random.Random(59)
 
     def part(pieces):
@@ -575,6 +578,24 @@ def test_to_dict_matches_reading_the_expanded_tree():
         assert _to_dict(e, vars) == want, to_string(e)
         outcomes["dict"] += 1
     assert min(outcomes.values()) >= 100
+
+
+def test_to_dict_reads_a_sum_of_monomials_without_multiplying(monkeypatch):
+    # a rational multiple of symbol and constant powers with integer
+    # exponents is read as its one term, without _pproduct
+    x, y, z = symbols("x y z")
+    e = expand(mul(add(x, mul(2, y), power(z, 2), Fraction(1, 3)), add(x, mul(-1, z), 1), add(y, 2)))
+    monomials = [mul(Fraction(2, 3), power(Pi, -1), x), mul(power(Pi, 2), power(y, -1), x),
+                 power(Pi, -3)]
+    want = _to_dict(e, (x, y, z))
+    calls = []
+    real = expr_module._pproduct
+    monkeypatch.setattr(expr_module, "_pproduct", lambda fs: calls.append(1) or real(fs))
+    assert _to_dict(e, (x, y, z)) == want and len(want) == 19
+    polys = _Polys(expand)
+    got = polys.poly(add(*monomials))
+    assert not calls
+    assert got == _padd((real(polys.factors(m)), 1) for m in monomials) and len(got) == 3
 
 
 def test_lcm_examples():

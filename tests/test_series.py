@@ -7,6 +7,7 @@ kernel.  [PAPER] marks the special-relativity walkthrough.  [TRIVIAL]
 marks order-bookkeeping identities asserted directly.
 """
 
+import contextvars
 import math
 import random
 from fractions import Fraction
@@ -16,10 +17,15 @@ import pytest
 from minicas import series as series_module
 from minicas.errors import DomainError, SeriesError
 from minicas.expr import (
+    Add,
     Euler,
     I,
     Pi,
     Power,
+    _padd,
+    _pmul,
+    _Polys,
+    _pscale,
     add,
     expand,
     lift,
@@ -31,7 +37,7 @@ from minicas.expr import (
     symbols,
     to_string,
 )
-from minicas.functions import gamma, sin, zeta
+from minicas.functions import exp, gamma, log, sin, zeta
 from minicas.series import (
     ps_add,
     ps_exp,
@@ -592,4 +598,277 @@ def test_exact_monomial_powers_take_no_products():
         ]:
             s = ps_pow(pseries(x, 0, [(c, e)], None), k)
             assert s.terms == (want,) and s.order is None
+    # with an order, (c x^e + O(x^N))^k for integer k >= 1 has the terms
+    # and order that repeated ps_mul gives: c^k x^(ek) + O(x^(N+(k-1)e))
+    for c, e, order, k in [
+        (lift(1), 1, 16, 5), (lift(-2), 1, 4, 3), (mul(3, y), 2, 7, 4),
+        (add(1, y), -1, 2, 6), (mul(Fraction(1, 2), Pi), -2, 0, 3), (lift(0.5), 1, 3, 4),
+        (mul(I, y), 1, 5, 2), (sqrt(2), 3, 5, 7), (add(Euler, zeta(3)), 0, 2, 1),
+    ]:
+        a = pseries(x, 0, [(c, e)], order)
+        want = _ref_ps_pow(a, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "ps_mul", lambda a, b: calls.append(1) or ps_mul(a, b))
+            s = ps_pow(a, k)
+        assert s.terms == want.terms and s.order == want.order == order + (k - 1) * e
     assert not calls
+
+
+# ------------------------------------------------ the earlier ring, kept
+#
+# The series operations as they were before one kernel served a whole
+# expansion and its sums ran on ints: a fresh _Polys per operation, dict
+# coefficients over Q, and powers of one-term series by squaring.  The
+# differential test below requires the operations of today to print
+# what these printed.
+
+
+class _RefRefused(Exception):
+    pass
+
+
+_ref_expansion = contextvars.ContextVar("_ref_expansion", default=None)
+
+
+def _ref_dict_times(*fs) -> dict:
+    q, p = 1, None
+    for f in fs:
+        if type(f) is dict:
+            p = f if p is None else _pmul(p, f)
+        else:
+            q *= f
+    return _pscale(p, q)
+
+
+def _ref_ring(coeffs):
+    mode = _ref_expansion.get()
+    if mode != "trees":
+        polys = _Polys(expand)
+        ps = []
+        for c in coeffs:
+            p = polys.poly(c)
+            if p is None:
+                break
+            ps.append(p)
+        if len(ps) == len(coeffs) and not any(type(a) is Add for a in polys.atoms):
+            ring = series_module._Ring(
+                lambda *xs: _padd((x, 1) for x in xs), _ref_dict_times, polys.tree, {(): 1}
+            )
+            return ring, ps
+        if mode == "kernel":
+            raise _RefRefused
+    return series_module._TREES, list(coeffs)
+
+
+def _ref_ps_add(a, b):
+    series_module._check_compatible(a, b)
+    if a.order is None:
+        order = b.order
+    elif b.order is None:
+        order = a.order
+    else:
+        order = min(a.order, b.order)
+    ring, cs = _ref_ring([c for c, _ in a.terms + b.terms])
+    coeffs = {}
+    for c, (_, k) in zip(cs, a.terms + b.terms):
+        coeffs[k] = ring.plus(coeffs[k], c) if k in coeffs else c
+    return pseries(a.var, a.point, [(ring.out(c), k) for k, c in coeffs.items()], order)
+
+
+def _ref_ps_scale(a, factor, shift=0):
+    order = None if a.order is None else a.order + shift
+    ring, (f, *cs) = _ref_ring([factor] + [c for c, _ in a.terms])
+    terms = [(ring.out(ring.times(f, c)), k + shift) for c, (_, k) in zip(cs, a.terms)]
+    return pseries(a.var, a.point, terms, order)
+
+
+def _ref_ps_mul(a, b):
+    series_module._check_compatible(a, b)
+    if series_module._is_exact_zero(a) or series_module._is_exact_zero(b):
+        return pseries(a.var, a.point, [], None)
+    candidates = []
+    if a.order is not None:
+        candidates.append(a.order + series_module._ldeg(b))
+    if b.order is not None:
+        candidates.append(b.order + series_module._ldeg(a))
+    order = min(candidates) if candidates else None
+    ring, cs = _ref_ring([c for c, _ in a.terms + b.terms])
+    ca, cb = cs[: len(a.terms)], cs[len(a.terms) :]
+    coeffs = {}
+    for x, (_, ka) in zip(ca, a.terms):
+        for y, (_, kb) in zip(cb, b.terms):
+            k = ka + kb
+            if order is not None and k >= order:
+                continue
+            coeffs.setdefault(k, []).append(ring.times(x, y))
+    terms = [(ring.out(ring.plus(*parts)), k) for k, parts in coeffs.items()]
+    return pseries(a.var, a.point, terms, order)
+
+
+def _ref_ps_pow(a, k, rel_hint=None):
+    k = Fraction(k)
+    if a.order is None and len(a.terms) == 1 and (a.terms[0][1] * k).denominator == 1:
+        ((c, e),) = a.terms
+        ring, (ck,) = _ref_ring([power(c, k)])
+        return pseries(a.var, a.point, [(ring.out(ck), int(e * k))], None)
+    if k.denominator == 1 and k >= 0:
+        n = int(k)
+        result = pseries(a.var, a.point, [(lift(1), 0)], None)
+        square = a
+        while n:
+            if n & 1:
+                result = _ref_ps_mul(result, square)
+            n >>= 1
+            if n:
+                square = _ref_ps_mul(square, square)
+        return result
+    if not a.terms:
+        if a.order is None:
+            raise SeriesError("zero series raised to a negative or fractional power")
+        raise SeriesError("not enough series terms to invert; increase the order")
+    m = series_module._ldeg(a)
+    mk = m * k
+    if mk.denominator != 1:
+        raise SeriesError("fractional leading degree; not a Laurent series")
+    mk = int(mk)
+    if a.order is not None:
+        rel = a.order - m
+    else:
+        if rel_hint is None:
+            raise SeriesError("unbounded expansion of an exact series power")
+        rel = rel_hint
+    if rel <= 0:
+        return pseries(a.var, a.point, [], mk + rel)
+    lead = a.terms[0][0]
+    ring, (inv_lead, scale, *cs) = _ref_ring(
+        [power(lead, -1), power(lead, k)] + [c for c, _ in a.terms[1:]]
+    )
+    u = {}
+    for c, (_, e) in zip(cs, a.terms[1:]):
+        u[e - m] = ring.times(c, inv_lead)
+    f = [ring.one]
+    for n in range(1, rel):
+        parts = []
+        for j, uj in u.items():
+            if j > n:
+                break
+            parts.append(ring.times(k * j - (n - j), uj, f[n - j]))
+        f.append(ring.times(Fraction(1, n), ring.plus(*parts)))
+    terms = [(ring.out(ring.times(scale, fn)), mk + n) for n, fn in enumerate(f)]
+    return pseries(a.var, a.point, terms, mk + rel)
+
+
+def _ref_ps_exp(a, rel_hint):
+    if a.terms and series_module._ldeg(a) < 1:
+        raise SeriesError("ps_exp wants a series with positive low degree")
+    order = a.order if a.order is not None else rel_hint
+    ring, cs = _ref_ring([c for c, _ in a.terms])
+    e = {k: c for c, (_, k) in zip(cs, a.terms)}
+    f = [ring.one]
+    for n in range(1, order):
+        parts = []
+        for j, ej in e.items():
+            if j > n:
+                break
+            parts.append(ring.times(j, ej, f[n - j]))
+        f.append(ring.times(Fraction(1, n), ring.plus(*parts)))
+    return pseries(a.var, a.point, [(ring.out(fn), n) for n, fn in enumerate(f)], order)
+
+
+def _ref_series_of(e, at, order):
+    x, point = series_module._normalize_at(at)
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+        raise DomainError("series order must be a positive integer")
+    e = lift(e)
+    if _ref_expansion.get() is not None:
+        return series_module._series_at(e, x, point, order)
+    token = _ref_expansion.set("kernel")
+    try:
+        return series_module._series_at(e, x, point, order)
+    except _RefRefused:
+        _ref_expansion.set("trees")
+        return series_module._series_at(e, x, point, order)
+    finally:
+        _ref_expansion.reset(token)
+
+
+def _printed(f, *args) -> str:
+    try:
+        return to_string(f(*args))
+    except (DomainError, SeriesError, ZeroDivisionError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _series_input(rng, x, y):
+    """A seeded series_of input (expression, point, order) of one of
+    eight kinds, the refused and failing ones included."""
+    consts = [Pi, Euler, zeta(3)]
+
+    def coeff():
+        return rng.choice([
+            lift(rng.choice([-3, -2, -1, 1, 2, 3])),
+            lift(Fraction(rng.choice([-5, -1, 1, 3]), rng.randint(2, 4))),
+            y, mul(rng.randint(1, 2), rng.choice(consts)), add(y, rng.choice(consts)),
+            power(y, -1), mul(y, zeta(3)),
+        ])
+
+    def poly(lo, hi):
+        return add(*[mul(coeff(), power(x, k)) for k in range(lo, hi + 1)])
+
+    kind = rng.randrange(8)
+    point, n = 0, rng.randint(1, 6)
+    if kind == 0:  # gamma at its pole, at 1 and at 2
+        point = rng.choice([0, 1, 2])
+        arg = rng.choice([x, x, mul(2, x), add(x, mul(y, power(x, 2)))])
+        if point and arg is not x:
+            point = 0
+        e = gamma(arg) if rng.random() < 0.7 else mul(coeff(), gamma(add(arg, 1)))
+    elif kind == 1:  # exp, log and sin of polynomials
+        f = rng.choice([exp, log, sin])
+        inner = poly(1, 2) if f is not log else add(1, poly(1, 2))
+        e = mul(f(inner), rng.choice([lift(1), coeff(), poly(0, 1)]))
+    elif kind == 2:  # p/q
+        e = mul(poly(0, 2), power(add(rng.choice([1, 2, y, Pi]), poly(1, 2)), -rng.randint(1, 3)))
+    elif kind == 3:  # rational powers
+        k = rng.choice([Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-3, 2)])
+        e = power(add(rng.choice([1, 4, Fraction(1, 4)]), poly(1, 2)), k)
+    elif kind == 4:  # Laurent products and sums at 0, 1 or 2
+        point = rng.choice([0, 0, 1, 2])
+        e = add(mul(poly(0, 2), power(x, -rng.randint(1, 2))), poly(0, 1))
+    elif kind == 5:  # refused: floats, I, sqrt(2), sum leads
+        bad = rng.choice([lift(0.5), lift(-1.25), I, sqrt(2), add(1, y)])
+        e = rng.choice([
+            mul(poly(0, 1), power(add(1, mul(bad, x)), -1)),
+            mul(poly(0, 1), power(add(bad, mul(x, poly(0, 1))), -1)),
+            power(add(1, mul(bad, x), mul(y, power(x, 2))), Fraction(-1, 2)),
+            gamma(add(1, mul(bad, x))),
+        ])
+    elif kind == 6:  # sums and products of the kinds above
+        e = add(mul(gamma(add(x, 1)), poly(0, 1)), exp(poly(1, 1)), mul(x, power(add(2, x), -1)))
+    else:  # inputs that fail
+        e = rng.choice([
+            log(x), power(x, Fraction(1, 2)), exp(power(x, -1)),
+            power(add(mul(x, y), power(x, 2)), Fraction(1, 3)), mul(gamma(x), power(sin(x), -1)),
+        ])
+    return e, point, n
+
+
+def test_series_print_what_the_earlier_ring_printed():
+    # the same series, error text included, as the operations printed
+    # before one kernel served a whole expansion
+    rng = random.Random(71)
+    x, y = symbols("x y")
+    refs = {
+        "ps_add": _ref_ps_add, "ps_scale": _ref_ps_scale, "ps_mul": _ref_ps_mul,
+        "ps_pow": _ref_ps_pow, "ps_exp": _ref_ps_exp, "series_of": _ref_series_of,
+    }
+    inputs = [_series_input(rng, x, y) for _ in range(520)]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, f in refs.items():
+            mp.setattr(series_module, name, f)
+        want = [_printed(_ref_series_of, e, (x, p), n) for e, p, n in inputs]
+    errors = 0
+    for (e, p, n), printed in zip(inputs, want):
+        assert _printed(series_of, e, (x, p), n) == printed, (to_string(e), p, n)
+        errors += printed.startswith(("SeriesError", "DomainError", "ZeroDivisionError"))
+    assert 20 <= errors <= 200
