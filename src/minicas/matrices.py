@@ -1,8 +1,9 @@
 """Exact linear algebra on dense matrices of expressions.
 
 A matrix is a MatrixNode, row-major entries behind the same immutable
-Expr discipline as every other node.  Determinants work on dict
-polynomials when every entry is a polynomial with rational coefficients,
+Expr discipline as every other node.  Determinants work on integer dict
+polynomials when every entry is a rational function of the matrix's
+symbols with rational coefficients, each row cleared of its denominators,
 and on the trees otherwise, with normal() cancelling in the enlarged ring
 of generators.  On either ring a census of the entries picks the method,
 as GiNaC's matrix::determinant does: a matrix at least half zero takes a
@@ -10,7 +11,10 @@ division-free minor expansion that computes each nonzero minor once (GiNaC's
 determinant_minor), and a denser one, or one whose minors would cost more
 multiplications than elimination, takes fraction-free Bareiss
 elimination.  Each method is one loop that takes the ring's operations
-as arguments.
+as arguments.  The characteristic polynomial of a matrix of exact
+rationals comes from the Faddeev-LeVerrier recurrence on integers, as
+GiNaC's matrix::charpoly takes Leverrier's algorithm for numeric
+matrices; any other matrix takes det(m - lam*I).
 Inversion and solve_linear() share one Gauss-Jordan elimination, on
 [m | I] and on the augmented coefficient rows.  solve_linear() expands
 each equation once and reads the coefficients of its unknowns off the
@@ -27,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 
 from .errors import DomainError, NoUniqueSolutionError, ShapeError, SingularMatrixError
 from .expr import (
@@ -49,7 +54,8 @@ from .expr import (
     subs,
 )
 from .poly import collect, normal
-from .poly import _by_degree, _ddiv_exact, _dmul, _from_dict, _ordered_vars, _to_dict
+from .poly import _by_degree, _ddiv_exact, _dgcd, _dmul, _dquotient, _from_dict, _qdiv
+from .poly import _fraction, _frac_cancel, _GenMap, _normal_pair, _ordered_vars, _to_dict
 
 __all__ = [
     "matrix",
@@ -147,14 +153,19 @@ def _div(a: Expr, b: Expr) -> Expr:
 def mat_det(m: MatrixNode) -> Expr:
     """Exact determinant.
 
-    Entries that are all polynomials with rational coefficients are
-    worked on as dict polynomials, and the result comes back canonical,
-    with no normal() pass.  Other entries stay trees, and one normal()
-    at the end cancels what the products left.  On either ring, a census
-    of the entries picks the method: at least half the matrix
-    structurally zero takes memoized minor expansion, unless its zero
-    pattern shows it would need more ring multiplications than Bareiss
-    elimination (n^3); a denser matrix takes Bareiss from the start.
+    The entries' census picks the ring.  Polynomials with rational
+    coefficients are worked on as dict polynomials, and the result comes
+    back canonical, with no normal() pass.  Rational functions of the
+    same symbols are read as dict quotients; each row is multiplied by
+    the lcm of its denominators, and the product of those lcms is
+    cancelled against the determinant once, as normal() would print it.
+    Entries with generators (floats, I, functions, roots, constants)
+    stay trees, and one normal() at the end cancels what the products
+    left.  On either ring, the zero pattern picks the method: at least
+    half the matrix structurally zero takes memoized minor expansion,
+    unless the pattern shows it would need more ring multiplications
+    than Bareiss elimination (n^3); a denser matrix takes Bareiss from
+    the start.
     """
     _want_square(m, "determinant")
     d = _det_bareiss_dict(m)
@@ -173,27 +184,73 @@ def _is_sparse(m: MatrixNode) -> bool:
 
 def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
     """The determinant on the poly dict representation, or None when
-    some entry is not a polynomial with rational coefficients (_to_dict
-    refuses it) and the caller has to work on the trees.
+    some entry is not a rational function of the matrix's symbols with
+    rational coefficients and the caller has to work on the trees.
 
     Both methods run on integer coefficients: each row is scaled by the
     lcm of its denominators, and the product of those lcms divides out
-    at the end.  A sparse matrix goes to minor expansion; Bareiss takes
-    a dense matrix and a sparse one whose expansion would run over its
+    at the end, with one cancellation when some denominator is not a
+    number.  A sparse matrix goes to minor expansion; Bareiss takes a
+    dense matrix and a sparse one whose expansion would run over its
     budget.
     """
     vars = _ordered_vars(*m.entries)
-    try:
-        rows = [[_to_dict(e, vars) for e in row] for row in m.row_list()]
-    except DomainError:
+    read = _dict_rows(m, vars)
+    if read is None:
         return None
+    rows, den, gm = read
     rows, scale = _integer_rows(rows)
     p = _det_cofactor(rows, _dmul, _padd, operator.not_) if _is_sparse(m) else None
     if p is None:
         p = _det_bareiss(rows, _dmul, _padd, _dict_quo, operator.not_)
-    if scale != 1:
-        p = _pscale(p, Fraction(1, scale))
-    return _from_dict(p, vars)
+    if den is None:
+        return _from_dict(p if scale == 1 else _pscale(p, Fraction(1, scale)), vars)
+    # as normal() builds a quotient: cancelled, and a tree once d is 1
+    n, d = _frac_cancel(p, _pscale(den, scale), gm)
+    if d == 1:
+        return n
+    return mul(_from_dict(n, vars), power(_from_dict(d, vars), _M1))
+
+
+def _dict_rows(m: MatrixNode, vars):
+    """m's rows as dicts over vars, each row times the lcm of its
+    entries' denominators, with the product of those lcms (None when
+    every entry is a polynomial) and the _GenMap that read the others;
+    None when an entry is not a rational function of vars.
+
+    Each entry is read by _to_dict first; only a refused one goes
+    through normal()'s pair, and a polynomial matrix makes no _GenMap,
+    lcm or gcd.
+    """
+    nv = len(vars)
+    one = {(0,) * nv: 1}
+    gm = den = None
+    out = []
+    for row in m.row_list():
+        pairs = []
+        for e in row:
+            try:
+                pairs.append((_to_dict(e, vars), None))
+                continue
+            except DomainError:
+                pass
+            if gm is None:
+                gm = _GenMap(m)
+            try:
+                pair = _normal_pair(e, gm)
+            except DomainError:
+                return None
+            if len(gm.vars) > nv:
+                return None  # a generator: not a rational function of vars
+            pairs.append(_fraction(pair, gm))
+        dens = [d for _, d in pairs if d is not None and d != one]
+        if dens:
+            lcm = reduce(lambda a, b: _dmul(a, _dquotient(b, _dgcd(a, b, nv))), dens)
+            out.append([_dmul(n, lcm if d is None else _dquotient(lcm, d)) for n, d in pairs])
+            den = lcm if den is None else _dmul(den, lcm)
+        else:
+            out.append([n for n, _ in pairs])
+    return out, den, gm
 
 
 def _integer_rows(rows: list[list[dict]]) -> tuple[list[list[dict]], int]:
@@ -364,6 +421,10 @@ def mat_charpoly(m: MatrixNode, lam: Symbol) -> Expr:
     """det(m - lam*I), expanded and collected in lam.
 
     The leading term is (-lam)^n, so the leading coefficient is (-1)^n.
+    A matrix of exact rationals is scaled to integers and takes the
+    Faddeev-LeVerrier recurrence (_leverrier), with no determinant of
+    polynomials; any other matrix, floats included, collects
+    mat_det(m - lam*I).
     """
     _want_square(m, "charpoly")
     if type(lam) is not Symbol:
@@ -371,10 +432,52 @@ def mat_charpoly(m: MatrixNode, lam: Symbol) -> Expr:
     if lam in free_symbols(m):
         raise DomainError(f"{lam.name} already appears in the matrix")
     n = m.rows
+    if all(type(e) is Numeric and e.value.is_rational() for e in m.entries):
+        fr = [e.value.as_fraction() for e in m.entries]
+        d = math.lcm(*(f.denominator for f in fr))
+        a = _leverrier([[f.numerator * (d // f.denominator) for f in fr[i * n : (i + 1) * n]]
+                        for i in range(n)])
+        # det(m - lam*I) = (-1)^n d^-n det(d*lam*I - d*m)
+        sign = (-1) ** n
+        return _from_dict({(j,): _qdiv(sign * c, d ** (n - j)) for j, c in enumerate(a) if c},
+                          (lam,))
     ent = list(m.entries)
     for i in range(n):
         ent[i * n + i] = add(ent[i * n + i], mul(_M1, lam))
     return collect(mat_det(MatrixNode(n, n, ent)), lam)
+
+
+def _leverrier(a: list[list[int]]) -> list[int]:
+    """The coefficients c_0 .. c_n of det(lam*I - a) for an integer
+    matrix a, by the Faddeev-LeVerrier recurrence
+
+        M_1 = I,  M_k = a M_(k-1) + c_(n-k+1) I,  c_(n-k) = -tr(a M_k) / k,
+
+    as GiNaC's matrix::charpoly runs it on numeric matrices.  The c_j are
+    integers, so each division is exact; a is applied row by row over
+    its nonzero entries.
+    """
+    n = len(a)
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in a]
+    c = [0] * n + [1]
+    am = [list(row) for row in a]  # a M_1
+    for k in range(1, n + 1):
+        q, r = divmod(-sum(am[i][i] for i in range(n)), k)
+        if r:
+            raise ArithmeticError("inexact Faddeev-LeVerrier division")
+        c[n - k] = q
+        if k == n:
+            break
+        for i in range(n):  # am becomes M_(k+1)
+            am[i][i] += q
+        mk = am
+        am = []
+        for row in sparse:
+            acc = [0] * n
+            for j, v in row:
+                acc = [s + v * t for s, t in zip(acc, mk[j])]
+            am.append(acc)
+    return c
 
 
 # ---------------------------------------------------------------- linear solve

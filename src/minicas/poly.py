@@ -786,6 +786,9 @@ class _GenMap:
     def __init__(self, e: Expr):
         self.vars = _ordered_vars(e)
         self.index: dict[Expr, Symbol] = {}
+        # id of each tree _frac_cancel built -> (that tree, its dict), so
+        # _fraction reads it back with one lookup
+        self.built: dict[int, tuple[Expr, Poly]] = {}
 
     def sym_for(self, sub: Expr) -> Symbol:
         got = self.index.get(sub)
@@ -807,10 +810,19 @@ def _fraction(pair, gm: _GenMap) -> tuple[Poly, Poly]:
     a, b = pair
     nv = len(gm.vars)
     if type(b) is dict:
-        return tuple({t + (0,) * (nv - len(t)): c for t, c in p.items()} for p in pair)
+        return tuple(_widen(p, nv) for p in pair)
     one = {(0,) * nv: 1}
-    p = _pscale(one, a.value.val) if type(a) is Numeric else _to_dict(a, gm.vars)
+    if type(a) is Numeric:
+        p = _pscale(one, a.value.val)
+    else:
+        tree, p = gm.built.get(id(a), (None, None))
+        p = _widen(p, nv) if tree is a else _to_dict(a, gm.vars)
     return _pscale(p, _qdiv(1, b)), one
+
+
+def _widen(p: Poly, nv: int) -> Poly:
+    """p padded with zero exponents for the generators made since."""
+    return {t + (0,) * (nv - len(t)): c for t, c in p.items()}
 
 
 def _normal_pair(e: Expr, gm: _GenMap):
@@ -887,7 +899,11 @@ def _frac_cancel(n: Poly, d: Poly, gm: _GenMap):
         n, d = _dquotient(n, g), _dquotient(d, g)
     cd, d = _integerize(d)
     n = _pscale(n, _qdiv(1, cd))
-    return (n, d) if d != one else (_from_dict(n, gm.vars), 1)
+    if d != one:
+        return n, d
+    tree = _from_dict(n, gm.vars)
+    gm.built[id(tree)] = tree, n
+    return tree, 1
 
 
 def normal(e) -> Expr:

@@ -1,10 +1,12 @@
 """Linear algebra tests.
 
 The production determinant routes through memoized minor expansion or
-Bareiss elimination, on the poly dict representation or (for symbolic
-entries) on the trees with normal(), so the oracle here is the one thing
-it never uses: textbook Laplace expansion along the first row over plain
-Python Fractions and Exprs.
+Bareiss elimination, on the poly dict representation or (for entries
+with generators such as sin(x)) on the trees with normal(), so the
+oracle here is the one thing it never uses: textbook Laplace expansion
+along the first row over plain Python Fractions and Exprs.  The
+charpoly of a numeric matrix, which takes Faddeev-LeVerrier, is held to
+what det(M - lam*I) prints.
 Inverses are checked against the adjugate formula and the defining
 product, solve_linear against Cramer's rule, and the Hilbert family
 against its factorial closed form.  Both also print, statement by
@@ -40,6 +42,7 @@ from minicas.expr import (
     power,
     subs,
     symbols,
+    to_string,
 )
 from minicas.functions import exp, sin
 from minicas.matrices import (
@@ -65,7 +68,7 @@ from minicas.matrices import (
     _tree_quo,
     _tree_sum,
 )
-from minicas.poly import _dmul, _from_dict, _ordered_vars, _to_dict, coeff, degree, normal
+from minicas.poly import _dmul, _from_dict, _ordered_vars, _to_dict, coeff, collect, degree, normal
 from minicas.shell import Shell
 
 # ---------------------------------------------------------------- oracles
@@ -251,12 +254,12 @@ def test_det_refuses_a_non_polynomial_entry_before_multiplying(monkeypatch):
 
 
 SHAPES = ("sparse", "banded", "checkerboard", "dense")
-KINDS = ("integer", "rational", "polynomial", "rational-function")
+KINDS = ("integer", "rational", "polynomial", "rational-function", "generator")
 
 
 def shaped_rows(rng, shape, kind, n, x, y):
     """An n x n matrix of the given zero pattern and entry kind, over
-    the symbols x and y."""
+    the symbols x and y; each entry of the generator kind has sin(x)."""
     band = rng.randint(1, 2)
     keep = {
         "sparse": lambda i, j: i == j or rng.random() < 0.25,
@@ -277,15 +280,26 @@ def shaped_rows(rng, shape, kind, n, x, y):
                 mul(rng.randint(-2, 2), rng.choice([x, y, mul(x, y)])),
                 mul(rng.randint(-1, 1), power(x, 2)),
             )
+        if kind == "generator":
+            return add(mul(k, sin(x)), mul(rng.randint(-2, 2), rng.choice([lift(1), x, y])))
         return mul(k, power(add(rng.choice([x, y]), rng.randint(1, 6)), -1))
 
     return [[entry() if keep(i, j) else lift(0) for j in range(n)] for i in range(n)]
+
+
+def is_polynomial(e):
+    try:
+        _to_dict(e, _ordered_vars(e))
+    except DomainError:
+        return False
+    return True
 
 
 def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
     rng = random.Random(202608)
     x, y = symbols("x y")
     expansions = []
+    compared = []
     inner = matrices_module._det_cofactor
 
     def recorded(rows, times, plus, is_zero):
@@ -293,37 +307,45 @@ def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
         expansions.append((times is mul, got is not None))
         return got
 
-    def check(rows, polynomial):
+    def check(rows, on_dicts):
         n = len(rows)
         m = matrix(rows)
         d = mat_det(m)
-        # value at random points, against Laplace (or, past 7x7, Gaussian
-        # elimination) on Fractions
-        oracle = det_fraction if n <= 7 else det_gauss
-        for _ in range(2):
-            pt = {x: lift(Fraction(rng.randint(1, 20), rng.randint(1, 7))),
-                  y: lift(Fraction(rng.randint(1, 20), rng.randint(1, 7)))}
-            vals = [[subs(e, pt).value.as_fraction() for e in r] for r in rows]
-            assert subs(d, pt) == lift(oracle(vals))
-        # against Bareiss on the trees, which pays a normal() per division
-        tree = None
+        assert (_det_bareiss_dict(m) is not None) == on_dicts
+        if on_dicts:
+            # value at random points, against Laplace (or, past 7x7,
+            # Gaussian elimination) on Fractions
+            oracle = det_fraction if n <= 7 else det_gauss
+            for _ in range(2):
+                pt = {x: lift(Fraction(rng.randint(1, 20), rng.randint(1, 7))),
+                      y: lift(Fraction(rng.randint(1, 20), rng.randint(1, 7)))}
+                vals = [[subs(e, pt).value.as_fraction() for e in r] for r in rows]
+                assert subs(d, pt) == lift(oracle(vals))
+            assert normal(d) == d
         if n <= 4:
+            # Bareiss on the trees, which pays a normal() per division and
+            # is what every rational-function matrix took before the dict
+            # ring read quotients: the dict ring prints what it printed,
+            # except a determinant whose denominator cancels, which comes
+            # out expanded, as a polynomial matrix's does
             tree = _det_bareiss([list(r) for r in rows], mul, _tree_sum, _tree_quo, _is_zero)
             assert expand(normal(add(d, mul(-1, tree)))) == lift(0)
-        assert (_det_bareiss_dict(m) is not None) == polynomial
-        if not polynomial:
-            return
-        # the dict path: exactly what the same Bareiss gives on the dict
-        # ring, on the rows scaled to integers, divided by the scale, already
-        # normal, and equal to the tree ring's answer
+            ref = normal(tree)
+            if on_dicts and is_polynomial(ref):
+                assert d == expand(ref)
+                compared.append("expanded" if to_string(d) != to_string(ref) else "same")
+            elif on_dicts:
+                assert to_string(d) == to_string(ref)
+                compared.append("quotient")
+        if not on_dicts or not all(is_polynomial(e) for e in m.entries):
+            return d
+        # a polynomial matrix: exactly what the same Bareiss gives on the
+        # dict ring, on the rows scaled to integers, divided by the scale
         vars = _ordered_vars(*m.entries)
         dicts, scale = _integer_rows([[_to_dict(e, vars) for e in r] for r in rows])
-        on_dicts = _det_bareiss(dicts, _dmul, _padd, _dict_quo, operator.not_)
-        got = _from_dict({t: Fraction(c, scale) for t, c in on_dicts.items()}, vars)
-        assert d == got
-        assert normal(d) == d
-        if tree is not None:
-            assert got == expand(normal(tree))
+        on_ring = _det_bareiss(dicts, _dmul, _padd, _dict_quo, operator.not_)
+        assert d == _from_dict({t: Fraction(c, scale) for t, c in on_ring.items()}, vars)
+        return d
 
     monkeypatch.setattr(matrices_module, "_det_cofactor", recorded)
     sizes = {
@@ -331,18 +353,28 @@ def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
         "rational": (1, 2, 3, 5, 7, 10),
         "polynomial": (1, 2, 3, 4, 6),
         "rational-function": (1, 2, 3, 4),
+        "generator": (1, 2, 3, 4),
     }
     for shape in SHAPES:
         for kind in KINDS:
             for n in sizes[kind]:
-                check(shaped_rows(rng, shape, kind, n, x, y), kind != "rational-function")
-    # a checkerboard with one rational-function entry takes the tree ring
-    # and runs out of budget
+                check(shaped_rows(rng, shape, kind, n, x, y), kind != "generator")
+    # a checkerboard with one sin(x) entry takes the tree ring and runs
+    # out of budget; the determinant is linear in that entry
     rows = shaped_rows(rng, "checkerboard", "integer", 10, x, y)
-    rows[0][0] = power(add(x, 1), -1)
-    check(rows, False)
+    vals = [[e.value.as_fraction() for e in r] for r in rows]
+    rows[0][0] = sin(x)
+    d = check(rows, False)
+    at = []
+    for k in (0, 1):
+        vals[0][0] = k
+        at.append(det_gauss(vals))
+    assert expand(d) == add(lift(at[0]), mul(lift(at[1] - at[0]), sin(x)))
     # both rings ran the expansion to the end, and both ran out of budget
     assert set(expansions) == {(True, True), (True, False), (False, True), (False, False)}
+    # quotients printed alike, and denominators that cancelled, some of
+    # them into an unexpanded tree product
+    assert set(compared) == {"same", "expanded", "quotient"}
 
 
 def test_checkerboard_runs_out_of_budget_and_ends_in_bareiss(monkeypatch):
@@ -485,6 +517,72 @@ def test_charpoly_substitution_consistency():
                 for i in range(4)
             ]
             assert subs(cp, {lam: lift(r)}) == mat_det(as_matrix(shifted))
+
+
+def charpoly_by_det(rows, lam):
+    """collect(det(M - lam*I), lam): what mat_charpoly ran on every
+    matrix before numeric ones took Faddeev-LeVerrier."""
+    n = len(rows)
+    shifted = [[add(rows[i][j], mul(-1, lam)) if i == j else rows[i][j] for j in range(n)]
+               for i in range(n)]
+    return collect(mat_det(matrix(shifted)), lam)
+
+
+def test_numeric_charpoly_by_leverrier_prints_what_the_det_path_printed(monkeypatch):
+    rng = random.Random(202614)
+    lam = Symbol("lam")
+    cases = []
+    for n in range(1, 9):
+        cases.append(rand_int_rows(rng, n))
+        cases.append(rand_fraction_rows(rng, n))
+        cases.append([[Fraction(1, i + j + 1) for j in range(n)] for i in range(n)])
+        cases.append([[0] * n for _ in range(n)])
+        # nilpotent: strictly upper triangular
+        cases.append([[rng.randint(-5, 5) if j > i else 0 for j in range(n)] for i in range(n)])
+        # singular: the last row a rational multiple of the first
+        rows = rand_fraction_rows(rng, n)
+        if n > 1:
+            f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[-1] = [f * a for a in rows[0]]
+        cases.append(rows)
+    cases.append([[Fraction(-7, 3)]])
+    calls = []
+    inner = matrices_module._leverrier
+
+    def counted(a):
+        calls.append(len(a))
+        return inner(a)
+
+    monkeypatch.setattr(matrices_module, "_leverrier", counted)
+    for rows in cases:
+        m = matrix(rows)
+        cp = mat_charpoly(m, lam)
+        assert to_string(cp) == to_string(charpoly_by_det(m.row_list(), lam)), rows
+        for _ in range(2):
+            r = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            shifted = [[lift(v - (r if i == j else 0)) for j, v in enumerate(row)]
+                       for i, row in enumerate(rows)]
+            assert subs(cp, {lam: lift(r)}) == mat_det(matrix(shifted))
+    assert len(calls) == len(cases)
+
+
+def test_charpoly_of_floats_and_symbols_stays_on_the_determinant(monkeypatch):
+    # floats are not exact rationals: det(M - lam*I) as before
+    assert Shell().feed("charpoly([[1.5,2],[3,4]], l);") == ["-5.5*l+l^2"]
+    x, lam = symbols("x lam")
+    dets = []
+    inner = matrices_module.mat_det
+
+    def counted(m):
+        dets.append(m)
+        return inner(m)
+
+    monkeypatch.setattr(matrices_module, "mat_det", counted)
+    rows = [[x, 1, 0], [2, x, Fraction(1, 2)], [0, 3, 1]]
+    cp = mat_charpoly(matrix(rows), lam)
+    assert len(dets) == 1
+    monkeypatch.undo()
+    assert cp == charpoly_by_det(matrix(rows).row_list(), lam)
 
 
 def test_charpoly_collision_and_shape():

@@ -805,6 +805,27 @@ def test_normal_reads_input_subtrees_and_builds_the_output_once(monkeypatch):
     assert reads == [] and builds == []
 
 
+def test_normal_reads_no_tree_it_built(monkeypatch):
+    # (x^2-1)/(x-1) cancels to the tree 1+x; meeting the denominator x
+    # next, the sum takes that tree's dict from where it was built
+    x = Symbol("x")
+    reads = _count_calls(monkeypatch, "_to_dict")
+    built = []
+    inner = poly_module._from_dict
+
+    def recorded(p, vars):
+        built.append(inner(p, vars))
+        return built[-1]
+
+    monkeypatch.setattr(poly_module, "_from_dict", recorded)
+    e = add(mul(add(power(x, 2), -1), power(add(x, -1), -1)), power(x, -1))
+    assert to_string(normal(e)) == "x^(-1)*(1+x+x^2)"
+    assert to_string(built[0]) == "1+x" and len(built) == 3
+    subtrees = _walked_subtrees(e)
+    assert reads and all(a in subtrees for a, _ in reads)
+    assert not any(a is built[0] for a, _ in reads)
+
+
 def test_from_dict_builds_what_the_constructors_build():
     rng = random.Random(3141)
     vars = symbols("a b c d")

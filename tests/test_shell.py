@@ -100,6 +100,11 @@ def test_a_sum_that_expands_to_zero_is_not_a_denominator():
     assert printed == ["error: zero denominator after cancellation", "error: matrix is singular"]
 
 
+def test_a_zero_denominator_in_a_determinant_is_an_error_line():
+    printed, _ = feed_lines(["det([[1/((x+1)^2-x^2-2*x-1), 1],[0,1]]);", "det([[1/(x-x)]]);"])
+    assert printed == ["error: zero to a negative power", "error: zero to a negative power"]
+
+
 def test_unprintable_result_stays_out_of_history():
     # each statement nests one level deeper until printing runs out of
     # stack; the result that failed to print must not become %
