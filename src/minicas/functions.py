@@ -237,7 +237,7 @@ def _gamma_series(args, x, point, n):
     the rewritten expression so order bookkeeping stays in one place.
     Non-integer points decline and fall back to the Taylor loop.
     """
-    from .series import ps_add, ps_exp, ps_pow, ps_scale, series_of, truncate_ps
+    from .series import _exp, _expansion_node, _pow, _scale, _series_at, _sum, _truncate, series_of
 
     g = args[0]
     g0 = subs(g, {x: point})
@@ -257,12 +257,16 @@ def _gamma_series(args, x, point, n):
         # gamma(g) = (g-1) (g-2) ... (g-q+1) gamma(g-q+1)
         shifted = mul(*[add(g, -j) for j in range(1, q)], gamma(add(g, 1 - q)))
         return series_of(shifted, (x, point), n)
-    u = series_of(add(g, -1), (x, point), n)
-    logg = ps_scale(u, mul(-1, Euler))
-    for k in range(2, n):
-        c = mul(lift(Fraction((-1) ** k, k)), zeta(k))
-        logg = ps_add(logg, ps_scale(ps_pow(u, k), c))
-    return ps_exp(truncate_ps(logg, n), n)
+
+    def exp_log_gamma(ring):
+        u = _series_at(ring, add(g, -1), x, point, n)
+        terms = [_scale(ring, u, ring.read(mul(-1, Euler)))]
+        for k in range(2, n):
+            c = mul(lift(Fraction((-1) ** k, k)), zeta(k))
+            terms.append(_scale(ring, _pow(ring, u, k), ring.read(c)))
+        return _exp(ring, _truncate(_sum(ring, terms), n), n)
+
+    return _expansion_node(exp_log_gamma, x, point)
 
 
 def _psi1_eval(args):

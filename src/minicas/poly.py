@@ -209,6 +209,9 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
     # over an integral domain the extreme exponents of a product are the
     # sums of its factors' extremes, so these tests are exact
     for i in lo:
+        if type(polys.atoms[i]) is Add:
+            # a sum is an atom only under a negative power
+            raise DomainError(f"{power(polys.atoms[i], lo[i])} is not a polynomial factor")
         if place[i] is None and (lo[i] < 0 or hi[i] > 0):
             raise DomainError(f"{polys.atoms[i]} is not one of the polynomial's symbols")
         if lo[i] < 0:

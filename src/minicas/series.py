@@ -13,25 +13,29 @@ so precision is never overstated.  series_of drives the structural
 expansion and falls back to a Taylor loop built on diff for nodes
 without a dedicated rule.
 
-The coefficient arithmetic of ps_add, ps_scale, ps_mul, ps_pow and
-ps_exp runs on the sparse dict polynomials of expand's kernel
-(expr._Polys) when it covers every coefficient the operation reads:
-exact rational numbers, symbols, constants and function applications,
-with sums, products and integer powers of them.  Each output
-coefficient is then built once, expanded, so the printed gamma series
-grows about as fast as its number of distinct monomials, not doubling
-with every order as nested sums of earlier coefficients did.
+Inside one expansion a series is a _Series: a dict from exponent to an
+element of a coefficient ring, and its order.  series_of picks the ring
+once: the sparse dict polynomials of expand's kernel (expr._Polys), or
+the canonical trees.  The walk reads each leaf into the ring once: a
+constant free of the variable, a Taylor-loop coefficient, a coefficient
+of the node a series hook returns.  Sums, scalings, products, powers and
+exp then run on elements, and series_of builds the one PSeriesNode at
+the end.  The public ps_add, ps_scale, ps_mul, ps_pow and ps_exp each
+read their nodes, run the same operation and build one node.
 
-One kernel serves a whole expansion: series_of makes one _Polys, and
-every operation inside it reads and builds through it.  The kernel
-remembers the trees it built, so the next operation reads them back
-with one lookup, and an unchanged coefficient, such as one multiplied
-by x^(-1) or by 1, is not built again.  Inside an operation each
-coefficient is split once into a rational content and a primitive
-int dict: the Cauchy products and the power and exp recurrences add
-and multiply ints only, and each output coefficient takes one
-rational scale.  The values are exact, so the dicts, and the trees
-built from them, are the same as on dicts over Q.
+The kernel covers exact rational numbers, symbols, constants and
+function applications, with sums, products and integer powers of them.
+Its element is a rational content times a primitive int dict: the
+Cauchy products and the power and exp recurrences add and multiply
+ints only, and each coefficient takes one rational scale.  Each output
+coefficient is built once, expanded, so the printed gamma series grows
+about as fast as its number of distinct monomials, not doubling with
+every order as nested sums of earlier coefficients did.  The kernel
+remembers the trees it built, so the node of a hook reads back with one
+lookup per coefficient, and an unchanged coefficient, such as one
+multiplied by x^(-1) or by 1, is not built again.  A leaf that no
+operation touches keeps its tree: a Taylor-loop series prints what
+subs gave.
 
 The kernel refuses a float, I, a numeric-base power such as 2^(1/2) or
 a symbolic exponent, the split expand makes: products are not
@@ -41,11 +45,10 @@ printed.  It also refuses a sum under a negative power, such as the
 (1+y)^(-1) of a lead 1+y: that is an opaque atom there, which cannot
 cancel against 1+y multiplied out, so a coefficient that is zero would
 not read as zero, and a reciprocal would divide by it.  One refusal
-sends the whole of series_of to the same recurrences on the canonical
+sends the whole of series_of to the same operations on the canonical
 trees, since the coefficients earlier operations expanded would not
 cancel either; operations called on their own take a kernel each and
 fall back one at a time.
-Taylor-loop coefficients are what subs gives.
 """
 
 from __future__ import annotations
@@ -93,56 +96,27 @@ __all__ = [
 ]
 
 
-def _zero_series(var, point) -> PSeriesNode:
-    return pseries(var, point, [], None)
-
-
-def _const_series(var, point, value: Expr) -> PSeriesNode:
-    return pseries(var, point, [(value, 0)], None)
-
-
-def _is_exact_zero(s: PSeriesNode) -> bool:
-    return not s.terms and s.order is None
-
-
-def _ldeg(s: PSeriesNode) -> int:
-    """Low degree bound: first known exponent, or the order for a series
-    with no visible terms."""
-    if s.terms:
-        return s.terms[0][1]
-    return 0 if s.order is None else s.order
-
-
-def _check_compatible(a: PSeriesNode, b: PSeriesNode):
-    if a.var.serial != b.var.serial or compare(a.point, b.point) != 0:
-        raise DomainError("series in different variables or around different points")
-
-
-def truncate_ps(s: PSeriesNode, n: int) -> PSeriesNode:
-    """Cut a series back to order n; exact series shorter than n stay exact."""
-    if s.order is None and all(k < n for _, k in s.terms):
-        return s
-    order = n if s.order is None else min(s.order, n)
-    return pseries(s.var, s.point, [t for t in s.terms if t[1] < order], order)
-
-
-# --------------------------------------------------------------- arithmetic
+# ------------------------------------------------------------------ rings
 
 
 class _Ring(NamedTuple):
-    """Coefficient arithmetic for one series operation.
+    """Coefficient arithmetic for one expansion.
 
-    plus sums ring elements, times multiplies ring elements and
-    rational numbers, out turns an element into its canonical tree.
+    read turns a tree into an element, raising _Refused where the kernel
+    does not cover it; plus sums elements, times multiplies elements and
+    rational numbers, out turns an element into its canonical tree and
+    is_zero tests an element.
     """
 
+    read: Callable
     plus: Callable
     times: Callable
     out: Callable
+    is_zero: Callable
     one: object
 
 
-_TREES = _Ring(add, mul, lambda c: c, lift(1))
+_TREES = _Ring(lambda c: c, add, mul, lambda c: c, lambda c: c.is_zero(), lift(1))
 
 # The kernel's elements are (n, d, ints, whole): a rational content n/d
 # in lowest terms with d > 0, times ints, a dict polynomial with int
@@ -221,104 +195,188 @@ def _dict_plus(*xs) -> tuple:
 
 
 class _Refused(Exception):
-    """The kernel refused an operation of an expansion."""
+    """The kernel refused a coefficient of an expansion."""
 
 
-# The ring the operations of the running series_of take: its kernel, a
-# _Polys shared by all of them while it has taken every one, "trees" on
-# the rerun after it refused one, None for operations called outside
-# series_of.
-_expansion: ContextVar[_Polys | str | None] = ContextVar("_expansion", default=None)
+def _kernel() -> _Ring:
+    """A ring on a fresh _Polys, whose read refuses what the module
+    docstring lists."""
+    polys = _Polys(expand)
 
-
-def _ring(coeffs) -> tuple[_Ring, list]:
-    """The ring for an operation on these coefficients, and the
-    coefficients as its elements: _Polys dicts read through the
-    expansion's kernel, or a kernel of their own, split into content
-    and int dict; or the trees.  Inside series_of a refusal raises
-    _Refused, as the module docstring explains."""
-    kernel = _expansion.get()
-    if kernel != "trees":
-        polys = kernel or _Polys(expand)
+    def read(c: Expr) -> tuple:
         seen = len(polys.atoms)
-        es = []
-        for c in coeffs:
-            p = polys.poly(c)
-            if p is None:
-                break
-            es.append(_split(p))
-        if len(es) == len(coeffs) and not any(type(a) is Add for a in polys.atoms[seen:]):
-            ring = _Ring(_dict_plus, _dict_times, lambda e: polys.tree(_whole(e)), _ONE)
-            return ring, es
-        if kernel is not None:
+        p = polys.poly(c)
+        if p is None or any(type(a) is Add for a in polys.atoms[seen:]):
             raise _Refused
-    return _TREES, list(coeffs)
+        return _split(p)
+
+    return _Ring(read, _dict_plus, _dict_times, lambda e: polys.tree(_whole(e)),
+                 lambda e: not e[2], _ONE)
 
 
-def ps_add(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
-    _check_compatible(a, b)
-    if a.order is None:
-        order = b.order
-    elif b.order is None:
-        order = a.order
-    else:
-        order = min(a.order, b.order)
-    ring, cs = _ring([c for c, _ in a.terms + b.terms])
-    coeffs: dict[int, object] = {}
-    for c, (_, k) in zip(cs, a.terms + b.terms):
-        coeffs[k] = ring.plus(coeffs[k], c) if k in coeffs else c
-    return pseries(a.var, a.point, [(ring.out(c), k) for k, c in coeffs.items()], order)
+# The ring of the running series_of: a kernel while it has read every
+# leaf, _TREES on the rerun after it refused one, None outside.
+_expansion: ContextVar[_Ring | None] = ContextVar("_expansion", default=None)
 
 
-def ps_scale(a: PSeriesNode, factor: Expr, shift: int = 0) -> PSeriesNode:
-    """factor * x^shift * a for a factor free of the series variable."""
-    order = None if a.order is None else a.order + shift
-    ring, (f, *cs) = _ring([factor] + [c for c, _ in a.terms])
-    terms = [(ring.out(ring.times(f, c)), k + shift) for c, (_, k) in zip(cs, a.terms)]
-    return pseries(a.var, a.point, terms, order)
+def _expansion_node(build: Callable, var: Symbol, point: Expr) -> PSeriesNode:
+    """The node of the _Series build(ring) makes, in the ring of the
+    running expansion; outside one, on a kernel of its own, and again on
+    the trees if that kernel refuses."""
+    ring = _expansion.get()
+    if ring is not None:
+        return _node(ring, build(ring), var, point)
+    ring = _kernel()
+    token = _expansion.set(ring)
+    try:
+        try:
+            return _node(ring, build(ring), var, point)
+        except _Refused:
+            _expansion.set(_TREES)
+            return _node(_TREES, build(_TREES), var, point)
+    finally:
+        _expansion.reset(token)
 
 
-def ps_mul(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
-    _check_compatible(a, b)
+# ------------------------------------------------------------ the series
+
+
+class _Series(NamedTuple):
+    """A series inside one expansion.
+
+    coeffs maps exponents, ascending, to ring elements; order is as in
+    PSeriesNode.  Operations drop zero elements.  A leaf keeps every
+    term it was read from, a tree the kernel expands to zero included,
+    so its exponents are the node's; leaf holds those terms until an
+    operation touches the series, and the edge prints them as they
+    were.
+    """
+
+    coeffs: dict
+    order: int | None
+    leaf: tuple | None = None
+
+
+_EXACT_ZERO = _Series({}, None)
+
+
+def _leaf(ring: _Ring, terms, order: int | None) -> _Series:
+    """The series of sorted (tree, exponent) terms, each read once."""
+    terms = tuple(terms)
+    return _Series({k: ring.read(c) for c, k in terms}, order, terms)
+
+
+def _read(ring: _Ring, s: PSeriesNode) -> _Series:
+    return _leaf(ring, s.terms, s.order)
+
+
+def _node(ring: _Ring, s: _Series, var: Symbol, point: Expr) -> PSeriesNode:
+    """The one PSeriesNode of s, each coefficient built once."""
+    if s.leaf is not None:
+        return pseries(var, point, s.leaf, s.order)
+    return pseries(var, point, [(ring.out(c), k) for k, c in s.coeffs.items()], s.order)
+
+
+def _nonzero(ring: _Ring, pairs) -> dict:
+    return {k: c for k, c in pairs if not ring.is_zero(c)}
+
+
+def _is_exact_zero(s: _Series) -> bool:
+    return not s.coeffs and s.order is None
+
+
+def _ldeg(s: _Series) -> int:
+    """Low degree bound: first known exponent, or the order for a series
+    with no visible terms."""
+    for k in s.coeffs:
+        return k
+    return 0 if s.order is None else s.order
+
+
+def _check_compatible(a: PSeriesNode, b: PSeriesNode):
+    if a.var.serial != b.var.serial or compare(a.point, b.point) != 0:
+        raise DomainError("series in different variables or around different points")
+
+
+# --------------------------------------------------------------- arithmetic
+
+
+def _truncate(s: _Series, n: int) -> _Series:
+    """s cut back to order n; an exact series shorter than n stays exact."""
+    if s.order is None and all(k < n for k in s.coeffs):
+        return s
+    order = n if s.order is None else min(s.order, n)
+    leaf = None if s.leaf is None else tuple(t for t in s.leaf if t[1] < order)
+    return _Series({k: c for k, c in s.coeffs.items() if k < order}, order, leaf)
+
+
+def _sum(ring: _Ring, parts: list) -> _Series:
+    """The sum of the series in parts: one pass over their terms, then
+    the terms at each exponent added in the order of parts."""
+    orders = [s.order for s in parts if s.order is not None]
+    order = min(orders) if orders else None
+    gathered: dict[int, list] = {}
+    for s in parts:
+        for k, c in s.coeffs.items():
+            if order is None or k < order:
+                gathered.setdefault(k, []).append(c)
+    coeffs = {}
+    for k in sorted(gathered):
+        c, *rest = gathered[k]
+        for d in rest:
+            # a zero sum drops out, as it did from a node: on the trees
+            # -0.5+0.5 is the float 0.0, and 1 added to that is 1.0
+            c = d if ring.is_zero(c) else ring.plus(c, d)
+        if not ring.is_zero(c):
+            coeffs[k] = c
+    return _Series(coeffs, order)
+
+
+def _scale(ring: _Ring, s: _Series, f, shift: int = 0) -> _Series:
+    """f * x^shift * s for an element f."""
+    order = None if s.order is None else s.order + shift
+    return _Series(
+        _nonzero(ring, ((k + shift, ring.times(f, c)) for k, c in s.coeffs.items())), order
+    )
+
+
+def _mul(ring: _Ring, a: _Series, b: _Series) -> _Series:
     if _is_exact_zero(a) or _is_exact_zero(b):
-        return _zero_series(a.var, a.point)
+        return _EXACT_ZERO
     candidates = []
     if a.order is not None:
         candidates.append(a.order + _ldeg(b))
     if b.order is not None:
         candidates.append(b.order + _ldeg(a))
     order = min(candidates) if candidates else None
-    ring, cs = _ring([c for c, _ in a.terms + b.terms])
-    ca, cb = cs[: len(a.terms)], cs[len(a.terms) :]
-    coeffs: dict[int, list] = {}
-    for x, (_, ka) in zip(ca, a.terms):
-        for y, (_, kb) in zip(cb, b.terms):
+    gathered: dict[int, list] = {}
+    for ka, x in a.coeffs.items():
+        for kb, y in b.coeffs.items():
             k = ka + kb
             if order is not None and k >= order:
-                continue
-            coeffs.setdefault(k, []).append(ring.times(x, y))
-    terms = [(ring.out(ring.plus(*parts)), k) for k, parts in coeffs.items()]
-    return pseries(a.var, a.point, terms, order)
+                break
+            gathered.setdefault(k, []).append(ring.times(x, y))
+    return _Series(
+        _nonzero(ring, ((k, ring.plus(*gathered[k])) for k in sorted(gathered))), order
+    )
 
 
-def ps_pow(a: PSeriesNode, k, rel_hint: int | None = None) -> PSeriesNode:
+def _pow(ring: _Ring, a: _Series, k, rel_hint: int | None = None) -> _Series:
     """a**k for integer or rational k.
 
     rel_hint bounds the number of produced coefficients when a is exact
     but the power is an infinite series (negative or fractional k).
     """
     k = Fraction(k)
-    if a.order is None and len(a.terms) == 1 and (a.terms[0][1] * k).denominator == 1:
+    if a.order is None and len(a.coeffs) == 1 and (_ldeg(a) * k).denominator == 1:
         # exact monomial: the power is again an exact monomial
-        ((c, e),) = a.terms
-        ring, (ck,) = _ring([power(c, k)])
-        return pseries(a.var, a.point, [(ring.out(ck), int(e * k))], None)
-    if k.denominator == 1 and k >= 1 and len(a.terms) == 1:
+        ((e, c),) = a.coeffs.items()
+        return _Series(_nonzero(ring, [(int(e * k), ring.read(power(ring.out(c), k)))]), None)
+    if k.denominator == 1 and k >= 1 and len(a.coeffs) == 1:
         # (c x^e + O(x^N))^k is c^k x^(ek) + O(x^(N+(k-1)e)): the
-        # coefficient and order ps_mul's squarings give, as e < N
+        # coefficient and order _mul's squarings give, as e < N
         # keeps the one term in every square
-        ((c, e),) = a.terms
-        ring, (sq,) = _ring([c])
+        ((e, sq),) = a.coeffs.items()
         ck, n = ring.one, int(k)
         while n:
             if n & 1:
@@ -327,19 +385,19 @@ def ps_pow(a: PSeriesNode, k, rel_hint: int | None = None) -> PSeriesNode:
             if n:
                 sq = ring.plus(ring.times(sq, sq))
         n = int(k)
-        return pseries(a.var, a.point, [(ring.out(ck), e * n)], a.order + (n - 1) * e)
+        return _Series(_nonzero(ring, [(e * n, ck)]), a.order + (n - 1) * e)
     if k.denominator == 1 and k >= 0:
         n = int(k)
-        result = _const_series(a.var, a.point, lift(1))
+        result = _Series({0: ring.one}, None)
         square = a
         while n:
             if n & 1:
-                result = ps_mul(result, square)
+                result = _mul(ring, result, square)
             n >>= 1
             if n:
-                square = ps_mul(square, square)
+                square = _mul(ring, square, square)
         return result
-    if not a.terms:
+    if not a.coeffs:
         if a.order is None:
             raise SeriesError("zero series raised to a negative or fractional power")
         raise SeriesError("not enough series terms to invert; increase the order")
@@ -355,42 +413,78 @@ def ps_pow(a: PSeriesNode, k, rel_hint: int | None = None) -> PSeriesNode:
             raise SeriesError("unbounded expansion of an exact series power")
         rel = rel_hint
     if rel <= 0:
-        return pseries(a.var, a.point, [], mk + rel)
-    lead = a.terms[0][0]
-    ring, (inv_lead, scale, *cs) = _ring(
-        [power(lead, -1), power(lead, k)] + [c for c, _ in a.terms[1:]]
-    )
-    u: dict[int, object] = {}
-    for c, (_, e) in zip(cs, a.terms[1:]):
-        u[e - m] = ring.times(c, inv_lead)
+        return _Series({}, mk + rel)
+    lead = a.coeffs[m]
+    if ring.is_zero(lead):
+        # only a leaf holds a zero element: a tree the kernel expands to
+        # zero, whose reciprocal it refuses to read
+        raise _Refused
+    lead = ring.out(lead)
+    inv_lead, scale = ring.read(power(lead, -1)), ring.read(power(lead, k))
+    # f_n = sum over j of ((k+1) j - n) u_j f_(n-j) / n, with (k+1) j
+    # taken once per j, an int when k is one
+    k1 = k.numerator + 1 if k.denominator == 1 else k + 1
+    u = [(e - m, k1 * (e - m), ring.times(c, inv_lead)) for e, c in a.coeffs.items() if e != m]
     f = [ring.one]
     for n in range(1, rel):
         parts = []
-        for j, uj in u.items():
+        for j, kj, uj in u:
             if j > n:
                 break
-            parts.append(ring.times(k * j - (n - j), uj, f[n - j]))
+            parts.append(ring.times(kj - n, uj, f[n - j]))
         f.append(ring.times(Fraction(1, n), ring.plus(*parts)))
-    terms = [(ring.out(ring.times(scale, fn)), mk + n) for n, fn in enumerate(f)]
-    return pseries(a.var, a.point, terms, mk + rel)
+    return _Series(
+        _nonzero(ring, ((mk + n, ring.times(scale, fn)) for n, fn in enumerate(f))), mk + rel
+    )
 
 
-def ps_exp(a: PSeriesNode, rel_hint: int) -> PSeriesNode:
+def _exp(ring: _Ring, a: _Series, rel_hint: int) -> _Series:
     """exp of a series with positive low degree (no constant term)."""
-    if a.terms and _ldeg(a) < 1:
+    if a.coeffs and _ldeg(a) < 1:
         raise SeriesError("ps_exp wants a series with positive low degree")
     order = a.order if a.order is not None else rel_hint
-    ring, cs = _ring([c for c, _ in a.terms])
-    e = {k: c for c, (_, k) in zip(cs, a.terms)}
     f = [ring.one]
     for n in range(1, order):
         parts = []
-        for j, ej in e.items():
+        for j, ej in a.coeffs.items():
             if j > n:
                 break
             parts.append(ring.times(j, ej, f[n - j]))
         f.append(ring.times(Fraction(1, n), ring.plus(*parts)))
-    return pseries(a.var, a.point, [(ring.out(fn), n) for n, fn in enumerate(f)], order)
+    return _Series(_nonzero(ring, enumerate(f)), order)
+
+
+def truncate_ps(s: PSeriesNode, n: int) -> PSeriesNode:
+    """Cut a series back to order n; exact series shorter than n stay exact."""
+    # truncation does no arithmetic: the trees are its ring
+    return _node(_TREES, _truncate(_read(_TREES, s), n), s.var, s.point)
+
+
+def ps_add(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
+    _check_compatible(a, b)
+    return _expansion_node(lambda r: _sum(r, [_read(r, a), _read(r, b)]), a.var, a.point)
+
+
+def ps_scale(a: PSeriesNode, factor: Expr, shift: int = 0) -> PSeriesNode:
+    """factor * x^shift * a for a factor free of the series variable."""
+    return _expansion_node(
+        lambda r: _scale(r, _read(r, a), r.read(factor), shift), a.var, a.point
+    )
+
+
+def ps_mul(a: PSeriesNode, b: PSeriesNode) -> PSeriesNode:
+    _check_compatible(a, b)
+    return _expansion_node(lambda r: _mul(r, _read(r, a), _read(r, b)), a.var, a.point)
+
+
+def ps_pow(a: PSeriesNode, k, rel_hint: int | None = None) -> PSeriesNode:
+    """a**k for integer or rational k; see _pow."""
+    return _expansion_node(lambda r: _pow(r, _read(r, a), k, rel_hint), a.var, a.point)
+
+
+def ps_exp(a: PSeriesNode, rel_hint: int) -> PSeriesNode:
+    """exp of a series with positive low degree (no constant term)."""
+    return _expansion_node(lambda r: _exp(r, _read(r, a), rel_hint), a.var, a.point)
 
 
 # ----------------------------------------------------------- the expansion
@@ -421,51 +515,41 @@ def series_of(e: Expr, at, order: int) -> PSeriesNode:
     happens to terminate is still only claimed up to O((x-point)^order).
 
     Every operation of one expansion takes the same ring: when the
-    kernel refuses one, the whole expansion runs again on the trees.
+    kernel refuses one leaf, the whole expansion runs again on the trees.
     """
     x, point = _normalize_at(at)
     if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise DomainError("series order must be a positive integer")
     e = lift(e)
-    if _expansion.get() is not None:
-        return _series_at(e, x, point, order)
-    token = _expansion.set(_Polys(expand))
-    try:
-        return _series_at(e, x, point, order)
-    except _Refused:
-        _expansion.set("trees")
-        return _series_at(e, x, point, order)
-    finally:
-        _expansion.reset(token)
+    return _expansion_node(lambda ring: _series_at(ring, e, x, point, order), x, point)
 
 
-def _series_at(e: Expr, x: Symbol, point: Expr, order: int) -> PSeriesNode:
+def _series_at(ring: _Ring, e: Expr, x: Symbol, point: Expr, order: int) -> _Series:
+    """The expansion of e at x == point to the given order, which it
+    always carries."""
     if not point.is_zero():
         t = Symbol()
-        s = _srs(subs(e, {x: add(point, t)}), t, lift(0), order)
+        s = _srs(ring, subs(e, {x: add(point, t)}), t, lift(0), order)
     else:
-        s = _srs(e, x, point, order)
-    s = truncate_ps(s, order)
-    final = order if s.order is None else s.order
-    return pseries(x, point, s.terms, final)
+        s = _srs(ring, e, x, point, order)
+    s = _truncate(s, order)
+    return s if s.order is not None else s._replace(order=order)
 
 
-def _srs(e: Expr, x: Symbol, point: Expr, n: int) -> PSeriesNode:
+def _srs(ring: _Ring, e: Expr, x: Symbol, point: Expr, n: int) -> _Series:
     t = type(e)
     if x not in free_symbols(e):
         if e.is_zero():
-            return _zero_series(x, point)
-        return _const_series(x, point, e)
+            return _EXACT_ZERO
+        return _leaf(ring, [(e, 0)], None)
     if t is Symbol:
-        return pseries(x, point, [(point, 0), (lift(1), 1)], None)
+        return _Series({1: ring.one}, None)
     if t is Add:
-        s = _const_series(x, point, Numeric(e.coeff))
+        parts = [] if e.coeff.is_zero() else [_leaf(ring, [(Numeric(e.coeff), 0)], None)]
         for r, k in e.pairs:
-            term = _srs(r, x, point, n)
-            if not k.is_one():
-                term = ps_scale(term, Numeric(k))
-            s = ps_add(s, term)
-        return s
+            term = _srs(ring, r, x, point, n)
+            parts.append(term if k.is_one() else _scale(ring, term, ring.read(Numeric(k))))
+        return _sum(ring, parts)
     if t is Mul:
         entities = [r if k.is_one() else power(r, Numeric(k)) for r, k in e.pairs]
         # A factor is expanded at order n, then again higher when the low
@@ -473,12 +557,12 @@ def _srs(e: Expr, x: Symbol, point: Expr, n: int) -> PSeriesNode:
         # knows that sum and is expanded once: a function application,
         # as its expansion tends to cost the most.
         last = max(range(len(entities)), key=lambda i: type(entities[i]) is FunctionApp)
-        first = [_srs(f, x, point, n) if i != last else None for i, f in enumerate(entities)]
+        first = [_srs(ring, f, x, point, n) if i != last else None for i, f in enumerate(entities)]
         rest = sum(_ldeg(s) for s in first if s is not None)
-        first[last] = _srs(entities[last], x, point, max(n, n - rest))
+        first[last] = _srs(ring, entities[last], x, point, max(n, n - rest))
         for s in first:
             if _is_exact_zero(s):
-                return _zero_series(x, point)
+                return _EXACT_ZERO
         ldegs = [_ldeg(s) for s in first]
         if rest < 0 and first[last].order is not None:
             # the low degree its expansion at order n would show
@@ -488,44 +572,47 @@ def _srs(e: Expr, x: Symbol, point: Expr, n: int) -> PSeriesNode:
         for i, s in enumerate(first):
             target = n - (total - ldegs[i])
             if target > n and i != last:
-                s = _srs(entities[i], x, point, target)
+                s = _srs(ring, entities[i], x, point, target)
             parts.append(s)
-        out = parts[0] if e.coeff.is_one() else ps_scale(parts[0], Numeric(e.coeff))
+        out = parts[0]
+        if not e.coeff.is_one():
+            out = _scale(ring, out, ring.read(Numeric(e.coeff)))
         for s in parts[1:]:
-            out = ps_mul(out, s)
+            out = _mul(ring, out, s)
         return out
     if t is Power:
         ke = e.exponent
         if type(ke) is Numeric and ke.value.is_rational():
             k = ke.value.as_fraction()
-            base = _srs(e.base, x, point, n)
+            base = _srs(ring, e.base, x, point, n)
             if _is_exact_zero(base):
                 if k > 0:
-                    return _zero_series(x, point)
+                    return _EXACT_ZERO
                 raise SeriesError("pole of infinite order: zero base series")
             m = _ldeg(base)
             want = n - math.floor(m * (k - 1))
             if want > n:
-                base = _srs(e.base, x, point, want)
+                base = _srs(ring, e.base, x, point, want)
             rel = want - m if base.order is None else None
-            return ps_pow(base, k, rel)
-        return _taylor(e, x, point, n)
+            return _pow(ring, base, k, rel)
+        return _leaf(ring, _taylor(e, x, point, n), n)
     if t is FunctionApp:
         hook = e.fdef.series_hook
         if hook is not None:
             got = hook(e.args, x, point, n)
             if got is not None:
-                return got
-        return _taylor(e, x, point, n)
+                return _read(ring, got)
+        return _leaf(ring, _taylor(e, x, point, n), n)
     if t is PSeriesNode:
         if e.var.serial == x.serial and compare(e.point, point) == 0:
-            return truncate_ps(e, n)
+            return _truncate(_read(ring, e), n)
         raise DomainError("cannot re-expand a series in another variable or point")
     raise DomainError(f"cannot expand {t.__name__} in a series")
 
 
-def _taylor(e: Expr, x: Symbol, point: Expr, n: int) -> PSeriesNode:
-    """Plain Taylor loop: coefficients from iterated derivatives."""
+def _taylor(e: Expr, x: Symbol, point: Expr, n: int) -> list:
+    """Plain Taylor loop: (coefficient, exponent) terms from iterated
+    derivatives, below order n."""
     terms = []
     d = e
     fact = 1
@@ -546,7 +633,7 @@ def _taylor(e: Expr, x: Symbol, point: Expr, n: int) -> PSeriesNode:
             except UnevaluatedDerivativeError as err:
                 raise SeriesError(str(err)) from err
             fact *= k + 1
-    return pseries(x, point, terms, n)
+    return terms
 
 
 # ------------------------------------------------------------- conversions

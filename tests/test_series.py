@@ -11,23 +11,32 @@ import contextvars
 import math
 import random
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import pytest
 
 from minicas import series as series_module
-from minicas.errors import DomainError, SeriesError
+from minicas.errors import DomainError, PoleError, SeriesError, UnevaluatedDerivativeError
 from minicas.expr import (
     Add,
     Euler,
+    FunctionApp,
     I,
+    Mul,
+    Numeric,
     Pi,
     Power,
+    PSeriesNode,
+    Symbol,
     _padd,
     _pmul,
     _Polys,
     _pscale,
     add,
+    compare,
+    diff,
     expand,
+    free_symbols,
     lift,
     mul,
     power,
@@ -37,10 +46,20 @@ from minicas.expr import (
     symbols,
     to_string,
 )
-from minicas.functions import exp, gamma, log, sin, zeta
+from minicas.functions import (
+    FunctionDef,
+    _exact,
+    _gamma_series,
+    cos,
+    exp,
+    fn_register,
+    gamma,
+    log,
+    sin,
+    zeta,
+)
 from minicas.series import (
     ps_add,
-    ps_exp,
     ps_mul,
     ps_pow,
     ps_to_expr,
@@ -424,11 +443,7 @@ def on_trees(f, *args):
     """f(*args) with every series operation on the tree path, the one
     coefficients outside the kernel take."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            series_module,
-            "_ring",
-            lambda coeffs: (series_module._TREES, list(coeffs)),
-        )
+        mp.setattr(series_module, "_kernel", lambda: series_module._TREES)
         return f(*args)
 
 
@@ -549,9 +564,30 @@ def test_refused_coefficients_keep_the_tree_path():
             power(add(1, mul(power(y, n), x)), -1),
             "1-y^n*x+y^(2*n)*x^2-y^n*y^(2*n)*x^3+O(x^4)",
         ),
+        (
+            # the x coefficients -0.5 and 0.5 cancel to the float 0.0,
+            # which drops out before the exact 1 joins
+            add(mul(-0.5, x, cos(x)), mul(0.5, sin(x)), log(add(1, x))),
+            "x-1/2*x^2+0.5*x^3+O(x^4)",
+        ),
     ]
     for e, printed in cases:
         assert to_string(series_of(e, (x, 0), 4)) == printed
+
+
+def test_a_leaf_lead_that_expands_to_zero_is_inverted_on_the_trees():
+    # a Taylor coefficient whose tree is not zero keeps its exponent, as
+    # the node did, though the kernel expands it to zero; the kernel
+    # refuses its reciprocal, so the expansion takes the tree path.  The
+    # tree path divides by that zero lead, a fault this pins unchanged:
+    # the true series starts at x^(-2)
+    x, y = symbols("x y")
+    zero = add(power(add(1, y), 2), -1, mul(-2, y), mul(-1, power(y, 2)))
+    e = power(sin(add(mul(zero, x), power(x, 2))), -1)
+    s = series_of(e, (x, 0), 3)
+    tree = on_trees(series_of, e, (x, 0), 3)
+    assert s.terms[0] == (power(zero, -1), -1)
+    assert s.terms == tree.terms and s.order == tree.order == 3
 
 
 def test_gamma_series_grows_slowly():
@@ -576,8 +612,9 @@ def test_a_pole_factor_leaves_the_gamma_series_expanded_once():
     # before gamma(x+1) is expanded, at order n+1, once
     x = symbols("x")[0]
     calls = []
+    exp_on_ring = series_module._exp
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series_module, "ps_exp", lambda *a: calls.append(1) or ps_exp(*a))
+        mp.setattr(series_module, "_exp", lambda *a: calls.append(1) or exp_on_ring(*a))
         s = series_of(gamma(x), (x, 0), 6)
     assert len(calls) == 1
     assert s.order == 6 and s.terms[0][1] == -1
@@ -587,8 +624,14 @@ def test_exact_monomial_powers_take_no_products():
     # (c x^e)^k is the monomial c^k x^(e k) whenever e k is an integer
     x, y = symbols("x y")
     calls = []
+    mul_on_ring = series_module._mul
+
+    def counted(*args):
+        calls.append(1)
+        return mul_on_ring(*args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series_module, "ps_mul", lambda a, b: calls.append(1) or ps_mul(a, b))
+        mp.setattr(series_module, "_mul", counted)
         for c, e, k, want in [
             (lift(1), 1, 3, (lift(1), 3)),
             (lift(1), 1, 0, (lift(1), 0)),
@@ -608,19 +651,77 @@ def test_exact_monomial_powers_take_no_products():
         a = pseries(x, 0, [(c, e)], order)
         want = _ref_ps_pow(a, k)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series_module, "ps_mul", lambda a, b: calls.append(1) or ps_mul(a, b))
+            mp.setattr(series_module, "_mul", counted)
             s = ps_pow(a, k)
         assert s.terms == want.terms and s.order == want.order == order + (k - 1) * e
     assert not calls
 
 
+def test_an_expansion_sums_once_per_add_and_builds_one_node():
+    # inside series_of a series is a dict of ring elements: a p/q
+    # expansion makes one n-ary sum per Add node and one node in all;
+    # gamma(x) shifts to gamma(x+1)*x^(-1), and each of the two hook
+    # nodes adds one node
+    x = symbols("x")[0]
+    rng = random.Random(5)
+    sums, nodes = [], []
+    sum_on_ring, build = series_module._sum, series_module.pseries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_sum", lambda *a: sums.append(1) or sum_on_ring(*a))
+        mp.setattr(series_module, "pseries", lambda *a: nodes.append(1) or build(*a))
+        for _ in range(4):
+            p = add(*[mul(rng.choice([-9, -4, 1, 6]), power(x, k)) for k in range(4)])
+            q = add(*[mul(rng.choice([-7, 2, 3, 5]), power(x, k)) for k in range(4)])
+            sums.clear(), nodes.clear()
+            s = series_of(mul(p, power(q, -1)), (x, 0), 12)
+            assert (len(sums), len(nodes), s.order) == (2, 1, 12), to_string(s)
+        sums.clear(), nodes.clear()
+        series_of(gamma(x), (x, 0), 6)
+        assert (len(sums), len(nodes)) == (1, 3)
+
+
+def test_a_registered_series_hook_joins_the_expansion():
+    # the series_hook contract: a hook returns a PSeriesNode, whose
+    # coefficients the expansion reads; a hook series on its own prints
+    # its trees as they are, and the product expands them on the kernel,
+    # or, for a float coefficient, multiplies them on the tree rerun
+    x, y = symbols("x y")
+
+    def hook(lead):
+        def series_hook(args, var, point, n):
+            terms = [(lead, 0), (power(add(1, y), 2), 1), (mul(Fraction(1, 2), y), 3)]
+            return pseries(var, point, terms, n)
+
+        return series_hook
+
+    exact = fn_register(FunctionDef("series_hooked_exact", 1, series_hook=hook(mul(y, add(1, y)))))
+    floats = fn_register(
+        FunctionDef("series_hooked_float", 1, series_hook=hook(mul(lift(0.5), add(1, y))))
+    )
+    q = power(add(1, mul(-1, x)), -1)
+    for e, printed in [
+        (exact(x), "y*(1+y)+(1+y)^2*x+1/2*y*x^3+O(x^4)"),
+        (mul(exact(x), q), "y+y^2+(1+3*y+2*y^2)*x+(1+3*y+2*y^2)*x^2+(1+7/2*y+2*y^2)*x^3+O(x^4)"),
+        (floats(x), "0.5+0.5*y+(1+y)^2*x+1/2*y*x^3+O(x^4)"),
+        (
+            mul(floats(x), q),
+            "0.5+0.5*y+(0.5+0.5*y+(1+y)^2)*x+(0.5+0.5*y+(1+y)^2)*x^2"
+            "+(0.5+1.0*y+(1+y)^2)*x^3+O(x^4)",
+        ),
+    ]:
+        assert to_string(series_of(e, (x, 0), 4)) == printed
+
+
 # ------------------------------------------------ the earlier ring, kept
 #
-# The series operations as they were before one kernel served a whole
+# The series expansion as it was before one kernel served a whole
 # expansion and its sums ran on ints: a fresh _Polys per operation, dict
-# coefficients over Q, and powers of one-term series by squaring.  The
-# differential test below requires the operations of today to print
-# what these printed.
+# coefficients over Q, powers of one-term series by squaring, a walk
+# that passes a validated node from operation to operation and adds a
+# sum one term at a time, and a gamma hook composed of those
+# operations.  It shares no code with the series module but
+# _normalize_at and _check_compatible.  The differential test below
+# requires the expansion of today to print what this printed.
 
 
 class _RefRefused(Exception):
@@ -640,6 +741,26 @@ def _ref_dict_times(*fs) -> dict:
     return _pscale(p, q)
 
 
+class _RefRing(NamedTuple):
+    plus: Callable
+    times: Callable
+    out: Callable
+    one: object
+
+
+_REF_TREES = _RefRing(add, mul, lambda c: c, lift(1))
+
+
+def _ref_is_exact_zero(s) -> bool:
+    return not s.terms and s.order is None
+
+
+def _ref_ldeg(s) -> int:
+    if s.terms:
+        return s.terms[0][1]
+    return 0 if s.order is None else s.order
+
+
 def _ref_ring(coeffs):
     mode = _ref_expansion.get()
     if mode != "trees":
@@ -651,13 +772,13 @@ def _ref_ring(coeffs):
                 break
             ps.append(p)
         if len(ps) == len(coeffs) and not any(type(a) is Add for a in polys.atoms):
-            ring = series_module._Ring(
+            ring = _RefRing(
                 lambda *xs: _padd((x, 1) for x in xs), _ref_dict_times, polys.tree, {(): 1}
             )
             return ring, ps
         if mode == "kernel":
             raise _RefRefused
-    return series_module._TREES, list(coeffs)
+    return _REF_TREES, list(coeffs)
 
 
 def _ref_ps_add(a, b):
@@ -684,13 +805,13 @@ def _ref_ps_scale(a, factor, shift=0):
 
 def _ref_ps_mul(a, b):
     series_module._check_compatible(a, b)
-    if series_module._is_exact_zero(a) or series_module._is_exact_zero(b):
+    if _ref_is_exact_zero(a) or _ref_is_exact_zero(b):
         return pseries(a.var, a.point, [], None)
     candidates = []
     if a.order is not None:
-        candidates.append(a.order + series_module._ldeg(b))
+        candidates.append(a.order + _ref_ldeg(b))
     if b.order is not None:
-        candidates.append(b.order + series_module._ldeg(a))
+        candidates.append(b.order + _ref_ldeg(a))
     order = min(candidates) if candidates else None
     ring, cs = _ref_ring([c for c, _ in a.terms + b.terms])
     ca, cb = cs[: len(a.terms)], cs[len(a.terms) :]
@@ -726,7 +847,7 @@ def _ref_ps_pow(a, k, rel_hint=None):
         if a.order is None:
             raise SeriesError("zero series raised to a negative or fractional power")
         raise SeriesError("not enough series terms to invert; increase the order")
-    m = series_module._ldeg(a)
+    m = _ref_ldeg(a)
     mk = m * k
     if mk.denominator != 1:
         raise SeriesError("fractional leading degree; not a Laurent series")
@@ -759,7 +880,7 @@ def _ref_ps_pow(a, k, rel_hint=None):
 
 
 def _ref_ps_exp(a, rel_hint):
-    if a.terms and series_module._ldeg(a) < 1:
+    if a.terms and _ref_ldeg(a) < 1:
         raise SeriesError("ps_exp wants a series with positive low degree")
     order = a.order if a.order is not None else rel_hint
     ring, cs = _ref_ring([c for c, _ in a.terms])
@@ -781,15 +902,147 @@ def _ref_series_of(e, at, order):
         raise DomainError("series order must be a positive integer")
     e = lift(e)
     if _ref_expansion.get() is not None:
-        return series_module._series_at(e, x, point, order)
+        return _ref_series_at(e, x, point, order)
     token = _ref_expansion.set("kernel")
     try:
-        return series_module._series_at(e, x, point, order)
+        return _ref_series_at(e, x, point, order)
     except _RefRefused:
         _ref_expansion.set("trees")
-        return series_module._series_at(e, x, point, order)
+        return _ref_series_at(e, x, point, order)
     finally:
         _ref_expansion.reset(token)
+
+
+def _ref_series_at(e, x, point, order):
+    if not point.is_zero():
+        t = Symbol()
+        s = _ref_srs(subs(e, {x: add(point, t)}), t, lift(0), order)
+    else:
+        s = _ref_srs(e, x, point, order)
+    s = _ref_truncate_ps(s, order)
+    final = order if s.order is None else s.order
+    return pseries(x, point, s.terms, final)
+
+
+def _ref_truncate_ps(s, n):
+    if s.order is None and all(k < n for _, k in s.terms):
+        return s
+    order = n if s.order is None else min(s.order, n)
+    return pseries(s.var, s.point, [t for t in s.terms if t[1] < order], order)
+
+
+def _ref_srs(e, x, point, n):
+    t = type(e)
+    if x not in free_symbols(e):
+        if e.is_zero():
+            return pseries(x, point, [], None)
+        return pseries(x, point, [(e, 0)], None)
+    if t is Symbol:
+        return pseries(x, point, [(point, 0), (lift(1), 1)], None)
+    if t is Add:
+        s = pseries(x, point, [(Numeric(e.coeff), 0)], None)
+        for r, k in e.pairs:
+            term = _ref_srs(r, x, point, n)
+            if not k.is_one():
+                term = _ref_ps_scale(term, Numeric(k))
+            s = _ref_ps_add(s, term)
+        return s
+    if t is Mul:
+        entities = [r if k.is_one() else power(r, Numeric(k)) for r, k in e.pairs]
+        last = max(range(len(entities)), key=lambda i: type(entities[i]) is FunctionApp)
+        first = [_ref_srs(f, x, point, n) if i != last else None for i, f in enumerate(entities)]
+        rest = sum(_ref_ldeg(s) for s in first if s is not None)
+        first[last] = _ref_srs(entities[last], x, point, max(n, n - rest))
+        for s in first:
+            if _ref_is_exact_zero(s):
+                return pseries(x, point, [], None)
+        ldegs = [_ref_ldeg(s) for s in first]
+        if rest < 0 and first[last].order is not None:
+            ldegs[last] = min(ldegs[last], n)
+        total = sum(ldegs)
+        parts = []
+        for i, s in enumerate(first):
+            target = n - (total - ldegs[i])
+            if target > n and i != last:
+                s = _ref_srs(entities[i], x, point, target)
+            parts.append(s)
+        out = parts[0] if e.coeff.is_one() else _ref_ps_scale(parts[0], Numeric(e.coeff))
+        for s in parts[1:]:
+            out = _ref_ps_mul(out, s)
+        return out
+    if t is Power:
+        ke = e.exponent
+        if type(ke) is Numeric and ke.value.is_rational():
+            k = ke.value.as_fraction()
+            base = _ref_srs(e.base, x, point, n)
+            if _ref_is_exact_zero(base):
+                if k > 0:
+                    return pseries(x, point, [], None)
+                raise SeriesError("pole of infinite order: zero base series")
+            m = _ref_ldeg(base)
+            want = n - math.floor(m * (k - 1))
+            if want > n:
+                base = _ref_srs(e.base, x, point, want)
+            rel = want - m if base.order is None else None
+            return _ref_ps_pow(base, k, rel)
+        return _ref_taylor(e, x, point, n)
+    if t is FunctionApp:
+        hook = e.fdef.series_hook
+        if hook is _gamma_series:
+            hook = _ref_gamma_series
+        if hook is not None:
+            got = hook(e.args, x, point, n)
+            if got is not None:
+                return got
+        return _ref_taylor(e, x, point, n)
+    if t is PSeriesNode:
+        if e.var.serial == x.serial and compare(e.point, point) == 0:
+            return _ref_truncate_ps(e, n)
+        raise DomainError("cannot re-expand a series in another variable or point")
+    raise DomainError(f"cannot expand {t.__name__} in a series")
+
+
+def _ref_taylor(e, x, point, n):
+    terms = []
+    d = e
+    fact = 1
+    for k in range(n):
+        try:
+            c = subs(d, {x: point})
+        except (PoleError, ZeroDivisionError) as err:
+            raise SeriesError(f"no series expansion of {e} around {point}: {err}") from err
+        except UnevaluatedDerivativeError as err:
+            raise SeriesError(str(err)) from err
+        if not c.is_zero():
+            terms.append((mul(Fraction(1, fact), c), k))
+        if k + 1 < n:
+            try:
+                d = diff(d, x)
+            except UnevaluatedDerivativeError as err:
+                raise SeriesError(str(err)) from err
+            fact *= k + 1
+    return pseries(x, point, terms, n)
+
+
+def _ref_gamma_series(args, x, point, n):
+    g = args[0]
+    v = _exact(subs(g, {x: point}))
+    if v is None or not v.is_integer():
+        return None
+    if v.val <= 0:
+        m = -v.val
+        shifted = mul(gamma(add(g, m + 1)), *[power(add(g, j), -1) for j in range(m + 1)])
+        return _ref_series_of(shifted, (x, point), n)
+    if v.val >= 2:
+        q = v.val
+        shifted = mul(*[add(g, -j) for j in range(1, q)], gamma(add(g, 1 - q)))
+        return _ref_series_of(shifted, (x, point), n)
+    u = _ref_series_of(add(g, -1), (x, point), n)
+    logg = _ref_ps_scale(u, mul(-1, Euler))
+    for k in range(2, n):
+        c = mul(lift(Fraction((-1) ** k, k)), zeta(k))
+        logg = _ref_ps_add(logg, _ref_ps_scale(_ref_ps_pow(u, k), c))
+    return _ref_ps_exp(_ref_truncate_ps(logg, n), n)
 
 
 def _printed(f, *args) -> str:
@@ -854,21 +1107,14 @@ def _series_input(rng, x, y):
 
 
 def test_series_print_what_the_earlier_ring_printed():
-    # the same series, error text included, as the operations printed
+    # the same series, error text included, as the expansion printed
     # before one kernel served a whole expansion
     rng = random.Random(71)
     x, y = symbols("x y")
-    refs = {
-        "ps_add": _ref_ps_add, "ps_scale": _ref_ps_scale, "ps_mul": _ref_ps_mul,
-        "ps_pow": _ref_ps_pow, "ps_exp": _ref_ps_exp, "series_of": _ref_series_of,
-    }
     inputs = [_series_input(rng, x, y) for _ in range(520)]
-    with pytest.MonkeyPatch.context() as mp:
-        for name, f in refs.items():
-            mp.setattr(series_module, name, f)
-        want = [_printed(_ref_series_of, e, (x, p), n) for e, p, n in inputs]
     errors = 0
-    for (e, p, n), printed in zip(inputs, want):
+    for e, p, n in inputs:
+        printed = _printed(_ref_series_of, e, (x, p), n)
         assert _printed(series_of, e, (x, p), n) == printed, (to_string(e), p, n)
         errors += printed.startswith(("SeriesError", "DomainError", "ZeroDivisionError"))
     assert 20 <= errors <= 200

@@ -105,6 +105,17 @@ def test_a_zero_denominator_in_a_determinant_is_an_error_line():
     assert printed == ["error: zero to a negative power", "error: zero to a negative power"]
 
 
+def test_a_sum_under_a_negative_power_is_not_a_gcd_argument():
+    # one wording for one refusal, whether the sum is the argument or a
+    # factor of it
+    printed, _ = feed_lines(["gcd(1/(x+1), x);", "gcd(3/(x+2), x);", "lcm(x/(x+1), x);"])
+    assert printed == [
+        "error: (1+x)^(-1) is not a polynomial factor",
+        "error: (2+x)^(-1) is not a polynomial factor",
+        "error: (1+x)^(-1) is not a polynomial factor",
+    ]
+
+
 def test_unprintable_result_stays_out_of_history():
     # each statement nests one level deeper until printing runs out of
     # stack; the result that failed to print must not become %
