@@ -34,8 +34,16 @@ because products are not associative on canonical forms with such
 bases: sqrt(2)*sqrt(2)*sqrt(2) is 2^(3/2) but (sqrt(2)*sqrt(2))*sqrt(2)
 is 2*2^(1/2), and floats round by the order they are added in, so only
 the pairwise order prints what expand has always printed.
+
+A kernel monomial is one int holding each atom's exponent in a signed
+field of _FIELD bits, so a product of monomials is a sum of ints and a
+power a multiple.  A product whose factors reach an exponent of _LIMIT
+is refused (_Refused) before it could overflow a field, and that
+subtree takes the pairwise path, which holds any exponent.  The tree is
+built once by _poly_tree, which sorts the terms by keys made from the
+atoms' ranks in compare's order, with no compare per term.
 poly._to_dict reads the kernel's dicts directly, and poly._from_dict
-builds its trees with the kernel's builder, _poly_tree.
+builds its trees with the same builder.
 """
 
 from __future__ import annotations
@@ -510,6 +518,8 @@ def add(*terms) -> Expr:
 
 
 def _add_terms(terms) -> Expr:
+    """The canonical sum of terms: trees, or (rest, key) pairs as
+    _split_term makes them."""
     overall = _NUM_ZERO
     bucket: dict[Expr, Number] = {}
     for t in terms:
@@ -520,6 +530,8 @@ def _add_terms(terms) -> Expr:
             overall = num_add(overall, t.coeff)
             for r, k in t.pairs:
                 _bucket_merge(bucket, r, k)
+        elif tt is tuple:  # a (rest, key) pair, as _split_term makes it
+            _bucket_merge(bucket, *t)
         else:
             r, k = _split_term(t)
             _bucket_merge(bucket, r, k)
@@ -799,9 +811,14 @@ def _rewrite(e: Expr, rule) -> Expr:
             if all(map(operator.is_, kids, old)):
                 out = x
             elif t is Add:
+                # an unchanged term joins as its pair; a complex key
+                # goes through mul, which may turn its exact part float
                 out = _add_terms(
                     [Numeric(x.coeff)]
-                    + [_scaled_expr(c, k) for c, (_, k) in zip(kids, x.pairs)]
+                    + [
+                        (r, k) if c is r and k.kind != "cplx" else _scaled_expr(c, k)
+                        for c, (r, k) in zip(kids, x.pairs)
+                    ]
                 )
             elif t is Mul:
                 out = _mul_factors(
@@ -988,18 +1005,22 @@ def expand(e: Expr) -> Expr:
 class _Polys:
     """Sparse dict polynomials over the atoms met in one expansion.
 
-    A polynomial maps a monomial, a tuple of (atom index, exponent)
-    pairs sorted by index with nonzero integer exponents, to a nonzero
-    int or Fraction coefficient; {} is zero.  The atoms are the bases
-    the module docstring lists; a sum is one only under a negative
-    exponent, and walk(x) gives the expansion of a function
-    application or of such a sum.  poly() and factors() answer None
-    for every other shape.
+    A polynomial maps a monomial to a nonzero int or Fraction
+    coefficient; {} is zero.  A monomial packs its exponents into one
+    int, sum(e_i << _FIELD*i) over atom indices i, each e_i a signed
+    field of _FIELD bits (_unpack reads the nonzero ones back), so the
+    product of two monomials is their sum, a k-th power is k times the
+    monomial, and 1 is _MONO_ONE.  The atoms are the bases the module
+    docstring lists; a sum is one only under a negative exponent, and
+    walk(x) gives the expansion of a function application or of such a
+    sum.  poly() and factors() answer None for every other shape, and
+    for an exponent that reaches _LIMIT.
 
     memo maps id(x) to (x, polynomial) for every tree x read or built
     here, and built maps id(p) to (p, tree) for every polynomial p a
     tree was built from, so a tree built here reads back, and a
-    polynomial builds again, with one lookup.
+    polynomial builds again, with one lookup.  rank gives each atom its
+    place in compare's order, from which _poly_tree sorts the terms.
     """
 
     def __init__(self, walk):
@@ -1019,7 +1040,7 @@ class _Polys:
         return i
 
     def atom(self, a: Expr) -> dict:
-        return {((self.index_of(a), 1),): 1}
+        return {1 << _FIELD * self.index_of(a): 1}
 
     def poly(self, x: Expr) -> dict | None:
         """The expansion of x as a polynomial, None outside the shape."""
@@ -1037,10 +1058,13 @@ class _Polys:
             if p is None:
                 fs = self.factors(x)
                 if fs is not None:
-                    p = _pproduct(fs)
+                    try:
+                        p = _pproduct(fs)
+                    except _Refused:
+                        pass
         elif t is Numeric:
             if x.value.is_rational():
-                p = {(): x.value.val} if not x.value.is_zero() else {}
+                p = {_MONO_ONE: x.value.val} if not x.value.is_zero() else {}
         elif t is FunctionApp:
             y = self.walk(x)
             if type(y) is FunctionApp:
@@ -1050,7 +1074,8 @@ class _Polys:
 
     def _monomial(self, x: Expr) -> dict | None:
         """A rational multiple of a product of symbol and constant
-        powers with integer exponents as its one term, else None."""
+        powers with integer exponents below _LIMIT as its one term, else
+        None."""
         if type(x) is Mul:
             if not x.coeff.is_rational():
                 return None
@@ -1059,18 +1084,20 @@ class _Polys:
             c, pairs = 1, ((x.base, x.exponent.value),)
         else:
             return None
-        m = []
+        m = _MONO_ONE
         for r, k in pairs:
             if (type(r) is not Symbol and type(r) is not Constant) or not k.is_integer():
                 return None
-            m.append((self.index_of(r), k.val))
-        m.sort()
-        return {tuple(m): c}
+            e = k.val
+            if not -_LIMIT <= e < _LIMIT:
+                return None
+            m += e << _FIELD * self.index_of(r)
+        return {m: c}
 
     def _sum(self, x: Add) -> dict | None:
         if not x.coeff.is_rational():
             return None
-        terms = [({(): x.coeff.val}, 1)] if not x.coeff.is_zero() else []
+        terms = [({_MONO_ONE: x.coeff.val}, 1)] if not x.coeff.is_zero() else []
         for r, k in x.pairs:
             if not k.is_rational():
                 return None
@@ -1093,7 +1120,7 @@ class _Polys:
         elif t is Mul:
             if not x.coeff.is_rational():
                 return None
-            out, pairs = [({(): x.coeff.val}, 1)], x.pairs
+            out, pairs = [({_MONO_ONE: x.coeff.val}, 1)], x.pairs
         else:
             p = self.poly(x)
             return None if p is None else [(p, 1)]
@@ -1113,7 +1140,7 @@ class _Polys:
                     if p is None or len(p) != 1:
                         return None
                     (m,) = p
-                    if any(type(self.atoms[i]) is Add for i, _ in m):
+                    if any(type(self.atoms[i]) is Add for i, _ in _unpack(m)):
                         return None
             else:
                 p = self.poly(r)
@@ -1139,7 +1166,7 @@ class _Polys:
                 self.rank[i] = r
         rank = self.rank
         t = _poly_tree(
-            ([(atoms[i], num(e)) for i, e in sorted(m, key=lambda ie: rank[ie[0]])], c)
+            (sorted([(rank[i], atoms[i], e) for i, e in _unpack(m)]), c)
             for m, c in p.items()
         )
         self.built[id(p)] = (p, t)
@@ -1148,41 +1175,108 @@ class _Polys:
 
 
 def _poly_tree(terms) -> Expr:
-    """The canonical sum of c * prod(b**k) over (settled (b, Number k)
-    pairs in order, nonzero rational c) terms, each term built once: as
-    the coefficient and coefficient-one product _split_term would make."""
+    """The canonical sum of c * prod(b**e) over terms (factors, c): each
+    factor a (rank, atom b, nonzero int e) triple, the factors sorted by
+    rank, and c a nonzero int or Fraction.  Ranks order atoms of one kind
+    as compare does, and each term is built once, as the coefficient and
+    coefficient-one product _split_term would make.
+
+    The terms sort by a key compare agrees with, from ranks alone:
+    (kind, rank) for a lone atom, (KIND_POWER, rank, e) for its power
+    and (KIND_MUL, n, rank_0, e_0, ...) for a product of n factors.
+    """
     overall = _NUM_ZERO
-    out = []
-    for pairs, c in terms:
-        if pairs:
-            out.append((_product(_NUM_ONE, pairs), num(c)))
-        else:
+    nums: dict = {}  # each exponent's Number, made once
+
+    def exponent(e):
+        k = nums.get(e)
+        if k is None:
+            k = nums[e] = num(e)
+        return k
+
+    keyed = []
+    for fs, c in terms:
+        if not fs:
             overall = num(c)
-    return _sum(overall, out)
-
-
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    """The product of two monomials of _Polys."""
-    if not a:
-        return b
-    if not b:
-        return a
-    d = dict(a)
-    for i, e in b:
-        e += d.get(i, 0)
-        if e:
-            d[i] = e
+        elif len(fs) > 1:
+            key = [KIND_MUL, len(fs)]
+            for r, _, e in fs:
+                key += (r, e)
+            keyed.append((key, Mul(_NUM_ONE, tuple((b, exponent(e)) for _, b, e in fs)), c))
         else:
-            del d[i]
-    return tuple(sorted(d.items()))
+            ((r, b, e),) = fs
+            if e == 1:
+                keyed.append(([b.kind, r], b, c))
+            else:
+                keyed.append(([KIND_POWER, r, e], Power(b, Numeric(exponent(e))), c))
+    if not keyed:
+        return Numeric(overall)
+    keyed.sort(key=operator.itemgetter(0))
+    if overall.is_zero() and len(keyed) == 1:
+        _, r, c = keyed[0]
+        return r if c == 1 else _scaled(r, num(c))
+    return Add(overall, tuple((r, num(c)) for _, r, c in keyed))
+
+
+# Packed monomials.  Field i of a monomial holds the exponent of atom i
+# as a signed _FIELD-bit number, in [-2^(_FIELD-1), 2^(_FIELD-1)).  A
+# factor of a product keeps every exponent in [-_LIMIT, _LIMIT), so the
+# sum of two stays inside the field; a product or power that would
+# leave it raises _Refused before any monomial is formed.
+_FIELD = 32
+_HALF = 1 << (_FIELD - 1)
+_MASK = (1 << _FIELD) - 1
+_LIMIT = 1 << (_FIELD - 2)
+_MONO_ONE = 0
+
+
+class _Refused(Exception):
+    """A kernel refused its input: an exponent at or beyond _LIMIT here,
+    or a coefficient outside the series kernel's shape."""
+
+
+def _unpack(m: int) -> list:
+    """The nonzero (atom index, exponent) fields of a packed monomial,
+    by index."""
+    out = []
+    i = 0
+    while m:
+        if not m & _MASK:  # skip to the lowest nonzero field
+            s = ((m & -m).bit_length() - 1) // _FIELD
+            m >>= _FIELD * s
+            i += s
+        e = ((m + _HALF) & _MASK) - _HALF
+        out.append((i, e))
+        m = (m - e) >> _FIELD
+        i += 1
+    return out
+
+
+def _fits(p: dict) -> bool:
+    """Whether every exponent of p lies in [-_LIMIT, _LIMIT).
+
+    With _HALF added to each field (tops), a field holds e + _HALF, and
+    e lies in range exactly when the field's top two bits differ.  tops
+    spans every field a monomial of p may use.
+    """
+    n = max(map(int.bit_length, p), default=0) // _FIELD + 2
+    tops = _HALF * (((1 << _FIELD * n) - 1) // _MASK)
+    for m in p:
+        v = m + tops
+        if (v ^ v << 1) & tops != tops:
+            return False
+    return True
 
 
 def _pmul(a: dict, b: dict) -> dict:
-    """The product of two polynomials of _Polys."""
+    """The product of two polynomials of _Polys; _Refused when an
+    exponent of either lies outside [-_LIMIT, _LIMIT)."""
+    if not (_fits(a) and (b is a or _fits(b))):
+        raise _Refused
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = _mono_mul(ma, mb)
+            m = ma + mb
             c = out.get(m, 0) + ca * cb
             if c:
                 out[m] = c
@@ -1214,10 +1308,16 @@ def _pscale(p: dict, q) -> dict:
 
 
 def _ppow(p: dict, k: int) -> dict:
-    """p**k for k >= 1, or any nonzero k when p has one term."""
+    """p**k for k >= 1, or any nonzero k when p has one term; _Refused
+    when a factor of a product it takes, or the power of the one term,
+    would reach _LIMIT."""
     if len(p) == 1:
+        if k == 1:
+            return p
         ((m, c),) = p.items()
-        return {tuple((i, e * k) for i, e in m): Fraction(c) ** k if k < 0 else c**k}
+        if abs(k) * max((abs(e) for _, e in _unpack(m)), default=0) >= _LIMIT:
+            raise _Refused
+        return {m * k: Fraction(c) ** k if k < 0 else c**k}
     result = None
     while True:
         if k & 1:
@@ -1231,22 +1331,20 @@ def _ppow(p: dict, k: int) -> dict:
 def _pproduct(fs: list) -> dict:
     """The product of (polynomial, exponent) factors, one-term factors
     gathered into one monomial before the rest are multiplied out."""
-    coeff, mono, rest = 1, (), None
+    one = rest = None
     for p, k in fs:
         if not p:
             return {}
         q = _ppow(p, k)
         if len(q) == 1:
-            ((m, c),) = q.items()
-            coeff *= c
-            mono = _mono_mul(mono, m)
+            one = q if one is None else _pmul(one, q)
         else:
             rest = q if rest is None else _pmul(rest, q)
     if rest is None:
-        return {mono: coeff}
-    if coeff == 1 and not mono:
+        return one
+    if one is None or one == {_MONO_ONE: 1}:
         return rest
-    return {_mono_mul(mono, m): coeff * c for m, c in rest.items()}
+    return _pmul(one, rest)
 
 
 def _expand_pairwise(x: Expr, walk):

@@ -55,8 +55,11 @@ from .expr import (
     _pproduct,
     _Polys,
     _pscale,
+    _Refused,
     _rewrite,
+    _split_factor,
     _terms_of,
+    _unpack,
     add,
     compare,
     expand,
@@ -163,8 +166,10 @@ def collect(e, x) -> Expr:
 # integral: _integerize makes ints); the zero polynomial is the empty
 # dict.  Tuples compare lexicographically, and that is the term order
 # used throughout.  Trees become dicts in _to_dict alone, which reads the
-# coefficients expand's kernel gives, and dicts become trees in
-# _from_dict alone, through the kernel's builder.  expr's _padd and
+# coefficients expand's kernel gives and unpacks its monomials (one int
+# each, see expr._Polys) into exponent tuples, and dicts become trees in
+# _from_dict alone, through the kernel's builder, which ranks the
+# variables by their position in the tuple.  expr's _padd and
 # _pscale are the one way to add and scale dicts, here, in _Polys and in
 # the determinants; _dmul multiplies them.  _integerize turns a dict into
 # a rational content and a primitive part with int coefficients.  The
@@ -186,23 +191,29 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
     coefficients in those variables.  The factors of e are read first:
     when their exponent ranges show that the product keeps an atom
     other than vars, or a negative power, e is refused before anything
-    is multiplied out.  A shape the kernel does not cover (a float that
-    cancels, say) is expanded on the trees and read from there.
+    is multiplied out.  The product's packed monomials are unpacked once
+    each into exponent tuples.  A shape the kernel does not cover (a
+    float that cancels, say) is expanded on the trees and read from
+    there, and so is a product the kernel refuses, with an exponent at
+    or beyond its packed fields' limit (_terms_dict).
     """
     polys = _Polys(expand)
     fs = polys.factors(e)
     if fs is None:
-        fs = polys.factors(expand(e))
+        e = expand(e)
+        fs = polys.factors(e)
         if fs is None:
-            raise DomainError("not a polynomial with exact rational coefficients")
+            return _terms_dict(e, vars)
     index = {s.serial: j for j, s in enumerate(vars)}
     place = [index.get(a.serial) if type(a) is Symbol else None for a in polys.atoms]
     lo: dict[int, int] = {}
     hi: dict[int, int] = {}
+    rows = []  # each factor's terms as (fields, coefficient), unpacked once
     for p, k in fs:
         if not p:
             return {}
-        for i, (a, b) in _exponent_ranges(p).items():
+        rows.append([(_unpack(m), c) for m, c in p.items()])
+        for i, (a, b) in _exponent_ranges(rows[-1]).items():
             a, b = (a * k, b * k) if k > 0 else (b * k, a * k)
             lo[i] = lo.get(i, 0) + a
             hi[i] = hi.get(i, 0) + b
@@ -216,33 +227,69 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
             raise DomainError(f"{polys.atoms[i]} is not one of the polynomial's symbols")
         if lo[i] < 0:
             raise DomainError(f"{polys.atoms[i]} occurs under a negative power")
+    if len(fs) == 1 and fs[0][1] == 1:
+        terms = rows[0]
+    else:
+        try:
+            terms = [(_unpack(m), c) for m, c in _pproduct(fs).items()]
+        except _Refused:
+            return _terms_dict(expand(e), vars)
     out: Poly = {}
-    for m, c in _pproduct(fs).items():
+    for fields, c in terms:
         key = [0] * len(vars)
-        for i, d in m:
+        for i, d in fields:
             key[place[i]] = d
         out[tuple(key)] = c
     return out
 
 
-def _exponent_ranges(p: dict) -> dict[int, tuple[int, int]]:
-    """Lowest and highest exponent of each atom over the terms of p, a
-    term without the atom counting as exponent 0."""
+def _terms_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
+    """_to_dict of expanded e on the trees, read term by term: for a
+    product the kernel refuses; any shape but a rational multiple of
+    nonnegative integer powers of vars is refused here."""
+    index = {s.serial: j for j, s in enumerate(vars)}
+    out: Poly = {}
+    for t in _terms_of(e):
+        if type(t) is Numeric:
+            c, pairs = t.value, ()
+        elif type(t) is Mul:
+            c, pairs = t.coeff, t.pairs
+        else:
+            c, pairs = _ONE.value, (_split_factor(t),)
+        key = [0] * len(vars)
+        for b, k in pairs:
+            j = index.get(b.serial) if type(b) is Symbol else None
+            if j is None or not k.is_integer() or k.val < 0:
+                c = None
+                break
+            key[j] = k.val
+        if c is None or not c.is_rational():
+            raise DomainError("not a polynomial with exact rational coefficients")
+        out[tuple(key)] = c.val
+    return out
+
+
+def _exponent_ranges(terms: list) -> dict[int, tuple[int, int]]:
+    """Lowest and highest exponent of each atom over terms, unpacked
+    (fields, coefficient) pairs, a term without the atom counting as
+    exponent 0."""
     exps: dict[int, list[int]] = {}
-    for m in p:
-        for i, d in m:
+    for fields, _ in terms:
+        for i, d in fields:
             exps.setdefault(i, []).append(d)
     return {
-        i: (min(ds), max(ds)) if len(ds) == len(p) else (min(*ds, 0), max(*ds, 0))
+        i: (min(ds), max(ds)) if len(ds) == len(terms) else (min(*ds, 0), max(*ds, 0))
         for i, ds in exps.items()
     }
 
 
 def _from_dict(p: Poly, vars: tuple[Symbol, ...]) -> Expr:
     """The canonical tree of p, each term built once.  vars are in
-    canonical order, as _ordered_vars gives them."""
+    canonical order, as _ordered_vars gives them, so their positions
+    rank them for _poly_tree."""
     return _poly_tree(
-        ([(v, num(k)) for v, k in zip(vars, mono) if k], c) for mono, c in p.items()
+        ([(j, v, k) for j, (v, k) in enumerate(zip(vars, mono)) if k], c)
+        for mono, c in p.items()
     )
 
 

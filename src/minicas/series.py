@@ -41,10 +41,12 @@ The kernel refuses a float, I, a numeric-base power such as 2^(1/2) or
 a symbolic exponent, the split expand makes: products are not
 associative on such forms and floats round by the order of their
 operations, so only the tree order prints what these operations always
-printed.  It also refuses a sum under a negative power, such as the
-(1+y)^(-1) of a lead 1+y: that is an opaque atom there, which cannot
-cancel against 1+y multiplied out, so a coefficient that is zero would
-not read as zero, and a reciprocal would divide by it.  One refusal
+printed.  It refuses a product whose exponents reach the limit of its
+packed monomials (expr._LIMIT).  It also refuses a sum under a
+negative power, such as the (1+y)^(-1) of a lead 1+y: that is an
+opaque atom there, which cannot cancel against 1+y multiplied out, so
+a coefficient that is zero would not read as zero, and a reciprocal
+would divide by it.  One refusal
 sends the whole of series_of to the same operations on the canonical
 trees, since the coefficients earlier operations expanded would not
 cancel either; operations called on their own take a kernel each and
@@ -69,10 +71,12 @@ from .expr import (
     PSeriesNode,
     Relational,
     Symbol,
+    _MONO_ONE,
     _padd,
     _pmul,
     _Polys,
     _pscale,
+    _Refused,
     add,
     compare,
     diff,
@@ -123,7 +127,7 @@ _TREES = _Ring(lambda c: c, add, mul, lambda c: c, lambda c: c.is_zero(), lift(1
 # coefficients, and whole, the dict over Q they make once it is built,
 # else None.  Products and sums run on ints alone.
 _ZERO = (0, 1, {}, {})
-_ONE = (1, 1, {(): 1}, {(): 1})
+_ONE = (1, 1, {_MONO_ONE: 1}, {_MONO_ONE: 1})
 
 
 def _content(n: int, d: int, ints: dict, whole) -> tuple:
@@ -162,8 +166,8 @@ def _dict_times(*fs) -> tuple:
     for f in fs:
         if type(f) is tuple:
             fn, fd, p, _ = f
-            if len(p) == 1 and () in p:
-                fn *= p[()]
+            if len(p) == 1 and _MONO_ONE in p:
+                fn *= p[_MONO_ONE]
             else:
                 ps.append(p)
                 lone = f
@@ -179,7 +183,7 @@ def _dict_times(*fs) -> tuple:
     n, d = n // g, d // g
     if len(ps) == 1 and n == lone[0] and d == lone[1]:
         return lone
-    p = ps[0] if ps else {(): 1}
+    p = ps[0] if ps else {_MONO_ONE: 1}
     for other in ps[1:]:
         p = _pmul(p, other)
     return n, d, p, None
@@ -192,10 +196,6 @@ def _dict_plus(*xs) -> tuple:
         return xs[0]
     d = math.lcm(*(x[1] for x in xs))
     return _content(1, d, _padd((p, n * (d // e)) for n, e, p, _ in xs), None)
-
-
-class _Refused(Exception):
-    """The kernel refused a coefficient of an expansion."""
 
 
 def _kernel() -> _Ring:

@@ -9,7 +9,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
@@ -45,10 +47,19 @@ from minicas.expr import (
     to_string,
 )
 from minicas import expr as expr_module
-from minicas.expr import _expand_pairwise, _Polys, _rewrite
+from minicas.expr import (
+    _expand_pairwise,
+    _pmul,
+    _Polys,
+    _ppow,
+    _pproduct,
+    _Refused,
+    _rewrite,
+    _unpack,
+)
 from minicas.functions import sin, zeta
 from minicas.numbers import num
-from minicas.poly import normal
+from minicas.poly import _from_dict, _GenMap, normal
 
 # ---------------------------------------------------------------- oracles
 
@@ -362,6 +373,198 @@ def test_expand_builds_each_output_term_once(monkeypatch):
     assert type(got) is Add and len(got.pairs) == 1770  # [DERIVED] C(23, 3) - 1
     assert made <= len(got.pairs) + 10
     assert to_string(got) == want
+
+
+# ------------------------------------------------ packed kernel monomials
+#
+# _Polys packs a monomial into one int.  The references below keep the
+# tuple monomials the kernel had before, {((atom index, exponent), ...):
+# coefficient}, and the compare-sorted tree builder.
+
+
+def _tuple_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            d = dict(ma)
+            for i, e in mb:
+                d[i] = d.get(i, 0) + e
+            m = tuple(sorted((i, e) for i, e in d.items() if e))
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def _tuple_pow(p, k):
+    if len(p) == 1:
+        ((m, c),) = p.items()
+        return {tuple((i, e * k) for i, e in m): Fraction(c) ** k}
+    out = {(): 1}
+    for _ in range(k):
+        out = _tuple_mul(out, p)
+    return out
+
+
+def _pack(p):
+    return {sum(e << expr_module._FIELD * i for i, e in m): c for m, c in p.items()}
+
+
+def _unpacked(p):
+    """p's monomials as tuples, read field by field without _unpack."""
+    w = expr_module._FIELD
+    out = {}
+    for m, c in p.items():
+        fields, i = [], 0
+        while m:
+            e = m % (1 << w)
+            if e >= 1 << (w - 1):
+                e -= 1 << w
+            if e:
+                fields.append((i, e))
+            m = (m - e) >> w
+            i += 1
+        out[tuple(fields)] = c
+    return out
+
+
+def _tuple_poly(rng, natoms, nterms, exponents):
+    p = {}
+    for _ in range(nterms):
+        m = tuple((i, rng.choice(exponents))
+                  for i in sorted(rng.sample(range(natoms), rng.randint(0, natoms))))
+        p[m] = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
+    return p
+
+
+def test_packed_kernel_arithmetic_matches_tuple_monomials():
+    # every answer is the tuple product, and a refusal comes only where
+    # an exponent reaches the limit: factors of a product keep every
+    # exponent in [-limit, limit)
+    limit = expr_module._LIMIT
+    small = [-3, -2, -1, 1, 2, 3]
+    edge = [limit - 1, -limit, limit // 2, -(limit // 2)]
+    over = [limit, -limit - 1, 2 * limit - 2]
+    inside = lambda p: all(-limit <= e < limit for m in p for _, e in m)
+    top = lambda p: max((abs(e) for m in p for _, e in m), default=0)
+
+    def run(f, *args):
+        try:
+            got = f(*args)
+        except _Refused:
+            return None
+        assert {tuple(_unpack(m)): c for m, c in got.items()} == _unpacked(got)
+        return _unpacked(got)
+
+    rng = random.Random(1601)
+    seen = Counter()
+    for _ in range(800):
+        exponents = rng.choice([small, small + edge, small + edge + over])
+        a, b = (_tuple_poly(rng, 4, rng.randint(1, 4), exponents) for _ in range(2))
+        got = run(_pmul, _pack(a), _pack(b))
+        assert (got is None) == (not (inside(a) and inside(b)))
+        assert got is None or got == _tuple_mul(a, b)
+        seen["product", got is None] += 1
+
+        k = rng.choice([1, 2, 3, 4]) if len(a) > 1 else rng.choice([-3, -2, -1, 1, 2, 3])
+        got = run(_ppow, _pack(a), k)
+        if len(a) == 1:
+            assert (got is None) == (k != 1 and top(a) * abs(k) >= limit)
+        else:
+            # the operands of its products are powers below the k-th
+            assert got is not None or top(a) * (k - 1) >= limit
+        assert got is None or got == _tuple_pow(a, k)
+        seen["power", got is None] += 1
+
+        fs = [(a, k), (b, 1)] + [(_tuple_poly(rng, 4, 1, exponents), rng.choice([-2, -1, 1, 2]))]
+        got = run(_pproduct, [(_pack(p), e) for p, e in fs])
+        want = {(): 1}
+        for p, e in fs:
+            want = _tuple_mul(want, _tuple_pow(p, e))
+        assert got is not None or sum(top(p) * abs(e) for p, e in fs) >= limit
+        assert got is None or got == want
+        seen["gathered", got is None] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 50, seen
+    # exponents one below the limit multiply, and their product crosses it
+    x, y = symbols("x y")
+    polys = _Polys(expand)
+    p = polys.poly(mul(power(x, limit - 1), add(x, y)))
+    assert _unpacked(p) == {((0, limit),): 1, ((0, limit - 1), (1, 1)): 1}
+    assert polys.poly(mul(power(x, limit), add(x, y))) is None
+    assert _unpacked(polys.poly(mul(power(x, 1 - limit), y))) == {((0, 1 - limit), (1, 1)): 1}
+    assert polys.poly(mul(power(x, 2**40), y)) is None
+    with pytest.raises(_Refused):
+        _pmul(p, p)
+    # huge exponents take the pairwise path and print what they printed
+    assert to_string(expand(mul(power(x, 2**70), add(x, y)))) == (
+        "x^1180591620717411303425+x^1180591620717411303424*y")
+    assert to_string(expand(power(add(power(x, 2**40), y), 3))) == (
+        "x^3298534883328+y^3+3*x^1099511627776*y^2+3*x^2199023255552*y")
+    assert to_string(expand(mul(power(x, -2**70), power(x, 2**70), add(1, y)))) == "1+y"
+
+
+def _compare_sorted_tree(terms):
+    """The tree builder as it was: each term's product by _product, the
+    sum sorted by compare."""
+    overall, out = num(0), []
+    for pairs, c in terms:
+        if pairs:
+            out.append((expr_module._product(num(1), pairs), num(c)))
+        else:
+            overall = num(c)
+    if not out:
+        return Numeric(overall)
+    out.sort(key=cmp_to_key(lambda p, q: compare(p[0], q[0])))
+    if overall.is_zero() and len(out) == 1:
+        r, k = out[0]
+        return r if k.is_one() else expr_module._scaled(r, k)
+    return Add(overall, tuple(out))
+
+
+def test_rank_keyed_builder_matches_the_compare_sorted_one():
+    x, y, z = symbols("x y z")
+    atoms = [z, Pi, sin(y), x, Euler, add(1, x), add(y, mul(2, z)), y, zeta(3)]
+    coeffs = [1, -1, 3, Fraction(2, 3), Fraction(-1, 4)]
+    rng = random.Random(2207)
+    shapes = Counter()
+    for _ in range(400):
+        polys = _Polys(expand)
+        for a in rng.sample(atoms, len(atoms)):
+            polys.index_of(a)
+        p = {}
+        for _ in range(rng.choice([1, 1, 2, 5, 9])):
+            m = []
+            for i in sorted(rng.sample(range(len(atoms)), rng.choice([0, 1, 1, 2, 3]))):
+                # a sum is an atom only under a negative power
+                neg = type(polys.atoms[i]) is Add
+                m.append((i, rng.choice([-2, -1] if neg else [-2, -1, 1, 1, 2, 3])))
+            p[tuple(m)] = rng.choice(coeffs)
+        got = polys.tree(_pack(p))
+        order = sorted(range(len(atoms)),
+                       key=cmp_to_key(lambda i, j: compare(polys.atoms[i], polys.atoms[j])))
+        rank = {i: r for r, i in enumerate(order)}
+        want = _compare_sorted_tree(
+            ([(polys.atoms[i], num(e)) for i, e in sorted(m, key=lambda ie: rank[ie[0]])], c)
+            for m, c in p.items()
+        )
+        assert compare(got, want) == 0 and to_string(got) == to_string(want), p
+        shapes[type(got).__name__] += 1
+    assert len(shapes) >= 5, shapes
+    # poly's dicts over symbols and the generators normal makes
+    gm = _GenMap(add(x, y, z))
+    gm.sym_for(sin(x))
+    gm.sym_for(sqrt(y))
+    nv = len(gm.vars)
+    for _ in range(400):
+        p = {}
+        for _ in range(rng.choice([1, 2, 4, 8])):
+            mono = [0] * nv
+            for i in rng.sample(range(nv), rng.randint(0, 3)):
+                mono[i] = rng.randint(1, 3)
+            p[tuple(mono)] = rng.choice(coeffs)
+        got = _from_dict(p, gm.vars)
+        want = _compare_sorted_tree(
+            ([(v, num(k)) for v, k in zip(gm.vars, mono) if k], c) for mono, c in p.items()
+        )
+        assert compare(got, want) == 0 and to_string(got) == to_string(want), p
 
 
 def test_expand_keeps_noninteger_powers():
@@ -814,6 +1017,24 @@ def test_rewrite_keeps_nodes_whose_children_come_back_unchanged():
             trees.append(_walker_tree(rng, 3, atoms))
         except (ValueError, ArithmeticError):
             continue
+    # sums in which some terms come back unchanged: a substituted term
+    # that cancels against one of them, becomes a number or a sum, and
+    # float and complex keys, whose sums depend on the order they meet in
+    def mixed(r):
+        # (2.5+I)*r: its key has a float real and an exact imaginary
+        # part, which mul turns into 2.5+1.0*I
+        return add(mul(add(2, I), r), mul(0.5, r))
+
+    changing = [(x, y, power(add(x, z), 2)), (mul(x, z), y, mul(z, add(x, 1)))]
+    for keys in [(2, -2, 3), (0.5, -0.5, 1), (0.1, 0.2, 0.3), (-1.25, 1.25, Fraction(1, 3)),
+                 (I, mul(-1, I), add(0.5, I)), (mixed, I, add(0.5, I)), (3, mixed, 0.5)]:
+        # a sum with a mixed key is rebuilt only where a child changes
+        # under every op; a sum kept whole keeps its key, pinned below
+        for rests in changing + ([] if mixed in keys else [
+                (x, y, z), (mul(x, z), mul(y, z), Pi), (power(x, 2), mul(x, y), sqrt(z)),
+                (sin(x), sin(y), mul(x, y, z))]):
+            terms = [k(r) if callable(k) else mul(k, r) for k, r in zip(keys, rests)]
+            trees += [add(*terms), add(1.5, *terms), add(*terms, mul(-1, terms[0]), x)]
     ops = [
         lambda e: subs(e, {y: add(z, 1)}),
         lambda e: subs(e, {z: lift(Fraction(1, 2)), y: x}),
@@ -831,6 +1052,11 @@ def test_rewrite_keeps_nodes_whose_children_come_back_unchanged():
         assert [_walked(op, e) for op in ops] == printed, to_string(e)
         kinds.add(type(e).__name__)
     assert len(kinds) >= 8
+    # a sum expand leaves alone stays the same object, its mixed key
+    # included, where rebuilding it through mul would print 2.5+1.0*I
+    e = add(mixed(x), y)
+    assert expand(e) is e and to_string(e) == "(2.5+I)*x+y"
+    assert to_string(subs(e, {y: z})) == "(2.5+1.0*I)*x+z"
 
 
 _HASH_PROBE = r"""

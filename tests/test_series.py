@@ -28,6 +28,7 @@ from minicas.expr import (
     Power,
     PSeriesNode,
     Symbol,
+    _MONO_ONE,
     _padd,
     _pmul,
     _Polys,
@@ -773,7 +774,8 @@ def _ref_ring(coeffs):
             ps.append(p)
         if len(ps) == len(coeffs) and not any(type(a) is Add for a in polys.atoms):
             ring = _RefRing(
-                lambda *xs: _padd((x, 1) for x in xs), _ref_dict_times, polys.tree, {(): 1}
+                lambda *xs: _padd((x, 1) for x in xs), _ref_dict_times, polys.tree,
+                {_MONO_ONE: 1},
             )
             return ring, ps
         if mode == "kernel":
