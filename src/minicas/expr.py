@@ -1016,6 +1016,13 @@ class _Polys:
     sum.  poly() and factors() answer None for every other shape, and
     for an exponent that reaches _LIMIT.
 
+    index, given, maps the first atoms to indices 0, 1, ... in order;
+    the rest come in order of first sight.  poly._to_dict gives its
+    variables last one first, so variable j of nv sits in field nv-1-j.
+    That is poly's variable order: with every exponent nonnegative,
+    comparing two monomials as ints compares their exponent vectors
+    lexicographically.
+
     memo maps id(x) to (x, polynomial) for every tree x read or built
     here, and built maps id(p) to (p, tree) for every polynomial p a
     tree was built from, so a tree built here reads back, and a
@@ -1023,10 +1030,10 @@ class _Polys:
     place in compare's order, from which _poly_tree sorts the terms.
     """
 
-    def __init__(self, walk):
+    def __init__(self, walk, index=None):
         self.walk = walk
-        self.atoms: list[Expr] = []
-        self.index: dict[Expr, int] = {}
+        self.index: dict[Expr, int] = dict(index or ())
+        self.atoms: list[Expr] = list(self.index)
         self.memo: dict[int, tuple] = {}
         self.built: dict[int, tuple] = {}
         self.rank: list[int] = []
@@ -1085,13 +1092,15 @@ class _Polys:
         else:
             return None
         m = _MONO_ONE
+        index = self.index
         for r, k in pairs:
             if (type(r) is not Symbol and type(r) is not Constant) or not k.is_integer():
                 return None
             e = k.val
             if not -_LIMIT <= e < _LIMIT:
                 return None
-            m += e << _FIELD * self.index_of(r)
+            i = index.get(r)
+            m += e << _FIELD * (self.index_of(r) if i is None else i)
         return {m: c}
 
     def _sum(self, x: Add) -> dict | None:
@@ -1287,7 +1296,8 @@ def _pmul(a: dict, b: dict) -> dict:
 
 def _padd(terms) -> dict:
     """The sum of q * p over an iterable of (dict polynomial, int or
-    Fraction q) pairs, for _Polys' monomials and poly's tuples alike."""
+    Fraction q) pairs, in the one monomial format of _Polys, poly and
+    the determinants."""
     out: dict = {}
     for p, q in terms:
         one = q == 1

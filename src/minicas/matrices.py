@@ -42,6 +42,7 @@ from .expr import (
     Numeric,
     Relational,
     Symbol,
+    _MONO_ONE,
     _padd,
     _pscale,
     _terms_of,
@@ -54,7 +55,7 @@ from .expr import (
     subs,
 )
 from .poly import collect, normal
-from .poly import _by_degree, _ddiv_exact, _dgcd, _dmul, _dquotient, _from_dict, _qdiv
+from .poly import _by_degree, _ddiv_exact, _dgcd, _dmul, _dquotient, _from_dict, _Overflow, _qdiv
 from .poly import _fraction, _frac_cancel, _GenMap, _normal_pair, _ordered_vars, _to_dict
 
 __all__ = [
@@ -185,7 +186,8 @@ def _is_sparse(m: MatrixNode) -> bool:
 def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
     """The determinant on the poly dict representation, or None when
     some entry is not a rational function of the matrix's symbols with
-    rational coefficients and the caller has to work on the trees.
+    rational coefficients, or an exponent reaches the dicts' limit, and
+    the caller has to work on the trees.
 
     Both methods run on integer coefficients: each row is scaled by the
     lcm of its denominators, and the product of those lcms divides out
@@ -195,18 +197,21 @@ def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
     budget.
     """
     vars = _ordered_vars(*m.entries)
-    read = _dict_rows(m, vars)
-    if read is None:
-        return None
-    rows, den, gm = read
-    rows, scale = _integer_rows(rows)
-    p = _det_cofactor(rows, _dmul, _padd, operator.not_) if _is_sparse(m) else None
-    if p is None:
-        p = _det_bareiss(rows, _dmul, _padd, _dict_quo, operator.not_)
-    if den is None:
-        return _from_dict(p if scale == 1 else _pscale(p, Fraction(1, scale)), vars)
-    # as normal() builds a quotient: cancelled, and a tree once d is 1
-    n, d = _frac_cancel(p, _pscale(den, scale), gm)
+    try:
+        read = _dict_rows(m, vars)
+        if read is None:
+            return None
+        rows, den, gm = read
+        rows, scale = _integer_rows(rows)
+        p = _det_cofactor(rows, _dmul, _padd, operator.not_) if _is_sparse(m) else None
+        if p is None:
+            p = _det_bareiss(rows, _dmul, _padd, _dict_quo, operator.not_)
+        if den is None:
+            return _from_dict(p if scale == 1 else _pscale(p, Fraction(1, scale)), vars)
+        # as normal() builds a quotient: cancelled, and a tree once d is 1
+        n, d = _frac_cancel(p, _pscale(den, scale), gm)
+    except _Overflow:
+        return None  # an exponent reached the dicts' limit; the trees hold it
     if d == 1:
         return n
     return mul(_from_dict(n, vars), power(_from_dict(d, vars), _M1))
@@ -223,7 +228,7 @@ def _dict_rows(m: MatrixNode, vars):
     lcm or gcd.
     """
     nv = len(vars)
-    one = {(0,) * nv: 1}
+    one = {_MONO_ONE: 1}
     gm = den = None
     out = []
     for row in m.row_list():
@@ -242,7 +247,7 @@ def _dict_rows(m: MatrixNode, vars):
                 return None
             if len(gm.vars) > nv:
                 return None  # a generator: not a rational function of vars
-            pairs.append(_fraction(pair, gm))
+            pairs.append(_fraction(pair, gm, nv))
         dens = [d for _, d in pairs if d is not None and d != one]
         if dens:
             lcm = reduce(lambda a, b: _dmul(a, _dquotient(b, _dgcd(a, b, nv))), dens)
@@ -439,7 +444,8 @@ def mat_charpoly(m: MatrixNode, lam: Symbol) -> Expr:
                         for i in range(n)])
         # det(m - lam*I) = (-1)^n d^-n det(d*lam*I - d*m)
         sign = (-1) ** n
-        return _from_dict({(j,): _qdiv(sign * c, d ** (n - j)) for j, c in enumerate(a) if c},
+        # over the one variable lam, the packed monomial of lam^j is j
+        return _from_dict({j: _qdiv(sign * c, d ** (n - j)) for j, c in enumerate(a) if c},
                           (lam,))
     ent = list(m.entries)
     for i in range(n):

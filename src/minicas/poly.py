@@ -9,12 +9,14 @@ canonical quotient form numerator over denominator with every common
 factor cancelled.
 
 Trees are met only at the edge.  Each public entry point reads every
-input tree once into a dict mapping exponent vectors to rational
-coefficients (_to_dict) and builds every output tree once (_from_dict);
-in between it composes dict operations.  _integerize splits a dict into
-its rational content and a primitive integer part, and everything
-behind that boundary (the gcd algorithms, trial and exact division,
-determinants) runs over Z.  The gcd driver strips common monomial
+input tree once into a dict mapping monomials to rational coefficients
+(_to_dict) and builds every output tree once (_from_dict); in between it
+composes dict operations.  A monomial is expand's packed int, one field
+per variable (see the dict representation below), so expand, the gcds,
+exact division and the determinants share one monomial format.
+_integerize splits a dict into its rational content and a primitive
+integer part, and everything behind that boundary (the gcd algorithms,
+trial and exact division, determinants) runs over Z.  The gcd driver strips common monomial
 factors, drops variables private to one input, and then tries the
 heuristic gcd: evaluate at a big integer xi, take the gcd one level
 down, reconstruct a candidate from the balanced base-xi digits of the
@@ -36,8 +38,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
-from operator import add as _plus, sub as _minus
+from functools import cache, reduce
+from operator import or_ as _or
+from struct import Struct
 
 from .errors import DomainError
 from .expr import (
@@ -50,8 +53,15 @@ from .expr import (
     Power,
     PSeriesNode,
     Symbol,
+    _FIELD,
+    _HALF,
+    _LIMIT,
+    _MASK,
+    _MONO_ONE,
     _padd,
+    _pmul,
     _poly_tree,
+    _ppow,
     _pproduct,
     _Polys,
     _pscale,
@@ -161,22 +171,60 @@ def collect(e, x) -> Expr:
 
 # ---------------------------------------------------- dict representation
 #
-# A polynomial in n ordered variables is a dict from exponent tuples of
-# length n to nonzero int or Fraction coefficients (a Fraction may be
-# integral: _integerize makes ints); the zero polynomial is the empty
-# dict.  Tuples compare lexicographically, and that is the term order
-# used throughout.  Trees become dicts in _to_dict alone, which reads the
-# coefficients expand's kernel gives and unpacks its monomials (one int
-# each, see expr._Polys) into exponent tuples, and dicts become trees in
-# _from_dict alone, through the kernel's builder, which ranks the
-# variables by their position in the tuple.  expr's _padd and
-# _pscale are the one way to add and scale dicts, here, in _Polys and in
-# the determinants; _dmul multiplies them.  _integerize turns a dict into
-# a rational content and a primitive part with int coefficients.  The
-# arithmetic keeps int coefficients ints, and _ddiv_exact divides over Z
-# only.
+# A polynomial in nv ordered variables is a dict from monomials to
+# nonzero int or Fraction coefficients (a Fraction may be integral:
+# _integerize makes ints); the zero polynomial is the empty dict.  A
+# monomial is the packed int of expand's kernel (expr._Polys), and
+# variable j of the sorted vars holds its exponent in field nv-1-j.  So
+# comparing monomials as ints compares their exponent vectors
+# lexicographically, the term order used throughout, and max(p) is the
+# lex leading term.  Every exponent lies in [0, _LIMIT): a product that
+# would reach the limit raises _Overflow instead, so no field overflows
+# into the next.  Trees become dicts in _to_dict alone, which returns the
+# kernel's product as it is, and dicts become trees in _from_dict alone,
+# through the kernel's builder.  expr's _padd and _pscale add and scale
+# dicts, here, in _Polys and in the determinants; _dmul and _dpow
+# multiply them through the kernel's _pmul and _ppow.  _integerize turns
+# a dict into a rational content and a primitive part with int
+# coefficients.  The arithmetic keeps int coefficients ints, and
+# _ddiv_exact divides over Z only.
 
 Poly = dict
+
+
+class _Overflow(DomainError):
+    """A polynomial exponent would reach _LIMIT, past what a packed
+    field holds."""
+
+    def __init__(self):
+        super().__init__(f"polynomial exponents must stay below 2^{_LIMIT.bit_length() - 1}")
+
+
+def _guard(m: int) -> int:
+    """The top two bits of every field of m and below.  A monomial no
+    larger than m has a field outside [0, _LIMIT) exactly when it shares
+    one of them, and so does a difference of two such monomials in which
+    some field went negative: that field borrows, which sets both bits."""
+    return _guards(m.bit_length() // _FIELD + 1)
+
+
+@cache
+def _guards(n: int) -> int:
+    return (_HALF | _HALF >> 1) * (((1 << _FIELD * n) - 1) // _MASK)
+
+
+def _bounded(p: Poly) -> Poly:
+    """p itself; _Overflow when one of its exponents reaches _LIMIT, which
+    the bitwise or of its monomials then shows in its _guard bits."""
+    u = reduce(_or, p, 0)
+    if u & _guard(u):
+        raise _Overflow
+    return p
+
+
+def _top_exponent(m: int) -> int:
+    """The largest exponent of monomial m."""
+    return max((k for _, k in _unpack(m)), default=0)
 
 
 def _ordered_vars(*exprs: Expr) -> tuple[Symbol, ...]:
@@ -184,138 +232,143 @@ def _ordered_vars(*exprs: Expr) -> tuple[Symbol, ...]:
 
 
 def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
-    """The expansion of e as a dict polynomial over vars, read from
-    expand's kernel without building the expanded tree.
+    """The expansion of e as a dict polynomial over vars: the product
+    expand's kernel forms, returned as it is, without building the
+    expanded tree.  vars are the kernel's first atoms (_var_index).
 
     Raises DomainError when e is not a polynomial with exact rational
-    coefficients in those variables.  The factors of e are read first:
-    when their exponent ranges show that the product keeps an atom
-    other than vars, or a negative power, e is refused before anything
-    is multiplied out.  The product's packed monomials are unpacked once
-    each into exponent tuples.  A shape the kernel does not cover (a
-    float that cancels, say) is expanded on the trees and read from
-    there, and so is a product the kernel refuses, with an exponent at
-    or beyond its packed fields' limit (_terms_dict).
+    coefficients in those variables, and _Overflow when an exponent
+    reaches _LIMIT.  The factors of e are read first.  When each is a
+    polynomial over vars under a positive exponent and a bound from
+    their exponents keeps the product below the limit, it is formed at
+    once; otherwise e is refused, if it must be, before anything is
+    multiplied out (_refuse_factors).  A shape the kernel does not cover
+    (a float that cancels, say) is expanded on the trees and read from
+    there.
     """
-    polys = _Polys(expand)
+    polys = _Polys(expand, _var_index(vars))
     fs = polys.factors(e)
     if fs is None:
         e = expand(e)
         fs = polys.factors(e)
         if fs is None:
-            return _terms_dict(e, vars)
-    index = {s.serial: j for j, s in enumerate(vars)}
-    place = [index.get(a.serial) if type(a) is Symbol else None for a in polys.atoms]
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    rows = []  # each factor's terms as (fields, coefficient), unpacked once
-    for p, k in fs:
+            raise _refusal(e)
+    for p, _ in fs:
         if not p:
             return {}
-        rows.append([(_unpack(m), c) for m, c in p.items()])
-        for i, (a, b) in _exponent_ranges(rows[-1]).items():
+    nv = len(vars)
+    # room left below _LIMIT for the product's exponents, bounded from
+    # each factor's fields by the bitwise or of its monomials
+    room = _LIMIT
+    for p, k in fs:
+        u = reduce(_or, p)
+        if k < 1 or u >> _FIELD * nv or u & _guard(u):
+            room = 0
+            break
+        room -= k * _top_exponent(u)
+    if room <= 0:
+        _refuse_factors(fs, polys.atoms, nv)
+    if len(fs) == 1 and fs[0][1] == 1:
+        return fs[0][0]
+    try:
+        return _pproduct(fs)
+    except _Refused:
+        raise _Overflow from None
+
+
+_last_index: list = [None, {}]
+
+
+def _var_index(vars: tuple[Symbol, ...]) -> dict:
+    """vars to kernel atom indices, the last variable first, so variable
+    j of nv sits in field nv-1-j.  Callers read many trees over one vars
+    tuple, so the index of the tuple met last is kept."""
+    if _last_index[0] is not vars:
+        _last_index[:] = vars, {v: i for i, v in enumerate(reversed(vars))}
+    return _last_index[1]
+
+
+def _refuse_factors(fs: list, atoms: list, nv: int) -> None:
+    """Raise why the product of the kernel's factors fs is not a
+    polynomial over the first nv atoms with exponents below _LIMIT, if
+    it is not.  Over an integral domain the extreme exponents of a
+    product are the sums of its factors' extremes, so these tests are
+    exact."""
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for p, k in fs:
+        for i, (a, b) in _exponent_ranges(p).items():
             a, b = (a * k, b * k) if k > 0 else (b * k, a * k)
             lo[i] = lo.get(i, 0) + a
             hi[i] = hi.get(i, 0) + b
-    # over an integral domain the extreme exponents of a product are the
-    # sums of its factors' extremes, so these tests are exact
     for i in lo:
-        if type(polys.atoms[i]) is Add:
+        if type(atoms[i]) is Add:
             # a sum is an atom only under a negative power
-            raise DomainError(f"{power(polys.atoms[i], lo[i])} is not a polynomial factor")
-        if place[i] is None and (lo[i] < 0 or hi[i] > 0):
-            raise DomainError(f"{polys.atoms[i]} is not one of the polynomial's symbols")
+            raise DomainError(f"{power(atoms[i], lo[i])} is not a polynomial factor")
+        if i >= nv and (lo[i] < 0 or hi[i] > 0):
+            raise DomainError(f"{atoms[i]} is not one of the polynomial's symbols")
         if lo[i] < 0:
-            raise DomainError(f"{polys.atoms[i]} occurs under a negative power")
-    if len(fs) == 1 and fs[0][1] == 1:
-        terms = rows[0]
-    else:
-        try:
-            terms = [(_unpack(m), c) for m, c in _pproduct(fs).items()]
-        except _Refused:
-            return _terms_dict(expand(e), vars)
-    out: Poly = {}
-    for fields, c in terms:
-        key = [0] * len(vars)
-        for i, d in fields:
-            key[place[i]] = d
-        out[tuple(key)] = c
-    return out
+            raise DomainError(f"{atoms[i]} occurs under a negative power")
+    if any(h >= _LIMIT for h in hi.values()):
+        raise _Overflow
 
 
-def _terms_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
-    """_to_dict of expanded e on the trees, read term by term: for a
-    product the kernel refuses; any shape but a rational multiple of
-    nonnegative integer powers of vars is refused here."""
-    index = {s.serial: j for j, s in enumerate(vars)}
-    out: Poly = {}
+def _refusal(e: Expr) -> DomainError:
+    """Why the kernel does not read expanded e: a term with an exponent
+    at or past _LIMIT, or one that is not a rational multiple of
+    monomials."""
     for t in _terms_of(e):
-        if type(t) is Numeric:
-            c, pairs = t.value, ()
-        elif type(t) is Mul:
-            c, pairs = t.coeff, t.pairs
-        else:
-            c, pairs = _ONE.value, (_split_factor(t),)
-        key = [0] * len(vars)
-        for b, k in pairs:
-            j = index.get(b.serial) if type(b) is Symbol else None
-            if j is None or not k.is_integer() or k.val < 0:
-                c = None
-                break
-            key[j] = k.val
-        if c is None or not c.is_rational():
-            raise DomainError("not a polynomial with exact rational coefficients")
-        out[tuple(key)] = c.val
-    return out
+        pairs = t.pairs if type(t) is Mul else () if type(t) is Numeric else (_split_factor(t),)
+        if any(k.is_integer() and k.val >= _LIMIT for _, k in pairs):
+            return _Overflow()
+    return DomainError("not a polynomial with exact rational coefficients")
 
 
-def _exponent_ranges(terms: list) -> dict[int, tuple[int, int]]:
-    """Lowest and highest exponent of each atom over terms, unpacked
-    (fields, coefficient) pairs, a term without the atom counting as
-    exponent 0."""
+def _exponent_ranges(p: Poly) -> dict[int, tuple[int, int]]:
+    """Lowest and highest exponent of each atom over the kernel's
+    polynomial p, a monomial without the atom counting as exponent 0."""
     exps: dict[int, list[int]] = {}
-    for fields, _ in terms:
-        for i, d in fields:
+    for m in p:
+        for i, d in _unpack(m):
             exps.setdefault(i, []).append(d)
     return {
-        i: (min(ds), max(ds)) if len(ds) == len(terms) else (min(*ds, 0), max(*ds, 0))
+        i: (min(ds), max(ds)) if len(ds) == len(p) else (min(*ds, 0), max(*ds, 0))
         for i, ds in exps.items()
     }
 
 
 def _from_dict(p: Poly, vars: tuple[Symbol, ...]) -> Expr:
     """The canonical tree of p, each term built once.  vars are in
-    canonical order, as _ordered_vars gives them, so their positions
-    rank them for _poly_tree."""
+    canonical order, as _ordered_vars gives them, so variable j has rank
+    j for _poly_tree.  A monomial's fields, read as big-endian unsigned
+    32-bit words ("I"), are its exponents in the order of vars."""
+    nv = len(vars)
+    words = Struct(f">{nv}I").unpack
+    size = _FIELD // 8 * nv
     return _poly_tree(
-        ([(j, v, k) for j, (v, k) in enumerate(zip(vars, mono)) if k], c)
-        for mono, c in p.items()
+        ([(j, vars[j], k) for j, k in enumerate(words(m.to_bytes(size, "big"))) if k], c)
+        for m, c in p.items()
     )
 
 
 def _dmul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            key = tuple(map(_plus, ta, tb))
-            s = out.get(key, 0) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-    return out
+    """a * b by the kernel's _pmul; _Overflow when an exponent of the
+    product reaches _LIMIT."""
+    try:
+        return _bounded(_pmul(a, b))
+    except _Refused:
+        raise _Overflow from None
 
 
 def _dpow(a: Poly, n: int) -> Poly:
-    """a**n for nonzero a and n >= 0, by repeated squaring."""
-    result = None
-    while n:
-        if n & 1:
-            result = a if result is None else _dmul(result, a)
-        n >>= 1
-        if n:
-            a = _dmul(a, a)
-    return {(0,) * len(next(iter(a))): 1} if result is None else result
+    """a**n for nonzero a and n >= 0 by the kernel's _ppow.  The degree
+    in each variable is n times a's, so an exponent that would reach
+    _LIMIT raises _Overflow before anything is multiplied."""
+    if not n:
+        return {_MONO_ONE: 1}
+    if n > 1 and n * max(map(_top_exponent, a)) >= _LIMIT:
+        raise _Overflow
+    return _ppow(a, n)
 
 
 def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
@@ -324,7 +377,13 @@ def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
     a and b have int coefficients.  Plain multivariate division: the lex
     leading term of the remainder must be divisible by the lex leading
     term of b at every step, coefficient included, which holds whenever
-    the division as a whole is exact.
+    the division as a whole is exact.  The quotient's monomial is lr - lb
+    for leading monomials lr and lb; one mask (_guard) tests that no
+    field of it went negative or reached _LIMIT, where no exact
+    quotient of a reaches.  Each exponent of an exact quotient is at
+    most a's degree less b's in that variable: once the quotient has as
+    many terms as a, that bound is tested too, so a division that does
+    not go ends before its remainder climbs to the limit.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -332,19 +391,29 @@ def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
         return {}
     lb = max(b)
     cb = b[lb]
+    top = max(max(a), lb)
+    guard = _guard(top)
+    room = None
+    others = [(t, v) for t, v in b.items() if t != lb]
     q: Poly = {}
     r = dict(a)
     while r:
         lr = max(r)
-        m = tuple(map(_minus, lr, lb))
-        if min(m, default=0) < 0:
+        m = lr - lb
+        if m & guard:
             return None
-        c, rest = divmod(r[lr], cb)
+        if len(q) >= len(a):
+            if room is None:
+                n = top.bit_length() // _FIELD + 1
+                room = _fieldwise(max, a, n) - _fieldwise(max, b, n)
+            if (room - m) & guard:
+                return None
+        c, rest = divmod(r.pop(lr), cb)
         if rest:
             return None
         q[m] = c
-        for t, v in b.items():
-            key = tuple(map(_plus, m, t))
+        for t, v in others:
+            key = m + t
             s = r.get(key, 0) - c * v
             if s:
                 r[key] = s
@@ -380,6 +449,9 @@ def _dunit_normal(p: Poly) -> Poly:
     return _pscale(p, -1) if p and _dlexlead(p) < 0 else p
 
 
+_INTS = {int}
+
+
 def _integerize(p: Poly) -> tuple:
     """Split p into content times primitive part.
 
@@ -389,9 +461,10 @@ def _integerize(p: Poly) -> tuple:
     """
     if not p:
         return 0, {}
-    den = math.lcm(*(v.denominator for v in p.values()))
+    den = 1
     # expand's kernel and dict arithmetic over Q leave integral Fractions
-    if den != 1 or any(type(v) is not int for v in p.values()):
+    if set(map(type, p.values())) != _INTS:
+        den = math.lcm(*(v.denominator for v in p.values()))
         p = {t: v.numerator * (den // v.denominator) for t, v in p.items()}
     g = math.gcd(*p.values())
     if _dlexlead(p) < 0:
@@ -418,10 +491,17 @@ def _dheight(p: Poly) -> int:
 
 
 def _eval_last(p: Poly, xi: int) -> Poly:
+    """p with its last variable, field 0, set to xi: a dict over the
+    variables before it.  Each power of xi is computed once."""
+    pows: dict[int, int] = {}
     out: Poly = {}
-    for t, c in p.items():
-        key = t[:-1]
-        s = out.get(key, 0) + c * xi ** t[-1]
+    for m, c in p.items():
+        k = m & _MASK
+        w = pows.get(k)
+        if w is None:
+            w = pows[k] = xi**k
+        key = m >> _FIELD
+        s = out.get(key, 0) + c * w
         if s:
             out[key] = s
         else:
@@ -448,8 +528,8 @@ def _heur_gcd_z(a: Poly, b: Poly, nv: int) -> Poly | None:
 def _heur_attempt(a: Poly, b: Poly, nv: int, xi: int) -> Poly | None:
     ea, eb = _eval_last(a, xi), _eval_last(b, xi)
     if nv == 1:
-        gi = math.gcd(ea.get((), 0), eb.get((), 0))
-        gamma: Poly = {(): gi} if gi else {}
+        gi = math.gcd(ea.get(_MONO_ONE, 0), eb.get(_MONO_ONE, 0))
+        gamma: Poly = {_MONO_ONE: gi} if gi else {}
     else:
         ca, pa = _integerize(ea)
         cb, pb = _integerize(eb)
@@ -468,7 +548,7 @@ def _heur_attempt(a: Poly, b: Poly, nv: int, xi: int) -> Poly | None:
         for t, c in gamma.items():
             d = _balanced(c, xi)
             if d:
-                cand[t + (i,)] = d
+                cand[t << _FIELD | i] = d
             rest = (c - d) // xi
             if rest:
                 carry[t] = rest
@@ -485,24 +565,24 @@ def _heur_attempt(a: Poly, b: Poly, nv: int, xi: int) -> Poly | None:
 # --------------------------------------------------------- subresultant gcd
 
 
-def _split_main(p: Poly) -> dict[int, Poly]:
-    """View p as univariate in the first variable with Poly coefficients."""
+def _split_main(p: Poly, nv: int) -> dict[int, Poly]:
+    """View p as univariate in the first variable, the top field, with
+    Poly coefficients over the other nv - 1."""
+    s = _FIELD * (nv - 1)
+    low = (1 << s) - 1
     out: dict[int, Poly] = {}
-    for t, c in p.items():
-        out.setdefault(t[0], {})[t[1:]] = c
+    for m, c in p.items():
+        out.setdefault(m >> s, {})[m & low] = c
     return out
 
 
-def _join_main(u: dict[int, Poly]) -> Poly:
-    out: Poly = {}
-    for k, cp in u.items():
-        for t, c in cp.items():
-            out[(k,) + t] = c
-    return out
+def _join_main(u: dict[int, Poly], nv: int) -> Poly:
+    s = _FIELD * (nv - 1)
+    return {k << s | m: c for k, cp in u.items() for m, c in cp.items()}
 
 
-def _is_done(g: Poly, w: int) -> bool:
-    return len(g) == 1 and g.get((0,) * w) == 1
+def _is_done(g: Poly) -> bool:
+    return len(g) == 1 and g.get(_MONO_ONE) == 1
 
 
 def _coeff_content(u: dict[int, Poly], w: int) -> Poly:
@@ -510,7 +590,7 @@ def _coeff_content(u: dict[int, Poly], w: int) -> Poly:
     g: Poly = {}
     for c in u.values():
         g = _dict_gcd_front(g, c, w)
-        if _is_done(g, w):
+        if _is_done(g):
             break
     return g
 
@@ -549,11 +629,11 @@ def _prem(u: dict[int, Poly], v: dict[int, Poly], w: int) -> dict[int, Poly]:
 def _sr_gcd_z(a: Poly, b: Poly, nv: int) -> Poly:
     """Subresultant PRS gcd of primitive integer polynomials.
 
-    The main variable sits at position 0; contents with respect to it
-    are corrected through a recursive gcd one variable down.
+    The main variable is the first; contents with respect to it are
+    corrected through a recursive gcd one variable down.
     """
     w = nv - 1
-    u, v = _split_main(a), _split_main(b)
+    u, v = _split_main(a, nv), _split_main(b, nv)
     if max(u) < max(v):
         u, v = v, u
     cu = _coeff_content(u, w)
@@ -561,7 +641,7 @@ def _sr_gcd_z(a: Poly, b: Poly, nv: int) -> Poly:
     cg = _dict_gcd_front(cu, cv, w)
     u = {k: _must(_ddiv_exact(c, cu)) for k, c in u.items()}
     v = {k: _must(_ddiv_exact(c, cv)) for k, c in v.items()}
-    cone = {(0,) * w: 1}
+    cone = {_MONO_ONE: 1}
     g = h = cone
     while True:
         if max(v) == 0:
@@ -582,41 +662,67 @@ def _sr_gcd_z(a: Poly, b: Poly, nv: int) -> Poly:
         elif delta > 1:
             # h = g**delta / h**(delta - 1), exact over the integers
             h = _must(_ddiv_exact(_dpow(g, delta), _dpow(h, delta - 1)))
-    out = _join_main({k: _dmul(c, cg) for k, c in result.items()})
+    out = _join_main({k: _dmul(c, cg) for k, c in result.items()}, nv)
     return _dunit_normal(out)
 
 
 # ----------------------------------------------------------- the gcd driver
 
 
-def _permute(p: Poly, perm: list[int]) -> Poly:
-    return {tuple(t[i] for i in perm): c for t, c in p.items()}
+def _permute(p: Poly, i: int, nv: int, back: bool = False) -> Poly:
+    """p with variable i moved to the front and the variables before it
+    one place back; back=True undoes that.  Variable i's field moves to
+    the top, and the fields above it one field down."""
+    if not i:
+        return p
+    f = _FIELD * (nv - 1 - i)
+    top = _FIELD * (nv - 1)
+    low = (1 << f) - 1
+    if back:
+        mid = (1 << top - f) - 1
+        return {m & low | (m >> f & mid) << f + _FIELD | (m >> top) << f: c for m, c in p.items()}
+    return {m & low | (m >> f + _FIELD) << f | (m >> f & _MASK) << top: c for m, c in p.items()}
 
 
-def _main_first_perm(a: Poly, b: Poly, nv: int) -> list[int] | None:
-    """Put the best main variable first: the one of lowest minimum
-    degree across both inputs, ties broken by canonical order.  None
-    when no variable occurs in both (the primitive parts are coprime).
+def _field(monomials, s: int):
+    """The field at bit s of each of monomials."""
+    return map(_MASK.__and__, map(s.__rrshift__, monomials))
+
+
+def _degree(p: Poly, i: int, nv: int) -> int:
+    """The degree of p in variable i."""
+    return max(_field(p, _FIELD * (nv - 1 - i)))
+
+
+def _fieldwise(f, monomials, n: int) -> int:
+    """The monomial whose first n fields are f (min or max) of that field
+    over monomials: with min, the largest monomial dividing them all."""
+    return sum(f(_field(monomials, s)) << s for s in range(0, _FIELD * n, _FIELD))
+
+
+def _main_var(a: Poly, b: Poly, nv: int) -> int | None:
+    """The best main variable: the one of lowest minimum degree across
+    both inputs, ties broken by canonical order.  None when no variable
+    occurs in both (the primitive parts are coprime).
     """
     best = None
     for i in range(nv):
-        da = max(t[i] for t in a)
-        db = max(t[i] for t in b)
+        da = _degree(a, i, nv)
+        db = _degree(b, i, nv)
         if da and db:
             key = (min(da, db), i)
             if best is None or key < best:
                 best = key
-    if best is None:
-        return None
-    main = best[1]
-    return [main] + [i for i in range(nv) if i != main]
+    return None if best is None else best[1]
 
 
 def _content_along(p: Poly, i: int, nv: int) -> Poly:
     """gcd of the coefficients of p along variable i."""
+    s = _FIELD * (nv - 1 - i)
     groups: dict[int, Poly] = {}
-    for t, c in p.items():
-        groups.setdefault(t[i], {})[t[:i] + (0,) + t[i + 1 :]] = c
+    for m, c in p.items():
+        k = m >> s & _MASK
+        groups.setdefault(k, {})[m - (k << s)] = c
     return _coeff_content(groups, nv)
 
 
@@ -625,25 +731,24 @@ def _dict_gcd_front(a: Poly, b: Poly, nv: int) -> Poly:
     if not a or not b or a == b:
         return _dunit_normal(a or b)
     # common monomial factors come out before anything else
-    ma = [min(t[i] for t in a) for i in range(nv)]
-    mb = [min(t[i] for t in b) for i in range(nv)]
-    mg = tuple(min(x, y) for x, y in zip(ma, mb))
-    if any(ma):
-        a = {tuple(map(_minus, t, ma)): c for t, c in a.items()}
-    if any(mb):
-        b = {tuple(map(_minus, t, mb)): c for t, c in b.items()}
+    ma, mb = _fieldwise(min, a, nv), _fieldwise(min, b, nv)
+    mg = _fieldwise(min, (ma, mb), nv)
+    if ma:
+        a = {m - ma: c for m, c in a.items()}
+    if mb:
+        b = {m - mb: c for m, c in b.items()}
     # a variable only one side sees cannot survive; that input shrinks
     # to the gcd of its coefficients along the private variable
     for i in range(nv):
-        da = max(t[i] for t in a)
-        db = max(t[i] for t in b)
+        da = _degree(a, i, nv)
+        db = _degree(b, i, nv)
         if da and not db:
             a = _content_along(a, i, nv)
         elif db and not da:
             b = _content_along(b, i, nv)
     g = _primitive_gcd(a, b, nv, _dict_gcd)
-    if any(mg):
-        g = {tuple(map(_plus, t, mg)): c for t, c in g.items()}
+    if mg:
+        g = {m + mg: c for m, c in g.items()}
     return g
 
 
@@ -664,14 +769,14 @@ def _primitive_gcd(a: Poly, b: Poly, nv: int, core) -> Poly | None:
     cg = math.gcd(ca, cb)
     if pa == pb:
         return _pscale(pa, cg)
-    perm = _main_first_perm(pa, pb, nv)
-    if perm is None:
-        return {(0,) * nv: cg}
-    g = core(_permute(pa, perm), _permute(pb, perm), nv)
+    i = _main_var(pa, pb, nv)
+    if i is None:
+        return {_MONO_ONE: cg}
+    g = core(_permute(pa, i, nv), _permute(pb, i, nv), nv)
     if g is None:
         return None
     # unit normality is judged in the canonical order, not the permuted one
-    return _pscale(_dunit_normal(_permute(g, sorted(range(nv), key=perm.__getitem__))), cg)
+    return _pscale(_dunit_normal(_permute(g, i, nv, back=True)), cg)
 
 
 def _dgcd(a: Poly, b: Poly, nv: int, core=_dict_gcd_front) -> Poly | None:
@@ -719,18 +824,18 @@ def poly_gcd(a, b) -> Expr:
     """
     a, b = lift(a), lift(b)
     vars = _ordered_vars(a, b)
-    return mul(*(_from_dict(p, vars) for p in _gcd_parts(a, b, vars)))
+    return mul(*(power(_from_dict(p, vars), k) for p, k in _gcd_parts(a, b, vars)))
 
 
-def _gcd_parts(a: Expr, b: Expr, vars) -> list[Poly]:
-    """gcd(a, b) as dicts whose product it is, each input read once: one
-    dict, or the parts _factors_gcd finds in a product, of two the first
-    by compare."""
+def _gcd_parts(a: Expr, b: Expr, vars) -> list[tuple[Poly, int]]:
+    """gcd(a, b) as (dict, exponent) parts whose product it is, each
+    input read once: one dict, or the parts _factors_gcd finds in a
+    product, of two the first by compare."""
     if type(b) is Mul and (compare(b, a) < 0 if type(a) is Mul else not _is_exact_zero(a)):
         a, b = b, a
     if type(a) is Mul and not _is_exact_zero(b):
         return _factors_gcd((a.coeff.val, _factors(a, vars)), b, vars)
-    return [_dgcd(_to_dict(a, vars), _to_dict(b, vars), len(vars))]
+    return [(_dgcd(_to_dict(a, vars), _to_dict(b, vars), len(vars)), 1)]
 
 
 def _factors(m: Mul, vars):
@@ -741,45 +846,98 @@ def _factors(m: Mul, vars):
     for r, k in m.pairs:
         if not k.is_integer() or k.val < 1:
             raise DomainError(f"{power(r, Numeric(k))} is not a polynomial factor")
-        yield *_integerize(_to_dict(r, vars)), k.val
+        c, p = _integerize(_to_dict(r, vars))
+        if k.val >= _LIMIT and abs(c) != 1:
+            raise _Overflow  # the content alone would need 2^30 digits
+        yield c, p, k.val
 
 
-def _factors_gcd(fa: tuple, rem, vars) -> list[Poly]:
+def _factors_gcd(fa: tuple, rem, vars) -> list[tuple[Poly, int]]:
     """gcd of the product fa, a (coefficient, factors) pair, and rem as
-    dicts whose product it is, one factor at a time: primitive parts meet
-    in the loop, the contents once at the end, so the list is primitive
-    parts followed by one content.  rem is a tree, read after fa's first
-    factor, a dict, or another such pair, which, while whole, meets each
-    factor factor by factor."""
-    one = {(0,) * len(vars): 1}
+    (dict, exponent) parts whose product it is, one factor at a time:
+    primitive parts meet in the loop, the contents once at the end, so
+    the list is primitive parts followed by one content.  rem is a tree,
+    read after fa's first factor, a dict, or another such pair.
+
+    A factor p^k meets rem by repeated gcds of p and the remainder, each
+    divided out, up to k of them.  A pair met first meets p factor by
+    factor; after that the remainder is one polynomial, and each gcd one
+    dict.  Two shortcuts give the same parts without a gcd per unit of
+    k, and without multiplying the remainder out:
+    - a one-term p takes min(k * e, lowest exponent of the remainder)
+      of each of its fields e;
+    - a factored remainder with a factor p^k' gives p min(k, k') times.
+      It stays factored, and is multiplied out only when a later gcd
+      with it is not 1.
+    """
+    nv = len(vars)
+    one = {_MONO_ONE: 1}
     content, parts = fa[0], []
+    fresh = False  # rem is a pair met for the first time
     for c, p, k in fa[1]:
         content *= c**k
         if type(rem) is Mul:
-            rem = rem.coeff.val, list(_factors(rem, vars))
+            rem, fresh = (rem.coeff.val, list(_factors(rem, vars))), True
         elif isinstance(rem, Expr):
             rem = _to_dict(rem, vars)
-        for _ in range(k):
+        while k:
+            if rem == {}:
+                parts.append((p, k))  # each gcd with 0 is p itself
+                break
+            if type(rem) is dict and len(p) == 1:
+                (m,) = p
+                low = _fieldwise(min, rem, nv)
+                got = sum(min(k * e, low >> _FIELD * i & _MASK) << _FIELD * i for i, e in _unpack(m))
+                if got:
+                    parts.append(({got: 1}, 1))
+                    rem = {t - got: v for t, v in rem.items()}
+                break
+            i = None
+            if type(rem) is tuple:
+                i = next((j for j, f in enumerate(rem[1]) if f[1] == p), None)
+                if i is not None and not fresh:
+                    j = min(k, rem[1][i][2])
+                    parts.append((p, j))
+                    k -= j
+                    rem = _divided(rem, i, j)
+                    continue
             if type(rem) is tuple and p:
                 g = _factors_gcd(rem, p, vars)
             else:
-                g = [_dgcd(p, _whole(rem), len(vars))]
-            prims = [q for _, q in map(_integerize, g) if q != one]
+                g = [(_dgcd(p, _whole(rem), nv), 1)]
+            prims = [(q, e) for (_, q), e in ((_integerize(h), e) for h, e in g) if q != one]
             if not prims:
                 break
+            if type(rem) is tuple and not fresh:
+                rem = _whole(rem)  # the gcd with a product divided before is one dict
+                continue
             parts += prims
-            rem = _dquotient(_whole(rem), reduce(_dmul, prims))
-    last = {(0,) * len(vars): content} if content else {}
+            k -= 1
+            if i is not None:
+                rem, fresh = _divided(rem, i, 1), False
+                continue
+            g = reduce(_dmul, (_dpow(q, e) for q, e in prims))
+            rem, fresh = _dquotient(_whole(rem), g), False
+    last = {_MONO_ONE: content} if content else {}
     if type(rem) is tuple and last:
         return parts + _factors_gcd(rem, last, vars)
-    return parts + [_dgcd(last, _whole(rem), len(vars))]
+    return parts + [(_dgcd(last, _whole(rem), nv), 1)]
+
+
+def _divided(x: tuple, i: int, j: int) -> tuple:
+    """The (coefficient, factors) pair x with factor i's exponent j
+    lower, its content kept in the coefficient."""
+    c, p, k = x[1][i]
+    rest = [(c, p, k - j)] if k > j else []
+    return x[0] * c**j, x[1][:i] + rest + x[1][i + 1 :]
 
 
 def _whole(x) -> Poly:
     """x itself, or the product a (coefficient, factors) pair stands for."""
     if type(x) is dict:
         return x
-    p = reduce(_dmul, (_dpow(p, k) for _, p, k in x[1]))
+    ps = [_dpow(p, k) for _, p, k in x[1]]
+    p = reduce(_dmul, ps) if ps else {_MONO_ONE: 1}
     return _pscale(p, x[0] * math.prod(c**k for c, _, k in x[1]))
 
 
@@ -797,7 +955,7 @@ def lcm(a, b) -> Expr:
     """Least common multiple a * b / gcd, unit normal."""
     a, b = lift(a), lift(b)
     vars = _ordered_vars(a, b)
-    g = reduce(_dmul, _gcd_parts(a, b, vars))
+    g = reduce(_dmul, (_dpow(p, k) for p, k in _gcd_parts(a, b, vars)))
     if not g:
         return _ZERO
     return _from_dict(_dunit_normal(_dquotient(_to_dict(mul(a, b), vars), g)), vars)
@@ -836,9 +994,10 @@ class _GenMap:
     def __init__(self, e: Expr):
         self.vars = _ordered_vars(e)
         self.index: dict[Expr, Symbol] = {}
-        # id of each tree _frac_cancel built -> (that tree, its dict), so
-        # _fraction reads it back with one lookup
-        self.built: dict[int, tuple[Expr, Poly]] = {}
+        # id of each tree _frac_cancel built -> (that tree, its dict, the
+        # number of variables then), so _fraction reads it back with one
+        # lookup
+        self.built: dict[int, tuple[Expr, Poly, int]] = {}
 
     def sym_for(self, sub: Expr) -> Symbol:
         got = self.index.get(sub)
@@ -855,28 +1014,41 @@ class _GenMap:
         return e
 
 
-def _fraction(pair, gm: _GenMap) -> tuple[Poly, Poly]:
-    """pair as numerator and denominator dicts; a number is not read."""
+def _fraction(pair, gm: _GenMap, nv: int) -> tuple[Poly, Poly]:
+    """pair, made while gm had nv variables, as numerator and denominator
+    dicts over all of gm's variables; a number is not read."""
     a, b = pair
-    nv = len(gm.vars)
     if type(b) is dict:
-        return tuple(_widen(p, nv) for p in pair)
-    one = {(0,) * nv: 1}
+        return _widen(a, len(gm.vars) - nv), _widen(b, len(gm.vars) - nv)
+    one = {_MONO_ONE: 1}
     if type(a) is Numeric:
         p = _pscale(one, a.value.val)
     else:
-        tree, p = gm.built.get(id(a), (None, None))
-        p = _widen(p, nv) if tree is a else _to_dict(a, gm.vars)
+        tree, p, w = gm.built.get(id(a), (None, None, 0))
+        p = _widen(p, len(gm.vars) - w) if tree is a else _to_dict(a, gm.vars)
     return _pscale(p, _qdiv(1, b)), one
 
 
-def _widen(p: Poly, nv: int) -> Poly:
-    """p padded with zero exponents for the generators made since."""
-    return {t + (0,) * (nv - len(t)): c for t, c in p.items()}
+def _widen(p: Poly, more: int) -> Poly:
+    """p over more variables, the generators made since, which come
+    last: its fields move up past theirs."""
+    if not more:
+        return p
+    s = _FIELD * more
+    return {m << s: c for m, c in p.items()}
 
 
 def _normal_pair(e: Expr, gm: _GenMap):
-    """The pair of e, as the module docstring describes it."""
+    """The pair of e, as the module docstring describes it.  A sum,
+    product or power whose dicts would reach the exponent limit becomes
+    a generator, as a subtree that is not rational does."""
+    try:
+        return _pair(e, gm)
+    except _Overflow:
+        return gm.sym_for(e), 1
+
+
+def _pair(e: Expr, gm: _GenMap):
     t = type(e)
     if t is Numeric:
         if e.value.is_rational():
@@ -886,13 +1058,15 @@ def _normal_pair(e: Expr, gm: _GenMap):
     if t is Symbol:
         return e, 1
     if t is Add:
-        a, qs = zip(*(_normal_pair(term, gm) for term in _terms_of(e)))
+        # each pair with the number of variables gm had once it was made
+        ps = [(_normal_pair(x, gm), len(gm.vars)) for x in _terms_of(e)]
+        a, qs = zip(*(p for p, _ in ps))
         if dict not in map(type, qs) and reduce(_number_lcm, qs, 1) == 1:
             # number denominators that cancel: each term keeps its tree
             return add(*(x if q == 1 else mul(x, lift(_qdiv(1, q))) for x, q in zip(a, qs))), 1
-        one = {(0,) * len(gm.vars): 1}
+        one = {_MONO_ONE: 1}
         n, d = {}, one
-        for tn, td in (_fraction(p, gm) for p in zip(a, qs)):
+        for tn, td in (_fraction(p, gm, w) for p, w in ps):
             co, q = td, d
             # a denominator of 1 shares nothing with the other one
             if d != one and td != one:
@@ -903,28 +1077,31 @@ def _normal_pair(e: Expr, gm: _GenMap):
         return _frac_cancel(n, d, gm)
     if t is Mul:
         factors = [Numeric(e.coeff)] + [power(r, Numeric(k)) for r, k in e.pairs]
-        a, qs = zip(*(_normal_pair(f, gm) for f in factors))
+        ps = [(_normal_pair(x, gm), len(gm.vars)) for x in factors]
+        a, qs = zip(*(p for p, _ in ps))
         if dict not in map(type, qs) and math.prod(qs) == 1:
             return reduce(mul, a), 1
-        ns, ds = zip(*(_fraction(p, gm) for p in zip(a, qs)))
+        ns, ds = zip(*(_fraction(p, gm, w) for p, w in ps))
         return _frac_cancel(reduce(_dmul, ns), reduce(_dmul, ds), gm)
     if t is Power and type(e.exponent) is Numeric and e.exponent.value.is_rational():
         fr = e.exponent.value.as_fraction()
+        k = fr.numerator
+        if abs(k) >= _LIMIT:
+            return gm.sym_for(e), 1
         if fr.denominator == 1:
             a, b = _normal_pair(e.base, gm)
         else:
             # map the q-th root of the base to a generator, so that
             # rational powers of one base cancel among themselves
             a, b = gm.sym_for(power(e.base, lift(Fraction(1, fr.denominator)))), 1
-        k = fr.numerator
         if k > 0:
             return (_dpow(a, k), _dpow(b, k)) if type(b) is dict else (power(a, k), b**k)
         # a base's pair is a tree over 1 or dicts
-        n, d = _fraction((a, b), gm)
+        n, d = _fraction((a, b), gm, len(gm.vars))
         if not n:
             raise ZeroDivisionError("zero denominator after cancellation")
         c, p = _integerize(n)
-        if type(a) is Numeric or type(b) is dict and p == {(0,) * len(gm.vars): 1}:
+        if type(a) is Numeric or type(b) is dict and p == {_MONO_ONE: 1}:
             # a number numerator: the reciprocal is a tree over a number
             return power(_from_dict(d, gm.vars), -k), c**-k
         return _pscale(_dpow(d, -k), _qdiv(1, c**-k)), _dpow(p, -k)
@@ -943,7 +1120,7 @@ def _frac_cancel(n: Poly, d: Poly, gm: _GenMap):
     denominator moved up, and built as a tree when d cancels to 1."""
     if not d:
         raise ZeroDivisionError("zero denominator after cancellation")
-    one = {(0,) * len(gm.vars): 1}
+    one = {_MONO_ONE: 1}
     g = _dgcd(n, d, len(gm.vars))
     if g != one:
         n, d = _dquotient(n, g), _dquotient(d, g)
@@ -952,7 +1129,7 @@ def _frac_cancel(n: Poly, d: Poly, gm: _GenMap):
     if d != one:
         return n, d
     tree = _from_dict(n, gm.vars)
-    gm.built[id(tree)] = tree, n
+    gm.built[id(tree)] = tree, n, len(gm.vars)
     return tree, 1
 
 
@@ -978,6 +1155,6 @@ def _normal_rule(x: Expr, walk):
     a, b = _normal_pair(x, gm)
     if b != 1:
         # a pair of dicts, or a tree over a number, built once
-        a, b = (_from_dict(p, gm.vars) for p in _fraction((a, b), gm))
+        a, b = (_from_dict(p, gm.vars) for p in _fraction((a, b), gm, len(gm.vars)))
         a = mul(a, power(b, -1))
     return gm.restore(a)

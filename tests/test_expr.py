@@ -48,6 +48,7 @@ from minicas.expr import (
 )
 from minicas import expr as expr_module
 from minicas.expr import (
+    _FIELD,
     _expand_pairwise,
     _pmul,
     _Polys,
@@ -560,7 +561,10 @@ def test_rank_keyed_builder_matches_the_compare_sorted_one():
             for i in rng.sample(range(nv), rng.randint(0, 3)):
                 mono[i] = rng.randint(1, 3)
             p[tuple(mono)] = rng.choice(coeffs)
-        got = _from_dict(p, gm.vars)
+        # poly packs variable j of nv into field nv-1-j
+        packed = {sum(k << _FIELD * (nv - 1 - j) for j, k in enumerate(mono)): c
+                  for mono, c in p.items()}
+        got = _from_dict(packed, gm.vars)
         want = _compare_sorted_tree(
             ([(v, num(k)) for v, k in zip(gm.vars, mono) if k], c) for mono, c in p.items()
         )

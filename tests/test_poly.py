@@ -42,7 +42,7 @@ from minicas.expr import (
     to_string,
 )
 from minicas import expr as expr_module
-from minicas.expr import _expand_pairwise, _padd, _Polys, _rewrite, _split_factor, _terms_of
+from minicas.expr import _FIELD, _MONO_ONE, _expand_pairwise, _padd, _Polys, _rewrite, _split_factor, _terms_of
 from minicas.functions import cos, exp, sin
 from minicas.shell import Shell
 from minicas import poly as poly_module
@@ -527,6 +527,12 @@ def test_gcd_rejects_non_polynomials():
         poly_gcd(power(x, -1), x)
 
 
+def _packed(exps):
+    """The packed monomial of an exponent vector: variable j of n in
+    field n-1-j, as poly keys its dicts."""
+    return sum(k << _FIELD * (len(exps) - 1 - j) for j, k in enumerate(exps))
+
+
 def _read_expanded(e, vars):
     """e as a dict over vars read term by term off its expanded tree,
     expanded on the pairwise path."""
@@ -545,7 +551,7 @@ def _read_expanded(e, vars):
             if b not in vars or not k.is_integer() or k.val < 0:
                 raise DomainError("term")
             key[vars.index(b)] = k.val
-        out[tuple(key)] = out.get(tuple(key), 0) + c.as_fraction()
+        out[_packed(key)] = out.get(_packed(key), 0) + c.as_fraction()
     return {t: c for t, c in out.items() if c}
 
 
@@ -714,7 +720,8 @@ def test_normal_runs_the_top_level_gcd_once(monkeypatch):
     got = normal(mul(add(power(x, 2), -1), power(mul(add(x, -1), add(x, 2)), -1)))
     assert got == mul(add(x, 1), power(add(x, 2), -1))
     assert [(a, b) for a, b, _ in gcds if len(a) > 1 and len(b) > 1] == [
-        ({(2,): 1, (0,): -1}, {(2,): 1, (1,): 1, (0,): -2})
+        # over x alone the packed monomial of x^k is k
+        ({2: 1, 0: -1}, {2: 1, 1: 1, 0: -2})
     ]
 
 
@@ -845,9 +852,176 @@ def test_from_dict_builds_what_the_constructors_build():
         # the construction _from_dict had, one mul and one add per term
         want = add(*(mul(lift(c), *(power(v, k) for v, k in zip(vars, m) if k))
                      for m, c in p.items()))
-        got = _from_dict(p, vars[:nv])
+        got = _from_dict({_packed(m): c for m, c in p.items()}, vars[:nv])
         assert got == want and to_string(got) == to_string(want), p
     assert empty > 10
+
+
+# ------------------------------------------- packed monomials, on a reference
+#
+# A tuple-monomial model of poly's dict arithmetic, kept here as the
+# reference: exponent vectors as tuples, compared lexicographically.
+
+_LIMIT = expr_module._LIMIT
+
+
+def _pack_poly(p, nv):
+    return {_packed(t): c for t, c in p.items()}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            t = tuple(x + y for x, y in zip(ta, tb))
+            out[t] = out.get(t, 0) + ca * cb
+    return {t: c for t, c in out.items() if c}
+
+
+def _ref_div(a, b):
+    """Tuple division: the exact quotient over Z, or None.  A quotient
+    exponent past a's degree less b's in its variable ends it."""
+    lb = max(b)
+    room = [max(ta) - max(tb) for ta, tb in zip(zip(*a), zip(*b))]
+    q, r = {}, dict(a)
+    while r:
+        lr = max(r)
+        m = tuple(x - y for x, y in zip(lr, lb))
+        if min(m) < 0 or any(x > y for x, y in zip(m, room)):
+            return None
+        c, rest = divmod(r[lr], b[lb])
+        if rest:
+            return None
+        q[m] = c
+        for t, v in b.items():
+            key = tuple(x + y for x, y in zip(m, t))
+            s = r.get(key, 0) - c * v
+            if s:
+                r[key] = s
+            else:
+                r.pop(key, None)
+    return q
+
+
+def _ref_eval_last(p, xi):
+    out = {}
+    for t, c in p.items():
+        out[t[:-1]] = out.get(t[:-1], 0) + c * xi ** t[-1]
+    return {t: c for t, c in out.items() if c}
+
+
+def _random_tuple_poly(rng, nv, big, small_last=False):
+    """Up to five terms; a variable of big gets exponents one to three
+    below the limit, the others 0 to 3 (the last one stays small when
+    small_last)."""
+    p = {}
+    for _ in range(rng.randint(1, 5)):
+        t = tuple(
+            _LIMIT - rng.randint(1, 3) if j in big and not (small_last and j == nv - 1)
+            else rng.randint(0, 3)
+            for j in range(nv)
+        )
+        p[t] = rng.choice([-3, -2, -1, 1, 2, 5])
+    return p
+
+
+def test_packed_arithmetic_matches_the_tuple_reference():
+    P = poly_module
+    rng = random.Random(1717)
+    seen = {"exact": 0, "inexact": 0, "overflow": 0, "larger_field": 0}
+    for _ in range(300):
+        nv = rng.randint(2, 4)
+        big = set(rng.sample(range(nv), rng.randint(0, 2)))
+        a = _random_tuple_poly(rng, nv, big)
+        b = _random_tuple_poly(rng, nv, set())
+        pa, pb = _pack_poly(a, nv), _pack_poly(b, nv)
+        # the lex leading term is the largest packed monomial
+        assert max(pa) == _packed(max(a)) and P._dlexlead(pa) == a[max(a)]
+        ab = _ref_mul(a, b)
+        if max(max(t) for t in ab) < _LIMIT:
+            assert P._dmul(pa, pb) == _pack_poly(ab, nv)
+            # exact: a*b / b, and an inexact remainder on top
+            assert P._ddiv_exact(P._dmul(pa, pb), pb) == pa
+            seen["exact"] += 1
+            extra = _random_tuple_poly(rng, nv, big)
+            num = {t: c for t, c in _padd(((ab, 1), (extra, 1))).items()}
+            want = _ref_div(num, b) if num else {}
+            got = P._ddiv_exact(_pack_poly(num, nv), pb)
+            assert got == (None if want is None else _pack_poly(want, nv))
+            seen["inexact"] += want is None
+        else:
+            with pytest.raises(DomainError):
+                P._dmul(pa, pb)
+            seen["overflow"] += 1
+        # a divisor whose lead is larger than the dividend's in one field
+        lead = list(max(a))
+        j = rng.randrange(nv)
+        lead[j] += 1
+        if lead[j] < _LIMIT:
+            d = {tuple(lead): 1, (0,) * nv: 1}
+            assert _ref_div(a, d) is None and P._ddiv_exact(pa, _pack_poly(d, nv)) is None
+            seen["larger_field"] += 1
+        # generators added since: the fields move up past theirs
+        more = rng.randint(1, 2)
+        assert P._widen(pa, more) == _pack_poly({t + (0,) * more: c for t, c in a.items()}, nv + more)
+        # evaluating the last variable, which keeps small exponents here
+        s = _random_tuple_poly(rng, nv, big, small_last=True)
+        xi = rng.choice([7, 1000, 2**70 + 1])
+        assert P._eval_last(_pack_poly(s, nv), xi) == _pack_poly(_ref_eval_last(s, xi), nv - 1)
+        # the tree of a packed dict is the tree of its exponent vectors
+        vars = symbols("p q r s")[:nv]
+        want_tree = add(*(mul(c, *(power(v, k) for v, k in zip(vars, t) if k))
+                          for t, c in a.items()))
+        assert P._from_dict(pa, vars) == want_tree
+    assert min(seen.values()) >= 20, seen
+
+
+def test_packed_gcds_match_the_tuple_reference():
+    # gcd(g*u, g*v) through the heuristic and through the PRS: the
+    # planted g divides the answer, the answer divides both inputs, and
+    # the two cores agree.  A monomial factor near the limit comes out
+    # in the front, before the heuristic evaluates anything.
+    P = poly_module
+    rng = random.Random(4242)
+    heur = lambda pa, pb, nv: P._primitive_gcd(pa, pb, nv, P._heur_gcd_z)
+    prs = lambda pa, pb, nv: P._primitive_gcd(pa, pb, nv, P._sr_gcd_z)
+    for trial in range(60):
+        nv = rng.randint(2, 4)
+        g, u, v = (_random_tuple_poly(rng, nv, set()) for _ in range(3))
+        a, b = _ref_mul(g, u), _ref_mul(g, v)
+        if trial % 3 == 0:
+            j = rng.randrange(nv)
+            a = _ref_mul(a, {tuple(_LIMIT - 9 if i == j else 0 for i in range(nv)): 1})
+            b = _ref_mul(b, {tuple(_LIMIT - 11 if i == j else 0 for i in range(nv)): 1})
+        pa, pb = _pack_poly(a, nv), _pack_poly(b, nv)
+        want = P._dgcd(pa, pb, nv)
+        if trial % 3:
+            # the cores alone evaluate every exponent: small ones here
+            assert P._dgcd(pa, pb, nv, prs) == want
+            assert P._dgcd(pa, pb, nv, heur) in (None, want)
+        ref = {tuple(m >> _FIELD * (nv - 1 - j) & expr_module._MASK for j in range(nv)): c
+               for m, c in want.items()}
+        _, prim = P._integerize(ref)
+        assert _ref_div(a, {t: int(c) for t, c in prim.items()}) is not None
+        assert _ref_div(b, {t: int(c) for t, c in prim.items()}) is not None
+        assert _ref_div(prim, {t: int(c) for t, c in P._integerize(g)[1].items()}) is not None
+
+
+def test_products_that_cross_the_exponent_limit_are_refused():
+    P = poly_module
+    x, y = symbols("x y")
+    top = {_packed((_LIMIT - 1, 0)): 1}
+    assert P._dmul(top, {_packed((0, 5)): 2}) == {_packed((_LIMIT - 1, 5)): 2}
+    for f in (lambda: P._dmul(top, {_packed((1, 0)): 1, _packed((0, 1)): 1}),
+              lambda: P._dpow({_packed((2**29, 1)): 1, _MONO_ONE: 1}, 2),
+              lambda: _to_dict(mul(power(x, _LIMIT - 1), add(x, y)), (x, y)),
+              lambda: _to_dict(add(power(x, _LIMIT), 1), (x, y)),
+              lambda: poly_gcd(power(x, _LIMIT), x)):
+        with pytest.raises(DomainError, match="^polynomial exponents must stay below 2\\^30$"):
+            f()
+    # one below the limit reads and prints
+    e = mul(power(x, _LIMIT - 1), add(y, 1))
+    assert _from_dict(_to_dict(e, (x, y)), (x, y)) == expand(e)
 
 
 def test_normal_floats_ride_through():
@@ -961,7 +1135,7 @@ def _ref_normal_pair(e, gm):
         if all(td == one_tree for _, td in pairs):
             return add(*(tn for tn, _ in pairs)), one_tree
         vars = P._ordered_vars(*(x for pair in pairs for x in pair))
-        one = {(0,) * len(vars): 1}
+        one = {_MONO_ONE: 1}
         n, d = {}, one
         for tn, td in pairs:
             tn, td = P._to_dict(tn, vars), P._to_dict(td, vars)
@@ -1011,7 +1185,7 @@ def _ref_frac_cancel(n, d, vars):
     if not d:
         raise ZeroDivisionError("zero denominator after cancellation")
     g = P._dgcd(n, d, len(vars))
-    if g != {(0,) * len(vars): 1}:
+    if g != {_MONO_ONE: 1}:
         n, d = P._dquotient(n, g), P._dquotient(d, g)
     return _ref_unit_normal_den(n, d, vars)
 

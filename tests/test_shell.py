@@ -11,6 +11,11 @@ import io
 import math
 import time
 
+import pytest
+
+from minicas.errors import DomainError
+from minicas.expr import add, mul, power, symbols
+from minicas.poly import content_primpart, exact_quotient
 from minicas.shell import Shell, repl, run_script
 
 
@@ -231,3 +236,84 @@ def test_huge_factorials_and_far_floats_answer_at_once():
     # Python's 4300-digit limit on integer printing
     lines = sh.feed("2.5e-10000; evalf(10^5000); 1.0e4400;")
     assert lines == ["2.5E-10000", "1.0E5000", "1.0E4400"]
+
+
+def test_a_factor_meets_its_multiplicity_in_one_step():
+    # a one-term factor reads its multiplicity off the other side's
+    # exponents, and a factor both sides share meets as min(k, k'),
+    # where one gcd per unit of the exponent took seconds
+    for stmt, want in (
+        ("gcd(x^(2^10)*y, x^(2^10+1));", "x^1024"),
+        ("gcd(x^(2^12)*y, x^(2^12+1));", "x^4096"),
+        ("gcd(x^(2^14)*y, x^(2^14+1));", "x^16384"),
+        ("gcd((x+1)^100*y, (x+1)^100*z);", "(1+x)^100"),
+        ("gcd((x+1)^300*y, (x+1)^300*z);", "(1+x)^300"),
+    ):
+        start = time.perf_counter()
+        assert Shell().feed(stmt) == [want]
+        assert time.perf_counter() - start < 1, stmt
+    # unequal multiplicities on either side, and factors that share
+    # factors without being equal, print what one gcd per unit printed
+    printed, _ = feed_lines([
+        "gcd((x+1)^2*y, (x+1)^5*z);",
+        "gcd((x+1)^5*y, (x+1)^2*z);",
+        "gcd(x^3*y^2*(x+1), x^5*y*(x+1)^2);",
+        "gcd((x+1)^3*(x-1)*y, (x^2-1)^2*z);",
+        "gcd((x+1)^3*(x^2-1), (x+1)^2*(x-1)^3*z);",
+    ])
+    assert printed == ["(1+x)^2", "(1+x)^2", "x^3*y*(1+x)", "(-1+x)*(1+x)^2", "(-1+x)*(1+x)^2"]
+
+
+def test_huge_exponents_answer_or_refuse_at_once():
+    # dict polynomials keep exponents below 2^30: past that, gcd and lcm
+    # refuse, normal keeps the power as a generator, and det works on
+    # the trees; a gcd that never multiplies the power out still answers
+    refused = "error: polynomial exponents must stay below 2^30"
+    start = time.perf_counter()
+    printed, _ = feed_lines([
+        "gcd(x^(2^40), x^3);",
+        "gcd(x^(2^70), x^(2^71));",
+        "gcd(x^(2^70)*(x+1), x^(2^70+1));",
+        "gcd(x^(2^40)*y, x^3);",
+        "gcd(x^(2^70)*y, x^(2^70)*z);",
+        "lcm(x^(2^40), x^3);",
+        "lcm(x^(2^70)*y, x^(2^70)*z);",
+        "normal(x^(2^40)/x);",
+        "normal(x^(2^40)/(x^2-x));",
+        "normal(x^(2^70)+1/x);",
+        "det([[x^(2^40), x], [x, 1]]);",
+        "det([[x^(2^70), 1/x], [x, 1]]);",
+        # below the limit, with products that reach it
+        "normal(x^(2^29+1)*(x^(2^29+1)+y)/z);",
+        "det([[x^(2^29+1), x^(2^29+1)], [x^(2^29+1), 1]]);",
+        # a content that would need 2^30 digits
+        "gcd((2*x+2)^(2^30)*y, x);",
+    ])
+    assert printed == [
+        refused,
+        refused,
+        refused,
+        "x^3",
+        "x^1180591620717411303424",
+        refused,
+        refused,
+        "x^1099511627775",
+        "x^1099511627776*(-x+x^2)^(-1)",
+        "x^(-1)*(1+x^1180591620717411303425)",
+        "-x^2+x^1099511627776",
+        "-1+x^1180591620717411303424",
+        "x^536870913*z^(-1)*(y+x^536870913)",
+        "x^536870913-x^1073741826",
+        refused,
+    ]
+    # the shell has no exact_quotient or content_primpart
+    x, y = symbols("x y")
+    for call in (
+        lambda: exact_quotient(mul(power(x, 2**40), y), y),
+        lambda: exact_quotient(mul(power(x, 2**70), add(x, 1)), add(x, 1)),
+        lambda: content_primpart(add(mul(power(x, 2**40), y), y), x),
+        lambda: content_primpart(add(mul(power(x, 2**70), y), y), y),
+    ):
+        with pytest.raises(DomainError, match=refused[len("error: "):].replace("^", "\\^")):
+            call()
+    assert time.perf_counter() - start < 5
