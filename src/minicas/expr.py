@@ -1282,6 +1282,12 @@ def _pmul(a: dict, b: dict) -> dict:
     exponent of either lies outside [-_LIMIT, _LIMIT)."""
     if not (_fits(a) and (b is a or _fits(b))):
         raise _Refused
+    return _pmul_unchecked(a, b)
+
+
+def _pmul_unchecked(a: dict, b: dict) -> dict:
+    """The product of two polynomials whose exponents the caller knows
+    to lie in [-_LIMIT, _LIMIT), so that every sum stays in its field."""
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():

@@ -1,29 +1,36 @@
 """Exact linear algebra on dense matrices of expressions.
 
 A matrix is a MatrixNode, row-major entries behind the same immutable
-Expr discipline as every other node.  Determinants work on integer dict
-polynomials when every entry is a rational function of the matrix's
-symbols with rational coefficients, each row cleared of its denominators,
-and on the trees otherwise, with normal() cancelling in the enlarged ring
-of generators.  On either ring a census of the entries picks the method,
-as GiNaC's matrix::determinant does: a matrix at least half zero takes a
-division-free minor expansion that computes each nonzero minor once (GiNaC's
-determinant_minor), and a denser one, or one whose minors would cost more
-multiplications than elimination, takes fraction-free Bareiss
-elimination.  Each method is one loop that takes the ring's operations
-as arguments.  The characteristic polynomial of a matrix of exact
+Expr discipline as every other node.  Determinants, inverses and
+solve_linear() read their input once into the ring a census of the
+entries picks, as GiNaC's matrix::solve picks its elimination by what
+the entries are: Python ints when every entry is a rational number,
+integer dict polynomials (poly's dicts) when every entry is a rational
+function of the symbols, and the trees when some entry has a generator
+(a float, I, a function, a root, Pi or another constant), with normal()
+cancelling in the ring the generators enlarge.  On the two exact rings
+each row is multiplied by the lcm of its denominators, and each output
+entry is built once, at the end.  Floats stay on the trees rather than
+becoming generators: a float pivot that cancels to 0.0 must read as
+zero, where a generator standing for it would be a nonzero symbol.
+
+Each method is one loop that takes the ring's operations as arguments
+(_INTS, _DICTS, _TREES).  A determinant takes a division-free minor
+expansion that computes each nonzero minor once (GiNaC's
+determinant_minor) when the matrix is at least half zero, and
+fraction-free Bareiss elimination otherwise.  Inversion, on [m | I], and
+solve_linear(), on the augmented coefficient rows, share one
+fraction-free Gauss-Jordan loop on the exact rings and one Gauss-Jordan
+loop on the trees.  The characteristic polynomial of a matrix of exact
 rationals comes from the Faddeev-LeVerrier recurrence on integers, as
 GiNaC's matrix::charpoly takes Leverrier's algorithm for numeric
 matrices; any other matrix takes det(m - lam*I).
-Inversion and solve_linear() share one Gauss-Jordan elimination, on
-[m | I] and on the augmented coefficient rows.  solve_linear() expands
-each equation once and reads the coefficients of its unknowns off the
-expanded terms, as GiNaC's lsolve collects them into a matrix.
 
-Pivots are the first nonzero candidates in canonical order.  A symbolic
-pivot is assumed nonzero; there is no case splitting, and the
-assumption is visible in the result wherever the pivot ends up in a
-denominator.
+Pivots are the first nonzero candidates in canonical order, on every
+ring, so the rings agree on which systems are singular, inconsistent or
+underdetermined.  A symbolic pivot is assumed nonzero; there is no case
+splitting, and the assumption is visible in the result wherever the
+pivot ends up in a denominator.
 """
 
 from __future__ import annotations
@@ -35,13 +42,18 @@ from functools import reduce
 
 from .errors import DomainError, NoUniqueSolutionError, ShapeError, SingularMatrixError
 from .expr import (
+    Add,
     Eq,
     Expr,
     ExprList,
     MatrixNode,
+    Mul,
     Numeric,
+    Power,
     Relational,
     Symbol,
+    _FIELD,
+    _MASK,
     _MONO_ONE,
     _padd,
     _pscale,
@@ -154,100 +166,94 @@ def _div(a: Expr, b: Expr) -> Expr:
 def mat_det(m: MatrixNode) -> Expr:
     """Exact determinant.
 
-    The entries' census picks the ring.  Polynomials with rational
-    coefficients are worked on as dict polynomials, and the result comes
-    back canonical, with no normal() pass.  Rational functions of the
-    same symbols are read as dict quotients; each row is multiplied by
-    the lcm of its denominators, and the product of those lcms is
-    cancelled against the determinant once, as normal() would print it.
-    Entries with generators (floats, I, functions, roots, constants)
-    stay trees, and one normal() at the end cancels what the products
-    left.  On either ring, the zero pattern picks the method: at least
-    half the matrix structurally zero takes memoized minor expansion,
-    unless the pattern shows it would need more ring multiplications
-    than Bareiss elimination (n^3); a denser matrix takes Bareiss from
-    the start.
+    The entries' census picks the ring.  Rational numbers are worked on
+    as ints and polynomials with rational coefficients as dicts, and the
+    result comes back canonical, with no normal() pass.  Rational
+    functions of the same symbols are read as dict quotients; each row
+    is multiplied by the lcm of its denominators, and the product of
+    those lcms is cancelled against the determinant once, as normal()
+    would print it.  Entries with generators stay trees, and one
+    normal() at the end cancels what the products left.  On every ring,
+    the zero pattern picks the method: at least half the matrix
+    structurally zero takes memoized minor expansion, unless the pattern
+    shows it would need more ring multiplications than Bareiss
+    elimination (n^3); a denser matrix takes Bareiss from the start.
     """
     _want_square(m, "determinant")
     d = _det_bareiss_dict(m)
     if d is not None:
         return d
-    rows = m.row_list()
-    d = _det_cofactor(rows, mul, _tree_sum, _is_zero) if _is_sparse(m) else None
-    if d is None:
-        d = _det_bareiss(rows, mul, _tree_sum, _tree_quo, _is_zero)
-    return _norm(d)
+    return _norm(_det_on(m.row_list(), _is_sparse(m), *_TREES))
 
 
 def _is_sparse(m: MatrixNode) -> bool:
     return 2 * sum(1 for e in m.entries if _is_zero(e)) >= m.rows * m.cols
 
 
-def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
-    """The determinant on the poly dict representation, or None when
-    some entry is not a rational function of the matrix's symbols with
-    rational coefficients, or an exponent reaches the dicts' limit, and
-    the caller has to work on the trees.
+def _det_on(rows, sparse: bool, times, plus, quo, is_zero):
+    """The determinant of rows on one ring: minor expansion for a sparse
+    matrix within its budget, Bareiss elimination otherwise."""
+    d = _det_cofactor(rows, times, plus, is_zero) if sparse else None
+    return _det_bareiss(rows, times, plus, quo, is_zero) if d is None else d
 
-    Both methods run on integer coefficients: each row is scaled by the
-    lcm of its denominators, and the product of those lcms divides out
-    at the end, with one cancellation when some denominator is not a
-    number.  A sparse matrix goes to minor expansion; Bareiss takes a
-    dense matrix and a sparse one whose expansion would run over its
-    budget.
+
+def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
+    """The determinant on an exact ring, ints or dicts (_exact_rows), or
+    None when some entry has a generator, or an exponent reaches the
+    dicts' limit, and the caller has to work on the trees.
+
+    The rows come scaled to integer coefficients, and the product of
+    their scales divides out at the end, with one cancellation when some
+    denominator is not a number.
     """
-    vars = _ordered_vars(*m.entries)
     try:
-        read = _dict_rows(m, vars)
+        read = _exact_rows(m.row_list())
         if read is None:
             return None
-        rows, den, gm = read
-        rows, scale = _integer_rows(rows)
-        p = _det_cofactor(rows, _dmul, _padd, operator.not_) if _is_sparse(m) else None
-        if p is None:
-            p = _det_bareiss(rows, _dmul, _padd, _dict_quo, operator.not_)
+        ring, rows, scale, den, gm = read
+        p = _det_on(rows, _is_sparse(m), *ring)
+        if ring is _INTS:
+            return lift(Fraction(p, scale))
         if den is None:
-            return _from_dict(p if scale == 1 else _pscale(p, Fraction(1, scale)), vars)
-        # as normal() builds a quotient: cancelled, and a tree once d is 1
-        n, d = _frac_cancel(p, _pscale(den, scale), gm)
+            return _from_dict(p if scale == 1 else _pscale(p, Fraction(1, scale)), gm.vars)
+        return _quotient(p, _pscale(den, scale), gm)
     except _Overflow:
         return None  # an exponent reached the dicts' limit; the trees hold it
-    if d == 1:
-        return n
-    return mul(_from_dict(n, vars), power(_from_dict(d, vars), _M1))
 
 
-def _dict_rows(m: MatrixNode, vars):
-    """m's rows as dicts over vars, each row times the lcm of its
-    entries' denominators, with the product of those lcms (None when
-    every entry is a polynomial) and the _GenMap that read the others;
-    None when an entry is not a rational function of vars.
+def _exact_rows(rows: list[list[Expr]]):
+    """rows read into the exact ring they fit, as (ring, rows, scale, den,
+    gm): ints (_int_rows), or dicts with int coefficients (_dict_rows,
+    then _integer_rows) with den the product of the dict lcms and gm the
+    _GenMap over the symbols; scale is the product of the int lcms.
+    None when some entry has a generator."""
+    if all(type(e) is Numeric and e.value.is_rational() for row in rows for e in row):
+        rows, scale = _int_rows([[e.value.val for e in row] for row in rows])
+        return _INTS, rows, scale, None, None
+    vars = _ordered_vars(*(e for row in rows for e in row))
+    read = _dict_rows(rows, vars)
+    if read is None:
+        return None
+    rows, den, gm = read
+    rows, scale = _integer_rows(rows)
+    return _DICTS, rows, scale, den, gm
 
-    Each entry is read by _to_dict first; only a refused one goes
-    through normal()'s pair, and a polynomial matrix makes no _GenMap,
-    lcm or gcd.
-    """
+
+def _dict_rows(rows: list[list[Expr]], vars):
+    """rows as dicts over vars, each row times the lcm of its entries'
+    denominators, with the product of those lcms (None when every entry
+    is a polynomial) and the _GenMap that read the others; None when an
+    entry is not a rational function of vars.  A polynomial matrix
+    makes no lcm or gcd."""
     nv = len(vars)
     one = {_MONO_ONE: 1}
-    gm = den = None
+    gm = _GenMap(vars)
+    den = None
     out = []
-    for row in m.row_list():
-        pairs = []
-        for e in row:
-            try:
-                pairs.append((_to_dict(e, vars), None))
-                continue
-            except DomainError:
-                pass
-            if gm is None:
-                gm = _GenMap(m)
-            try:
-                pair = _normal_pair(e, gm)
-            except DomainError:
-                return None
-            if len(gm.vars) > nv:
-                return None  # a generator: not a rational function of vars
-            pairs.append(_fraction(pair, gm, nv))
+    for row in rows:
+        pairs = [_read(e, gm) for e in row]
+        if None in pairs:
+            return None
         dens = [d for _, d in pairs if d is not None and d != one]
         if dens:
             lcm = reduce(lambda a, b: _dmul(a, _dquotient(b, _dgcd(a, b, nv))), dens)
@@ -258,9 +264,43 @@ def _dict_rows(m: MatrixNode, vars):
     return out, den, gm
 
 
+def _read(e: Expr, gm, unknowns=frozenset()):
+    """e as numerator and denominator dicts over gm's variables, the
+    denominator None when _to_dict reads e, and only a refused e going
+    through normal()'s pair; None when e is not a rational function of
+    them, or when one of the unknowns sits in e anywhere but in a
+    numerator of degree at most 1 (_unknown_degree)."""
+    vars = gm.vars
+    try:
+        return _to_dict(e, vars), None
+    except DomainError:
+        pass
+    if _unknown_degree(e, unknowns) not in (0, 1):
+        return None
+    try:
+        pair = _normal_pair(e, gm)
+    except DomainError:
+        return None
+    if len(gm.vars) > len(vars):
+        return None  # a generator
+    return _fraction(pair, gm, len(vars))
+
+
+def _int_rows(rows: list[list]) -> tuple[list[list[int]], int]:
+    """rows of ints and Fractions with each row scaled to ints by the lcm
+    of its denominators, and the product of those lcms."""
+    scale = 1
+    out = []
+    for row in rows:
+        den = math.lcm(*(c.denominator for c in row))
+        scale *= den
+        out.append([c.numerator * (den // c.denominator) for c in row])
+    return out, scale
+
+
 def _integer_rows(rows: list[list[dict]]) -> tuple[list[list[dict]], int]:
-    """rows with each row scaled to integer coefficients by the lcm of
-    its denominators, and the product of those lcms."""
+    """rows of dicts with each row scaled to integer coefficients by the
+    lcm of its denominators, and the product of those lcms."""
     scale = 1
     out = []
     for row in rows:
@@ -270,8 +310,20 @@ def _integer_rows(rows: list[list[dict]]) -> tuple[list[list[dict]], int]:
     return out, scale
 
 
+def _quotient(n, d, gm) -> Expr:
+    """n/d built once: a lifted Fraction of ints when gm is None, and
+    otherwise a quotient of dicts over gm's variables as normal() builds
+    a pair, cancelled, the denominator unit normal, a tree once d is 1."""
+    if gm is None:
+        return lift(Fraction(n, d))
+    n, d = _frac_cancel(n, d, gm)
+    if d == 1:
+        return n
+    return mul(_from_dict(n, gm.vars), power(_from_dict(d, gm.vars), _M1))
+
+
 def _det_bareiss(rows, times, plus, quo, is_zero):
-    """Fraction-free Bareiss elimination (Bareiss 1968) on either ring.
+    """Fraction-free Bareiss elimination (Bareiss 1968) on any ring.
 
     times, plus and is_zero are _det_cofactor's.  quo(t, p) divides t
     by the previous pivot p, exactly by Sylvester's identity; at the
@@ -297,10 +349,23 @@ def _det_bareiss(rows, times, plus, quo, is_zero):
     return plus([(rows[-1][-1], sign)])
 
 
+def _int_sum(terms: list) -> int:
+    return sum(t if sign > 0 else -t for t, sign in terms)
+
+
+def _int_quo(t: int, p: int | None) -> int:
+    if p is None:
+        return t
+    q, r = divmod(t, p)
+    if r:
+        raise ArithmeticError("inexact fraction-free division")
+    return q
+
+
 def _dict_quo(t: dict, p: dict | None) -> dict:
     q = t if p is None else _ddiv_exact(t, p)
     if q is None:
-        raise ArithmeticError("inexact Bareiss division")
+        raise ArithmeticError("inexact fraction-free division")
     return q
 
 
@@ -357,6 +422,12 @@ def _tree_sum(terms: list) -> Expr:
     return add(*(t if sign > 0 else mul(_M1, t) for t, sign in terms))
 
 
+# each ring's (times, plus, quo, is_zero)
+_INTS = (operator.mul, _int_sum, _int_quo, operator.not_)
+_DICTS = (_dmul, _padd, _dict_quo, operator.not_)
+_TREES = (mul, _tree_sum, _tree_quo, _is_zero)
+
+
 # ---------------------------------------------------------------- Gauss-Jordan
 
 
@@ -401,11 +472,50 @@ def _gauss_jordan(rows: list[list[Expr]], ncols: int) -> dict[int, int]:
     return pivots
 
 
+def _jordan(rows, ncols: int, times, plus, quo, is_zero) -> dict[int, int]:
+    """Fraction-free Gauss-Jordan elimination on the first ncols columns
+    of rows, in place, on an exact ring as _det_bareiss takes it; returns
+    {pivot column: its row} with the pivots _gauss_jordan picks.
+
+    A step with pivot p in row r sets every other row i to (p * row_i -
+    row_i[c] * row_r) / prev, prev the previous pivot, right of column c:
+    no step reads a column left of its own again.  Each division is
+    exact (Bareiss 1968; Nakos, Turner and Williams 1997), and after the
+    last step, with pivot p, a pivot row's entries over p are the
+    reduced form's.
+    """
+    width = len(rows[0])
+    r = 0
+    prev = None
+    pivots: dict[int, int] = {}
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if not is_zero(rows[i][c])), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rr = rows[r]
+        p = rr[c]
+        for i, ri in enumerate(rows):
+            if i == r:
+                continue
+            f = ri[c]
+            for j in range(c + 1, width):
+                t = times(p, ri[j])
+                if not is_zero(f):
+                    t = plus([(t, 1), (times(f, rr[j]), -1)])
+                ri[j] = quo(t, prev)
+        pivots[c] = r
+        prev = p
+        r += 1
+    return pivots
+
+
 # ---------------------------------------------------------------- inverse
 
 
 def mat_inverse(m: MatrixNode) -> MatrixNode:
-    """Exact inverse by Gauss-Jordan elimination on [m | I]."""
+    """Exact inverse by Gauss-Jordan elimination on [m | I], on the ring
+    the entries' census picks."""
     _want_square(m, "inversion")
     n = m.rows
     rows = [
@@ -413,6 +523,18 @@ def mat_inverse(m: MatrixNode) -> MatrixNode:
         + [_ONE if i == j else _ZERO for j in range(n)]
         for i in range(n)
     ]
+    try:
+        read = _exact_rows(rows)
+        if read is not None:
+            # a row's scale multiplies its entry of I too, so the inverse
+            # of the scaled rows, times their scales, is m's
+            ring, exact, _, _, gm = read
+            if len(_jordan(exact, n, *ring)) < n:
+                raise SingularMatrixError("matrix is singular")
+            p = exact[-1][n - 1]
+            return MatrixNode(n, n, [_quotient(x, p, gm) for row in exact for x in row[n:]])
+    except _Overflow:
+        pass  # an exponent reached the dicts' limit; the trees hold it
     if len(_gauss_jordan(rows, n)) < n:
         raise SingularMatrixError("matrix is singular")
     # n pivots on n rows: column i's pivot is in row i
@@ -510,9 +632,107 @@ def solve_linear(eqs, unknowns) -> ExprList:
         raise DomainError("unknowns repeat")
     if not eqs:
         raise NoUniqueSolutionError("no equations constrain the unknowns")
-    vset = set(unknowns)
     nc = len(unknowns)
+    try:
+        read = _exact_system(eqs, unknowns)
+        if read is not None:
+            ring, rows, gm = read
+            pivots = _jordan(rows, nc, *ring)
+            # the last pivot row still holds the last pivot
+            p = rows[len(pivots) - 1][max(pivots)] if pivots else None
+            return _solution(rows, pivots, unknowns, ring[3], lambda t: _quotient(t, p, gm))
+    except _Overflow:
+        pass  # an exponent reached the dicts' limit; the trees hold it
+    rows = _tree_system(eqs, unknowns)
+    return _solution(rows, _gauss_jordan(rows, nc), unknowns, _is_zero, lambda e: e)
 
+
+def _solution(rows, pivots, unknowns, is_zero, out) -> ExprList:
+    """The unique solution from rows eliminated to pivots, each right-hand
+    side built by out; NoUniqueSolutionError when there is none."""
+    nc = len(unknowns)
+    # rows below the last pivot row can only carry a right-hand side
+    for row in rows[len(pivots) :]:
+        if not is_zero(row[nc]):
+            raise NoUniqueSolutionError("system is inconsistent")
+    if len(pivots) < nc:
+        free = next(v for c, v in enumerate(unknowns) if c not in pivots)
+        raise NoUniqueSolutionError(f"system does not determine {free.name}")
+    return ExprList(Eq(v, out(rows[pivots[c]][nc])) for c, v in enumerate(unknowns))
+
+
+def _exact_system(eqs, unknowns):
+    """The augmented rows of the system on an exact ring, as (ring, rows,
+    gm); None when it is not exact and linear, and the tree reader has
+    to raise what it raises.
+
+    Each side is read once over the system's symbols, by _to_dict or, if
+    it refuses, as normal()'s pair; the difference, denominators
+    multiplied out, splits by the unknowns' fields.  Not taken: a
+    relation other than ==, a generator, an unknown under anything but
+    sums, products and positive integer powers, and a term of degree 2.
+    """
+    for eq in eqs:
+        if not isinstance(eq, Relational) or eq.op != "==":
+            return None
+    vars = _ordered_vars(*(s for eq in eqs for s in (eq.lhs, eq.rhs)), *unknowns)
+    nv = len(vars)
+    nc = len(unknowns)
+    # each unknown's monomial, to its column
+    col = {1 << _FIELD * (nv - 1 - vars.index(v)): c for c, v in enumerate(unknowns)}
+    fields = sum(col) * _MASK
+    uset = set(unknowns)
+    gm = _GenMap(vars)
+    rows = []
+    for eq in eqs:
+        sides = [_read(e, gm, uset) for e in (eq.lhs, eq.rhs)]
+        if None in sides:
+            return None
+        (nl, dl), (nr, dr) = sides
+        f = _padd(((nl if dr is None else _dmul(nl, dr), 1), (nr if dl is None else _dmul(nr, dl), -1)))
+        row = [{} for _ in range(nc + 1)]
+        for m, c in f.items():
+            u = m & fields
+            j = col.get(u) if u else nc
+            if j is None:
+                return None  # degree 2 or more in the unknowns
+            row[j][m - u] = c if u else -c
+        rows.append(row)
+    if nv == nc:
+        rows, _ = _int_rows([[p.get(_MONO_ONE, 0) for p in row] for row in rows])
+        return _INTS, rows, None
+    rows, _ = _integer_rows(rows)
+    return _DICTS, rows, gm
+
+
+def _unknown_degree(e: Expr, unknowns: set) -> int | None:
+    """The degree of tree e in the unknowns, as its sums, products and
+    powers give it; None when an unknown sits anywhere else."""
+    if not free_symbols(e) & unknowns:
+        return 0
+    t = type(e)
+    if t is Symbol:
+        return 1
+    if t is Add:
+        ds = [_unknown_degree(r, unknowns) for r, _ in e.pairs]
+        return None if None in ds else max(ds)
+    if t is Power and type(e.exponent) is Numeric:
+        pairs = [(e.base, e.exponent.value)]
+    elif t is Mul:
+        pairs = e.pairs
+    else:
+        return None
+    ds = [(_unknown_degree(r, unknowns), k) for r, k in pairs]
+    if any(d is None or d and not (k.is_integer() and k.val > 0) for d, k in ds):
+        return None
+    return sum(d * k.val for d, k in ds if d)
+
+
+def _tree_system(eqs, unknowns) -> list[list[Expr]]:
+    """The augmented rows of the system on the trees: each equation
+    expanded once, and the coefficients of its unknowns read off the
+    expanded terms."""
+    vset = set(unknowns)
     rows = []
     zeros = {v: _ZERO for v in unknowns}
     for eq in eqs:
@@ -536,13 +756,4 @@ def solve_linear(eqs, unknowns) -> ExprList:
                 terms = by.get(0, [])
         row.append(_norm(mul(_M1, subs(f, zeros))))
         rows.append(row)
-
-    pivots = _gauss_jordan(rows, nc)
-    # rows below the last pivot row can only carry a right-hand side
-    for row in rows[len(pivots) :]:
-        if not _is_zero(row[nc]):
-            raise NoUniqueSolutionError("system is inconsistent")
-    if len(pivots) < nc:
-        free = next(v for c, v in enumerate(unknowns) if c not in pivots)
-        raise NoUniqueSolutionError(f"system does not determine {free.name}")
-    return ExprList(Eq(v, rows[pivots[c]][nc]) for c, v in enumerate(unknowns))
+    return rows

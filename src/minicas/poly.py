@@ -59,7 +59,7 @@ from .expr import (
     _MASK,
     _MONO_ONE,
     _padd,
-    _pmul,
+    _pmul_unchecked,
     _poly_tree,
     _ppow,
     _pproduct,
@@ -183,11 +183,11 @@ def collect(e, x) -> Expr:
 # into the next.  Trees become dicts in _to_dict alone, which returns the
 # kernel's product as it is, and dicts become trees in _from_dict alone,
 # through the kernel's builder.  expr's _padd and _pscale add and scale
-# dicts, here, in _Polys and in the determinants; _dmul and _dpow
-# multiply them through the kernel's _pmul and _ppow.  _integerize turns
-# a dict into a rational content and a primitive part with int
-# coefficients.  The arithmetic keeps int coefficients ints, and
-# _ddiv_exact divides over Z only.
+# dicts, here, in _Polys and in the determinants; _dmul multiplies them
+# by the kernel's loop without its input check, and _dpow through the
+# kernel's _ppow.  _integerize turns a dict into a rational content and
+# a primitive part with int coefficients.  The arithmetic keeps int
+# coefficients ints, and _ddiv_exact divides over Z only.
 
 Poly = dict
 
@@ -352,12 +352,10 @@ def _from_dict(p: Poly, vars: tuple[Symbol, ...]) -> Expr:
 
 
 def _dmul(a: Poly, b: Poly) -> Poly:
-    """a * b by the kernel's _pmul; _Overflow when an exponent of the
-    product reaches _LIMIT."""
-    try:
-        return _bounded(_pmul(a, b))
-    except _Refused:
-        raise _Overflow from None
+    """a * b; _Overflow when an exponent of the product reaches _LIMIT.
+    Both keep their exponents in [0, _LIMIT), so every sum fits its field
+    and the kernel's input check is not needed."""
+    return _bounded(_pmul_unchecked(a, b))
 
 
 def _dpow(a: Poly, n: int) -> Poly:
@@ -484,6 +482,10 @@ def _integerize(p: Poly) -> tuple:
 # again, at most six retries.
 
 _HEUR_TRIES = 7
+# GiNaC's heur_gcd gives up once xi's length times the degree in the
+# evaluated variable passes 100,000 bits, about the length of the
+# integers an evaluation would build; the subresultant PRS takes over
+_HEUR_BITS = 100_000
 
 
 def _dheight(p: Poly) -> int:
@@ -515,9 +517,13 @@ def _balanced(c: int, xi: int) -> int:
 
 
 def _heur_gcd_z(a: Poly, b: Poly, nv: int) -> Poly | None:
-    """Heuristic gcd of primitive integer polynomials, None on defeat."""
+    """Heuristic gcd of primitive integer polynomials, None on defeat
+    or when an evaluation would pass _HEUR_BITS."""
     xi = 2 * max(_dheight(a), _dheight(b)) + 2
+    deg = max(m & _MASK for p in (a, b) for m in p)
     for _ in range(_HEUR_TRIES):
+        if deg * xi.bit_length() > _HEUR_BITS:
+            return None
         g = _heur_attempt(a, b, nv, xi)
         if g is not None:
             return g
@@ -991,8 +997,8 @@ def content_primpart(e, x) -> tuple[Expr, Expr, Expr]:
 class _GenMap:
     """The walk's variables: the symbols, then stand-ins gcds cannot touch."""
 
-    def __init__(self, e: Expr):
-        self.vars = _ordered_vars(e)
+    def __init__(self, vars: tuple[Symbol, ...]):
+        self.vars = vars
         self.index: dict[Expr, Symbol] = {}
         # id of each tree _frac_cancel built -> (that tree, its dict, the
         # number of variables then), so _fraction reads it back with one
@@ -1151,7 +1157,7 @@ def _normal_rule(x: Expr, walk):
     # PSeries up) are normalized entry by entry
     if x.kind >= PSeriesNode.kind:
         return None
-    gm = _GenMap(x)
+    gm = _GenMap(_ordered_vars(x))
     a, b = _normal_pair(x, gm)
     if b != 1:
         # a pair of dicts, or a tree over a number, built once

@@ -60,7 +60,7 @@ from minicas.expr import (
 )
 from minicas.functions import sin, zeta
 from minicas.numbers import num
-from minicas.poly import _from_dict, _GenMap, normal
+from minicas.poly import _from_dict, _GenMap, _ordered_vars, normal
 
 # ---------------------------------------------------------------- oracles
 
@@ -550,7 +550,7 @@ def test_rank_keyed_builder_matches_the_compare_sorted_one():
         shapes[type(got).__name__] += 1
     assert len(shapes) >= 5, shapes
     # poly's dicts over symbols and the generators normal makes
-    gm = _GenMap(add(x, y, z))
+    gm = _GenMap(_ordered_vars(add(x, y, z)))
     gm.sym_for(sin(x))
     gm.sym_for(sqrt(y))
     nv = len(gm.vars)

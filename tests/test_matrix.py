@@ -16,6 +16,7 @@ share one; those loops are kept here as the reference.
 
 import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -58,6 +59,7 @@ from minicas.matrices import (
 from minicas import expr as expr_module
 from minicas import matrices as matrices_module
 from minicas import parser as parser_module
+from minicas import poly as poly_module
 from minicas.expr import _padd
 from minicas.matrices import (
     _det_bareiss,
@@ -300,17 +302,37 @@ def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
     x, y = symbols("x y")
     expansions = []
     compared = []
+    rings = []
     inner = matrices_module._det_cofactor
+    eliminate = matrices_module._det_bareiss
+    read = matrices_module._to_dict
+    ring_of = {operator.mul: "int", _dmul: "dict", mul: "tree"}
 
     def recorded(rows, times, plus, is_zero):
         got = inner(rows, times, plus, is_zero)
-        expansions.append((times is mul, got is not None))
+        expansions.append((ring_of[times], got is not None))
+        rings.append(ring_of[times])
         return got
+
+    def bareiss(rows, times, *ring):
+        rings.append(ring_of[times])
+        return eliminate(rows, times, *ring)
+
+    def reading(e, vars):
+        rings.append("read")
+        return read(e, vars)
 
     def check(rows, on_dicts):
         n = len(rows)
         m = matrix(rows)
+        rings.clear()
         d = mat_det(m)
+        # rational numbers run on ints, with no dict read; the census
+        # sends everything else to dicts or, with a generator, to trees
+        if all(type(e) is Numeric for e in m.entries):
+            assert set(rings) == {"int"}
+        else:
+            assert set(rings) - {"read"} == {"dict" if on_dicts else "tree"}
         assert (_det_bareiss_dict(m) is not None) == on_dicts
         if on_dicts:
             # value at random points, against Laplace (or, past 7x7,
@@ -339,8 +361,9 @@ def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
                 compared.append("quotient")
         if not on_dicts or not all(is_polynomial(e) for e in m.entries):
             return d
-        # a polynomial matrix: exactly what the same Bareiss gives on the
-        # dict ring, on the rows scaled to integers, divided by the scale
+        # a polynomial matrix, rational numbers included: exactly what the
+        # same Bareiss gives on the dict ring, on the rows scaled to
+        # integers, divided by the scale
         vars = _ordered_vars(*m.entries)
         dicts, scale = _integer_rows([[_to_dict(e, vars) for e in r] for r in rows])
         on_ring = _det_bareiss(dicts, _dmul, _padd, _dict_quo, operator.not_)
@@ -348,6 +371,8 @@ def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
         return d
 
     monkeypatch.setattr(matrices_module, "_det_cofactor", recorded)
+    monkeypatch.setattr(matrices_module, "_det_bareiss", bareiss)
+    monkeypatch.setattr(matrices_module, "_to_dict", reading)
     sizes = {
         "integer": (1, 2, 3, 5, 7, 10),
         "rational": (1, 2, 3, 5, 7, 10),
@@ -370,8 +395,10 @@ def test_det_methods_agree_on_every_shape_and_ring(monkeypatch):
         vals[0][0] = k
         at.append(det_gauss(vals))
     assert expand(d) == add(lift(at[0]), mul(lift(at[1] - at[0]), sin(x)))
-    # both rings ran the expansion to the end, and both ran out of budget
-    assert set(expansions) == {(True, True), (True, False), (False, True), (False, False)}
+    # and so does one of polynomials, on the dict ring
+    check(shaped_rows(rng, "checkerboard", "polynomial", 10, x, y), True)
+    # every ring ran the expansion to the end, and ran out of budget
+    assert set(expansions) == {(r, ok) for r in ("int", "dict", "tree") for ok in (True, False)}
     # quotients printed alike, and denominators that cancelled, some of
     # them into an unexpanded tree product
     assert set(compared) == {"same", "expanded", "quotient"}
@@ -391,7 +418,7 @@ def test_checkerboard_runs_out_of_budget_and_ends_in_bareiss(monkeypatch):
         return got
 
     def bareiss(rows, times, *ring):
-        bareiss_rings.append("dict" if times is _dmul else "tree")
+        bareiss_rings.append({operator.mul: "int", _dmul: "dict"}.get(times, "tree"))
         return eliminate(rows, times, *ring)
 
     monkeypatch.setattr(matrices_module, "_det_cofactor", expansion)
@@ -401,12 +428,12 @@ def test_checkerboard_runs_out_of_budget_and_ends_in_bareiss(monkeypatch):
             for i in range(n)]
     d = mat_det(matrix(ints))
     assert d == lift(det_gauss(ints))
-    assert (outcomes, bareiss_rings) == ([True], ["dict"])
-    # the tree ring, run directly, is the reference for the dict ring
+    assert (outcomes, bareiss_rings) == ([True], ["int"])
+    # the tree ring, run directly, is the reference for the int ring
     assert d == eliminate(matrix(ints).row_list(), mul, _tree_sum, _tree_quo, _is_zero)
     polys = [[add(e, x) if e else lift(0) for e in r] for r in ints]
     d = mat_det(matrix(polys))
-    assert (outcomes, bareiss_rings) == ([True, True], ["dict", "dict"])
+    assert (outcomes, bareiss_rings) == ([True, True], ["int", "dict"])
     for r in (Fraction(1, 3), Fraction(-7, 2)):
         vals = [[e + r if e else 0 for e in row] for row in ints]
         assert subs(d, {x: lift(r)}) == lift(det_gauss(vals))
@@ -669,6 +696,170 @@ def test_solve_errors():
     assert rel.rhs == lift(1)
 
 
+# ---------------------------------------------------------------- exact rings
+
+
+def _planted_zero(rng, a):
+    """A sum that is zero only once expanded, or once its fractions are
+    brought over one denominator."""
+    j = rng.randint(1, 3)
+    return rng.choice([
+        add(power(add(a, j), 2), mul(-1, power(a, 2)), mul(-2 * j, a), -j * j),
+        add(mul(add(a, 1), add(a, -1)), mul(-1, power(a, 2)), 1),
+        add(power(add(a, 1), -1), mul(-1, power(add(a, 2), -1)),
+            mul(-1, power(mul(add(a, 1), add(a, 2)), -1))),
+    ])
+
+
+def _exact_coefficient(rng, family, a):
+    k = rng.choice([-3, -2, -1, 1, 2, 3, 5])
+    r = rng.random()
+    if r < 0.08:
+        return lift(0)
+    if r < 0.16:
+        return _planted_zero(rng, a)
+    if family == "integer":
+        return lift(k)
+    if family == "rational":
+        return lift(Fraction(k, rng.randint(2, 5)))
+    return rng.choice([
+        lift(k),
+        mul(k, power(add(a, rng.randint(1, 3)), -1)),
+        mul(add(power(a, 2), -k * k), power(add(a, k), -1)),
+        mul(k, a),
+        add(a, k),
+    ])
+
+
+def _fraction_solve(rows, n):
+    """The unique solution of augmented rows of Fractions, or None."""
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        r += 1
+    if any(row[n] for row in rows[r:]):
+        return None
+    return [rows[i][n] for i in range(n)]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def _is_zero_value(e):
+    return expand(normal(e)) == lift(0)
+
+
+def test_exact_rings_solve_and_invert_what_the_trees_do(monkeypatch):
+    rng = random.Random(202618)
+    a = Symbol("a")
+    unknowns = list(symbols("x y z"))
+    rings = Counter()
+    errors = Counter()
+    checked = 0
+    jordan = matrices_module._jordan
+
+    def recorded(rows, ncols, times, *ring):
+        rings[{operator.mul: "int", _dmul: "dict"}[times]] += 1
+        return jordan(rows, ncols, times, *ring)
+
+    def on_trees(f, *args):
+        with monkeypatch.context() as mp:
+            mp.setattr(matrices_module, "_exact_system", lambda *_: None)
+            mp.setattr(matrices_module, "_exact_rows", lambda *_: None)
+            return _outcome(f, *args)
+
+    monkeypatch.setattr(matrices_module, "_jordan", recorded)
+    for case in range(400):
+        family = rng.choice(("integer", "rational", "rational-function"))
+        n = rng.randint(1, 3)
+        before = sum(rings.values())
+        if case % 2:
+            # a matrix, singular when its last row is a multiple of its first
+            rows = [[_exact_coefficient(rng, family, a) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.25:
+                rows[-1] = [mul(rng.choice([2, -3]), e) for e in rows[0]]
+            m = matrix(rows)
+            got, tree = _outcome(mat_inverse, m), on_trees(mat_inverse, m)
+            assert sum(rings.values()) == before + 1
+            if isinstance(got, tuple):
+                assert got == tree, rows
+                errors[got[1]] += 1
+                continue
+            prod = mat_mul(got, m)
+            assert all(_is_zero_value(add(e, mul(-1, i)))
+                       for e, i in zip(prod.entries, identity(n).entries)), rows
+            assert all(_is_zero_value(add(e, mul(-1, t))) for e, t in zip(got.entries, tree.entries))
+            checked += 1
+            continue
+        # a system: over-, under- or exactly determined, and a multiple of
+        # its first equation that keeps it consistent or not
+        us = unknowns[:n]
+        count = max(1, n + rng.choice([-1, 0, 0, 1]))
+        coeffs = [[_exact_coefficient(rng, family, a) for _ in range(n + 1)] for _ in range(count)]
+        if rng.random() < 0.3:
+            k = rng.choice([2, -3, Fraction(1, 2)])
+            rhs = rng.choice([mul(k, coeffs[0][n]), _exact_coefficient(rng, family, a)])
+            coeffs.append([mul(k, c) for c in coeffs[0][:n]] + [rhs])
+        eqs = [Eq(add(*(mul(c, v) for c, v in zip(row, us))), row[n]) for row in coeffs]
+        got, tree = _outcome(solve_linear, eqs, us), on_trees(solve_linear, eqs, us)
+        assert sum(rings.values()) == before + 1
+        if isinstance(got, tuple):
+            assert got == tree, eqs
+            errors[got[1]] += 1
+            continue
+        assert [r.lhs for r in got] == us
+        assert all(_is_zero_value(add(r.rhs, mul(-1, t.rhs))) for r, t in zip(got, tree))
+        # against Fractions at points off every pole (half-integers)
+        for _ in range(2):
+            pt = {a: lift(Fraction(2 * rng.randint(1, 30) + 1, 2))}
+            want = _fraction_solve(
+                [[subs(c, pt).value.as_fraction() for c in row] for row in coeffs], n)
+            if want is not None:
+                assert [subs(r.rhs, pt).value.as_fraction() for r in got] == want, eqs
+                checked += 1
+    assert set(rings) == {"int", "dict"} and min(rings.values()) > 50, rings
+    for needle in ("matrix is singular", "system is inconsistent", "system does not determine"):
+        assert any(needle in text for text in errors), (needle, errors)
+    assert checked > 300
+
+
+def test_an_exact_system_is_read_once_and_eliminated_on_ints(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for name in ("_to_dict", "expand", "normal", "_gauss_jordan"):
+        count(matrices_module, name)
+    for name in ("expand", "normal"):
+        count(poly_module, name)
+    p, q = symbols("p q")
+    eqs = [Eq(add(mul(3, p), mul(5, q)), -7), Eq(add(mul(5, p), mul(-3, q)), 2)]
+    sol = solve_linear(eqs, [p, q])
+    assert list(sol) == [Eq(p, lift(Fraction(-11, 34))), Eq(q, lift(Fraction(-41, 34)))]
+    # one read per side, and nothing on the trees
+    assert calls == {"_to_dict": 4}
+
+
 # ---------------------------------------------------------------- against the old loops
 
 
@@ -847,6 +1038,18 @@ def _unexpanded_zero_inverse(rng):
     return f"inverse([{', '.join('[' + ', '.join(r) + ']' for r in rows)}]);"
 
 
+# the statements whose old answer has a polynomial tree that normal()
+# left grouped, which the dict ring prints expanded
+REGROUPED = [
+    "lsolve([(5)*y==(a^2-25)/(a+5), (1/(a+1))*x+(-2)*y==-3*a], [x, y]);",
+    "lsolve([(2)*x+((a^2-9)/(a+3))*y==(a^2-4)/(a+-2), (-2/(a+2))*x+(-1)*y==-3], [x, y]);",
+]
+
+
+def _answer_entries(v):
+    return v.entries if isinstance(v, MatrixNode) else [r.rhs for r in v.items]
+
+
 def test_elimination_prints_what_the_old_loops_printed(monkeypatch):
     rng = random.Random(202611)
     statements = [
@@ -861,13 +1064,26 @@ def test_elimination_prints_what_the_old_loops_printed(monkeypatch):
         "inverse([[0, 1], [0, 2]]);",
         "inverse([[0, (x+1)^2-x^2-2*x-1], [0, 1]]);",
     ] + [_unexpanded_zero_inverse(rng) for _ in range(30)]
-    got = [Shell().feed(s) for s in statements]
+    def run(s):
+        sh = Shell()
+        return sh.feed(s), sh.history[:1]
+
+    got = [run(s) for s in statements]
     monkeypatch.setattr(parser_module, "solve_linear", ref_solve_linear)
     monkeypatch.setattr(parser_module, "mat_inverse", ref_mat_inverse)
-    want = [Shell().feed(s) for s in statements]
-    for s, g, w in zip(statements, got, want):
-        assert (s, g) == (s, w)
-    printed = [line for lines in got for line in lines]
+    want = [run(s) for s in statements]
+    regrouped = []
+    for s, (g, new), (w, old) in zip(statements, got, want):
+        if g == w:
+            continue
+        # an old answer may hold a polynomial tree that normal() left
+        # grouped; the exact rings print it expanded, and nothing else
+        # moves (an error line has no value here, so it cannot differ)
+        regrouped.append(s)
+        for a, b in zip(_answer_entries(new[0]), _answer_entries(old[0]), strict=True):
+            assert a == b or is_polynomial(b) and to_string(a) == to_string(expand(b)), s
+    assert regrouped == REGROUPED
+    printed = [line for lines, _ in got for line in lines]
     # every kind of outcome is exercised
     for needle in ("==", "error: matrix is singular", "error: system is inconsistent",
                    "error: system does not determine", "error: system is not linear",

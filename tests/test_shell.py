@@ -317,3 +317,13 @@ def test_huge_exponents_answer_or_refuse_at_once():
         with pytest.raises(DomainError, match=refused[len("error: "):].replace("^", "\\^")):
             call()
     assert time.perf_counter() - start < 5
+
+
+def test_huge_degree_gcds_skip_the_heuristic_evaluation():
+    # each input reaches the heuristic gcd with 2^29 as the degree of the
+    # variable it evaluates; an evaluation at xi >= 6 would build an
+    # integer of about 1.4e9 bits, so the subresultant PRS answers
+    for stmt in ("gcd(x^(2^29)+1, x^(2^29)+2);", "gcd(x^(2^29)*y+1, x^(2^29)*y+2);"):
+        start = time.perf_counter()
+        assert Shell().feed(stmt) == ["1"]
+        assert time.perf_counter() - start < 1, stmt
