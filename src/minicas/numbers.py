@@ -552,6 +552,22 @@ def _check_pow_size(a: Number, n: int) -> None:
         raise DomainError(f"exact power too large: up to {est} bits")
 
 
+# An inexact power past 2^(±_MAX_FLOAT_POW_BITS) raises what printing it
+# would; mpmath's powering time grows with the exponent's bit length.
+_MAX_FLOAT_POW_BITS = 1 << 32
+
+
+def _check_float_pow_size(a: Number, b: Number, bits: int) -> None:
+    """Refuse the inexact power a**b, its operands read at bits, before
+    mpmath builds it when exp(Re(b*log(a))) passes 2^(±_MAX_FLOAT_POW_BITS)."""
+    if a.is_zero():
+        return
+    with mpmath.workprec(53):
+        size = (_to_mp(b, bits) * mpmath.log(_to_mp(a, bits))).real
+    if abs(size) > _MAX_FLOAT_POW_BITS * math.log(2):
+        raise DomainError("float exponent too large to print")
+
+
 def num_pow(a: Number, b: Number) -> Number:
     if b.kind == _INT:
         n = b.val
@@ -559,6 +575,8 @@ def num_pow(a: Number, b: Number) -> Number:
             raise ZeroDivisionError("zero to a negative power")
         if a.is_exact():
             _check_pow_size(a, n)
+        else:
+            _check_float_pow_size(a, b, dps_to_prec(_min_float_dps(a)))
         if a.kind == _INT:
             return Number(_INT, a.val**n) if n >= 0 else _from_fraction(Fraction(1, a.val**-n))
         if a.kind == _RAT:
@@ -587,6 +605,7 @@ def num_pow(a: Number, b: Number) -> Number:
         except ValueError:
             p = DEFAULT_DPS
     bits = dps_to_prec(p)
+    _check_float_pow_size(a, b, bits)
     if a.kind != _CPLX and b.kind != _CPLX:
         if not (a.is_negative() and b.kind == _FLOAT):
             try:
@@ -740,7 +759,11 @@ def _float_digits(tup, ndigits: int):
     exponents past 2 * _MAX_DECIMAL_EXP (any literal's fits) raise.
     """
     _, man, exp, bc = tup
-    # 2**(bc + exp - 1) <= value < 2**(bc + exp)
+    # 2**(bc + exp - 1) <= value < 2**(bc + exp).  An exponent of 7 *
+    # _MAX_DECIMAL_EXP bits is past 2 * _MAX_DECIMAL_EXP decimal digits,
+    # and this int test keeps a far larger one out of the float product.
+    if abs(bc + exp - 1) > 7 * _MAX_DECIMAL_EXP:
+        raise DomainError("float exponent too large to print")
     k = ndigits + 1 - math.floor((bc + exp - 1) * math.log10(2))
     if abs(k - ndigits) > 2 * _MAX_DECIMAL_EXP:
         raise DomainError("float exponent too large to print")

@@ -1,11 +1,22 @@
 """Shell-facing expression parser.
 
-A small tokenizer feeds a Pratt parser.  Identifiers resolve through a
-per-session symbol table (unknown names become fresh symbols on first
-use, so within one session a name always denotes the same symbol).
-Registered function names build FunctionApp nodes.  Shell commands
-(expand, diff, series, subs, ...) are evaluated eagerly, which lets
-them compose inside larger expressions just like ordinary calls.
+One compiled pattern (_TOKEN) scans a statement into (kind, text, pos)
+tuples, pos 1-based, for a Pratt parser.  The kinds are num (decimal
+digits), dec (digits with a fraction or an exponent: 2.5, 1e3, 2.5E-2),
+name, end (past the last character, with empty text) and, for an
+operator, its own text: + - * / ^ ( ) [ ] , ; = == != < <= > >= % %% %%%.
+Whitespace is str.isspace and digits are the decimal digits
+(str.isdecimal), so '٣' reads as 3.  A name is a letter (str.isalpha) or
+'_' followed by str.isalnum characters or '_', so 'é' and 'x²' are
+names; any other character, '²' or '½' included, is unexpected where a
+token starts.
+
+Identifiers resolve through a per-session symbol table (unknown names
+become fresh symbols on first use, so within one session a name always
+denotes the same symbol).  Registered function names build FunctionApp
+nodes.  Shell commands (expand, diff, series, subs, ...) are evaluated
+eagerly, which lets them compose inside larger expressions just like
+ordinary calls.
 
 Every syntax error carries a 1-based character position.  Semantic
 failures inside an eagerly evaluated command (a singular matrix, a
@@ -15,6 +26,7 @@ library exceptions they are.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError
@@ -101,75 +113,38 @@ def parse_expr(text: str, symtab: dict | None = None, history=()) -> Expr:
 
 # ---------------------------------------------------------------- tokens
 
+# \s, \w and \d are exactly str.isspace, str.isalnum or '_', and
+# str.isdecimal.  re has no class for str.isalpha, so a name may start at
+# '²' or '½' here, and _tokenize refuses it.
+_TOKEN = re.compile(
+    r"""\s+
+    | (?P<dec>\d+(?:\.\d+(?:[eE][+-]?\d+)?|[eE][+-]?\d+))
+    | (?P<num>\d+)
+    | (?P<name>[^\W\d]\w*)
+    | (?P<op>%{1,3}|[=!<>]=|[-+*/^()\[\],;<>=])
+    | (?P<bad>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | name | op | end
-    text: str
-    pos: int  # 1-based offset of the first character
 
-
-_TWO_CHAR = ("==", "!=", "<=", ">=")
-_ONE_CHAR = set("+-*/^()[],;<>=")
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        start = i
-        if c.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            isdec = False
-            if i < n and text[i] == "." and i + 1 < n and text[i + 1].isdigit():
-                isdec = True
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    isdec = True
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            toks.append(_Token("num" if not isdec else "dec", text[start:i], start + 1))
-            continue
-        if c.isalpha() or c == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            toks.append(_Token("name", text[start:i], start + 1))
-            continue
-        if c == "%":
-            while i < n and text[i] == "%" and i - start < 3:
-                i += 1
-            toks.append(_Token("op", text[start:i], start + 1))
-            continue
-        if text[i : i + 2] in _TWO_CHAR:
-            toks.append(_Token("op", text[i : i + 2], start + 1))
-            i += 2
-            continue
-        if c in _ONE_CHAR:
-            toks.append(_Token("op", c, start + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", start + 1)
-    toks.append(_Token("end", "", n + 1))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            continue  # whitespace
+        word = m.group()
+        if kind == "op":
+            kind = word
+        elif kind == "bad" or (kind == "name" and not (word[0].isalpha() or word[0] == "_")):
+            raise ParseError(f"unexpected character {word[0]!r}", m.start() + 1)
+        toks.append((kind, word, m.start() + 1))
+    toks.append(("end", "", len(text) + 1))
     return toks
 
 
-def _describe(tok: _Token) -> str:
-    if tok.kind == "end":
-        return "end of input"
-    return repr(tok.text)
+def _describe(tok: tuple) -> str:
+    return "end of input" if tok[0] == "end" else repr(tok[1])
 
 
 # ---------------------------------------------------------------- grammar
@@ -188,47 +163,44 @@ _CONSTANTS = {"Pi": Pi, "Euler": Euler, "Catalan": Catalan, "I": I}
 
 def _parse_statement(text: str, symtab: dict, history) -> object:
     toks = _tokenize(text)
-    if toks[0].kind == "end":
-        raise ParseError("empty statement", toks[0].pos)
-    if toks[0].kind == "name" and toks[0].text == "quit":
-        rest = toks[1]
-        if rest.kind == "end" or (rest.text == ";" and toks[2].kind == "end"):
-            return _QUIT
+    if toks[0][0] == "end":
+        raise ParseError("empty statement", toks[0][2])
+    # only a name spells quit, and only the end token has empty text
+    if [t[1] for t in toks[:3]] in (["quit", ""], ["quit", ";", ""]):
+        return _QUIT
     p = _Parser(toks, symtab, history)
     e = p.expression(0)
-    tok = p.peek()
-    if tok.kind == "op" and tok.text == ";":
+    if p.at(";"):
         p.advance()
-        tok = p.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected {_describe(tok)}", tok.pos)
+    tok = p.peek()
+    if tok[0] != "end":
+        raise ParseError(f"unexpected {_describe(tok)}", tok[2])
     return e
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token], symtab: dict, history):
+    def __init__(self, toks: list, symtab: dict, history):
         self.toks = toks
         self.i = 0
         self.symtab = symtab
         self.history = history
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.toks[self.i]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.toks[self.i]
-        if tok.kind != "end":
+        if tok[0] != "end":
             self.i += 1
         return tok
 
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text == text
+    def at(self, kind: str) -> bool:
+        return self.toks[self.i][0] == kind
 
-    def expect(self, text: str) -> None:
+    def expect(self, kind: str) -> None:
         tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {_describe(tok)}", tok.pos)
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {_describe(tok)}", tok[2])
         self.advance()
 
     # -- Pratt loop ---------------------------------------------------
@@ -237,53 +209,52 @@ class _Parser:
         left = self.prefix(self.advance())
         while True:
             tok = self.peek()
-            bp = _LBP.get(tok.text, 0) if tok.kind == "op" else 0
-            if bp <= min_bp:
+            if _LBP.get(tok[0], 0) <= min_bp:
                 return left
             self.advance()
             left = self.infix(tok, left)
 
-    def prefix(self, tok: _Token) -> Expr:
-        if tok.kind == "num":
-            return lift(decimal_to_int(tok.text))
-        if tok.kind == "dec":
-            return Numeric(from_decimal(tok.text))
-        if tok.kind == "name":
+    def prefix(self, tok: tuple) -> Expr:
+        kind, text, pos = tok
+        if kind == "num":
+            return lift(decimal_to_int(text))
+        if kind == "dec":
+            return Numeric(from_decimal(text))
+        if kind == "name":
             if self.at("("):
                 return self.call(tok)
-            got = _CONSTANTS.get(tok.text)
+            got = _CONSTANTS.get(text)
             if got is not None:
                 return got
-            if tok.text == "quit":
-                raise ParseError("quit is a command, not an expression", tok.pos)
-            sym = self.symtab.get(tok.text)
+            if text == "quit":
+                raise ParseError("quit is a command, not an expression", pos)
+            sym = self.symtab.get(text)
             if sym is None:
-                sym = Symbol(tok.text)
-                self.symtab[tok.text] = sym
+                sym = Symbol(text)
+                self.symtab[text] = sym
             return sym
-        if tok.kind == "op":
-            if tok.text in ("%", "%%", "%%%"):
-                back = len(tok.text) - 1
-                if back >= len(self.history):
-                    raise ParseError(f"no history entry for {tok.text}", tok.pos)
-                return self.history[back]
-            if tok.text == "(":
-                e = self.expression(0)
-                self.expect(")")
-                return e
-            if tok.text == "[":
-                return self.bracket()
-            if tok.text == "-":
-                return mul(-1, self.expression(_BP_PREFIX))
-            if tok.text == "+":
-                return self.expression(_BP_PREFIX)
-        raise ParseError(f"unexpected {_describe(tok)}", tok.pos)
+        if kind in ("%", "%%", "%%%"):
+            back = len(text) - 1
+            if back >= len(self.history):
+                raise ParseError(f"no history entry for {text}", pos)
+            return self.history[back]
+        if kind == "(":
+            e = self.expression(0)
+            self.expect(")")
+            return e
+        if kind == "[":
+            return self.bracket()
+        if kind == "-":
+            return mul(-1, self.expression(_BP_PREFIX))
+        if kind == "+":
+            return self.expression(_BP_PREFIX)
+        raise ParseError(f"unexpected {_describe(tok)}", pos)
 
-    def infix(self, tok: _Token, left: Expr) -> Expr:
-        op = tok.text
+    def infix(self, tok: tuple, left: Expr) -> Expr:
+        op = tok[0]
         if op in _REL_OPS:
             if isinstance(left, Relational):
-                raise ParseError("relations do not chain", tok.pos)
+                raise ParseError("relations do not chain", tok[2])
             return rel(left, op, self.expression(_BP_REL))
         if op == "+":
             return add(left, self.expression(_BP_ADD))
@@ -298,16 +269,19 @@ class _Parser:
 
     # -- composite forms ----------------------------------------------
 
-    def bracket(self) -> Expr:
+    def items(self, close: str) -> list[Expr]:
+        """Comma-separated expressions up to and past close."""
         items = []
-        if not self.at("]"):
-            while True:
+        if not self.at(close):
+            items.append(self.expression(0))
+            while self.at(","):
+                self.advance()
                 items.append(self.expression(0))
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
-        self.expect("]")
+        self.expect(close)
+        return items
+
+    def bracket(self) -> Expr:
+        items = self.items("]")
         if (
             items
             and all(isinstance(x, ExprList) for x in items)
@@ -318,31 +292,21 @@ class _Parser:
             return MatrixNode(len(items), w, [e for row in items for e in row.items])
         return ExprList(items)
 
-    def call(self, name_tok: _Token) -> Expr:
+    def call(self, name_tok: tuple) -> Expr:
         self.advance()  # past '('
-        args: list[Expr] = []
-        if not self.at(")"):
-            while True:
-                args.append(self.expression(0))
-                if self.at(","):
-                    self.advance()
-                    continue
-                break
-        self.expect(")")
-        name = name_tok.text
+        args = self.items(")")
+        _, name, pos = name_tok
         builtin = _BUILTINS.get(name)
         if builtin is not None:
             lo, hi, fn = builtin
             if not lo <= len(args) <= hi:
                 want = str(lo) if lo == hi else f"{lo} to {hi}"
-                raise ParseError(
-                    f"{name} takes {want} argument(s), not {len(args)}", name_tok.pos
-                )
-            return fn(args, name_tok.pos)
+                raise ParseError(f"{name} takes {want} argument(s), not {len(args)}", pos)
+            return fn(args, pos)
         try:
             fdef = fn_lookup(name, len(args))
         except DomainError as err:
-            raise ParseError(str(err), name_tok.pos) from None
+            raise ParseError(str(err), pos) from None
         return apply_function(fdef, args)
 
 

@@ -20,6 +20,7 @@ from minicas.errors import DomainError, UnsupportedPatternError
 from minicas.expr import (
     Add,
     Constant,
+    Eq,
     Euler,
     ExprList,
     I,
@@ -1113,3 +1114,100 @@ def test_structural_hash_and_dict_keys():
     assert table[add(y, x)] == 1
     assert table[mul(y, x)] == 2
     assert add(x, y) in table
+
+
+# ---------------------------------------------------------------- host-language operators
+
+
+def _outcome(thunk):
+    """A result, or the type and text of the exception it raised."""
+    try:
+        return thunk()
+    except (ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+def _same_outcome(by_operator, by_function, what):
+    got, want = _outcome(by_operator), _outcome(by_function)
+    if isinstance(want, tuple):
+        assert got == want, what
+        return
+    assert type(got) is type(want) and got == want, what
+    assert to_string(got) == to_string(want), what
+
+
+def test_python_operators_and_methods_are_the_function_forms():
+    # the user works in Python itself: every operator and convenience
+    # method of Expr and Number is the library function it stands for,
+    # with int, Fraction, float and Expr operands on either side
+    from minicas import numbers as nm
+    from minicas.poly import coeff, collect, degree, ldegree
+
+    x, y = symbols("x y")
+    rng = random.Random(1560)
+    exprs = [x, y, add(x, 1), mul(2, x, y), power(add(x, y), 2), mul(3, power(x, -1)),
+             sin(x), lift(Fraction(3, 4)), lift(0)]
+    scalars = [0, 1, -3, 7, Fraction(1, 2), Fraction(-5, 3), 0.5, -1.25, 2.0]
+    exponents = [0, 2, -1, 3, Fraction(1, 2), Fraction(-2, 3), 0.5, y, add(y, 1)]
+    for _ in range(400):
+        a = rng.choice(exprs)
+        b = rng.choice(scalars + exprs)
+        what = (to_string(a), b if not isinstance(b, minicas.Expr) else to_string(b))
+        _same_outcome(lambda: a + b, lambda: add(a, b), what)
+        _same_outcome(lambda: b + a, lambda: add(b, a), what)
+        _same_outcome(lambda: a - b, lambda: add(a, mul(-1, b)), what)
+        _same_outcome(lambda: b - a, lambda: add(b, mul(-1, a)), what)
+        _same_outcome(lambda: a * b, lambda: mul(a, b), what)
+        _same_outcome(lambda: b * a, lambda: mul(b, a), what)
+        _same_outcome(lambda: a / b, lambda: mul(a, power(b, -1)), what)
+        _same_outcome(lambda: b / a, lambda: mul(b, power(a, -1)), what)
+        e = rng.choice(exponents)
+        _same_outcome(lambda: a**e, lambda: power(a, e), what)
+        # Fraction.__pow__ hands float(base) to Expr.__rpow__, so the
+        # reflected power takes the other bases
+        s = rng.choice([v for v in scalars if not isinstance(v, Fraction)])
+        _same_outcome(lambda: s**a, lambda: power(s, a), what)
+        _same_outcome(lambda: -a, lambda: mul(-1, a), what)
+        assert +a is a
+        k = rng.randint(0, 3)
+        _same_outcome(lambda: a.subs([Eq(x, b)]), lambda: subs(a, [Eq(x, b)]), what)
+        _same_outcome(lambda: a.diff(x, k), lambda: diff(a, x, k), what)
+        _same_outcome(lambda: a.expand(), lambda: expand(a), what)
+        _same_outcome(lambda: a.evalf(12 + k), lambda: evalf(a, 12 + k), what)
+        _same_outcome(lambda: a.normal(), lambda: normal(a), what)
+        _same_outcome(lambda: a.collect(x), lambda: collect(a, x), what)
+        _same_outcome(lambda: lift(a.degree(x)), lambda: lift(degree(a, x)), what)
+        _same_outcome(lambda: lift(a.ldegree(x)), lambda: lift(ldegree(a, x)), what)
+        # Add and Mul keep their numeric coefficient in a slot named
+        # coeff, which hides the method on sums and products
+        if type(a) not in (Add, Mul):
+            _same_outcome(lambda: a.coeff(x, k), lambda: coeff(a, x, k), what)
+    # Number: each operator, reflected ones included, is its num_ function
+    # on num(other), and the orderings are num_cmp's
+    numbers = [nm.num(v) for v in (0, 1, -3, Fraction(1, 2), 0.5, 1.5)] + [nm.IUNIT]
+    for _ in range(400):
+        p = rng.choice(numbers)
+        v = rng.choice(scalars)
+        q = nm.num(v)
+        for by_operator, by_function in (
+            (lambda: p + v, lambda: nm.num_add(p, q)),
+            (lambda: v + p, lambda: nm.num_add(q, p)),
+            (lambda: p - v, lambda: nm.num_sub(p, q)),
+            (lambda: v - p, lambda: nm.num_sub(q, p)),
+            (lambda: p * v, lambda: nm.num_mul(p, q)),
+            (lambda: v * p, lambda: nm.num_mul(q, p)),
+            (lambda: p / v, lambda: nm.num_div(p, q)),
+            (lambda: v / p, lambda: nm.num_div(q, p)),
+            (lambda: -p, lambda: nm.num_neg(p)),
+        ):
+            got, want = _outcome(by_operator), _outcome(by_function)
+            assert got == want and str(got) == str(want), (p, v)
+        n = rng.choice((2, -1, 3))
+        got, want = _outcome(lambda: p**n), _outcome(lambda: nm.num_pow(p, nm.num(n)))
+        assert got == want and str(got) == str(want), (p, n)
+        if p.is_real():
+            c = nm.num_cmp(p, q)
+            assert ((p < v), (p <= v), (p > v), (p >= v)) == (c < 0, c <= 0, c > 0, c >= 0)
+            assert (p == q) == (c == 0)
+            if not isinstance(v, float):
+                assert (p == v) == (c == 0)

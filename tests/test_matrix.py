@@ -20,6 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from math import factorial
 
+import mpmath
 import pytest
 
 from minicas.errors import (
@@ -858,6 +859,74 @@ def test_an_exact_system_is_read_once_and_eliminated_on_ints(monkeypatch):
     assert list(sol) == [Eq(p, lift(Fraction(-11, 34))), Eq(q, lift(Fraction(-41, 34)))]
     # one read per side, and nothing on the trees
     assert calls == {"_to_dict": 4}
+
+
+def _float_of(e):
+    return float(to_string(e))
+
+
+def test_exponents_at_the_dict_limit_fall_back_to_the_trees(monkeypatch):
+    # X = x^(2^29) reads into the dicts, but X*X reaches their 2^30 limit,
+    # so each exact path raises _Overflow and its except hands the input
+    # to the trees; the printed lines are the ones the trees print
+    events = []
+
+    def spy(name):
+        inner = getattr(matrices_module, name)
+
+        def spied(*args):
+            try:
+                got = inner(*args)
+            except poly_module._Overflow:
+                events.append((name, "overflow"))
+                raise
+            on_trees = name == "_gauss_jordan" or args[-1] is _is_zero
+            events.append((name, "tree" if on_trees else "exact"))
+            return got
+
+        monkeypatch.setattr(matrices_module, name, spied)
+
+    for name in ("_det_on", "_jordan", "_gauss_jordan"):
+        spy(name)
+    sh = Shell()
+    with mpmath.workdps(40):
+        x40 = mpmath.mpf("1.0000000001")
+        xv, X = float(x40), float(x40 ** (2**29))
+    cases = [
+        ("det([[x^(2^29),1],[1,x^(2^29)]]);", "-1+x^1073741824",
+         [("_det_on", "overflow"), ("_det_on", "tree")], [[X * X - 1]]),
+        ("det([[x^(2^29),1,0],[1,x^(2^29),1],[0,1,x]]);",
+         "x^(-536870912)*(-x^536870913-x^1073741824+x^1610612737)",
+         [("_det_on", "overflow"), ("_det_on", "tree")], [[X * X * xv - X - xv]]),
+        ("inverse([[x^(2^29),1],[1,x^(2^29)]]);",
+         "[[(-x^(-536870912)+x^536870912)^(-1),-x^(-536870912)*(-x^(-536870912)+x^536870912)^(-1)],"
+         "[-x^(-536870912)*(-x^(-536870912)+x^536870912)^(-1),(-x^(-536870912)+x^536870912)^(-1)]]",
+         [("_jordan", "overflow"), ("_gauss_jordan", "tree")],
+         [[X / (X * X - 1), -1 / (X * X - 1)], [-1 / (X * X - 1), X / (X * X - 1)]]),
+        ("lsolve([x^(2^29)*a+b==1, a-x^(2^29)*b==2],[a,b]);",
+         "[a==x^(-536870912)-x^(-1073741824)*(-1+2*x^536870912)*(-x^(-536870912)-x^536870912)^(-1),"
+         "b==x^(-536870912)*(-1+2*x^536870912)*(-x^(-536870912)-x^536870912)^(-1)]",
+         [("_jordan", "overflow"), ("_gauss_jordan", "tree")],
+         [[(X + 2) / (X * X + 1), (1 - 2 * X) / (X * X + 1)]]),
+    ]
+    for stmt, line, path, want in cases:
+        events.clear()
+        assert sh.feed(stmt) == [line], stmt
+        assert events == path, stmt
+        # normal leaves m*m^(-1) unsimplified, so the answer is checked
+        # against its closed form at x = 1.0000000001, where X ~ 1.055
+        (point,) = sh.feed("evalf(subs(%, x==1.0000000001));")
+        got = sh.history[0]
+        if isinstance(got, MatrixNode):
+            values = [[_float_of(e) for e in row] for row in got.row_list()]
+        elif isinstance(got, ExprList):
+            values = [[_float_of(r.rhs) for r in got.items]]
+        else:
+            values = [[_float_of(got)]]
+        assert len(values) == len(want) and all(len(r) == len(w) for r, w in zip(values, want))
+        for row, wrow in zip(values, want):
+            for v, w in zip(row, wrow):
+                assert v == pytest.approx(w, rel=1e-9), (stmt, point)
 
 
 # ---------------------------------------------------------------- against the old loops

@@ -15,6 +15,7 @@ import pytest
 
 from minicas.errors import DomainError
 from minicas.expr import add, mul, power, symbols
+from minicas.numbers import _float_digits
 from minicas.poly import content_primpart, exact_quotient
 from minicas.shell import Shell, repl, run_script
 
@@ -236,6 +237,33 @@ def test_huge_factorials_and_far_floats_answer_at_once():
     # Python's 4300-digit limit on integer printing
     lines = sh.feed("2.5e-10000; evalf(10^5000); 1.0e4400;")
     assert lines == ["2.5E-10000", "1.0E5000", "1.0E4400"]
+
+
+def test_far_float_powers_answer_at_once():
+    # mpmath's powering time grows with the bit length of the exponent,
+    # so a float power far past what prints is refused before it is built
+    for stmt in (
+        "1.5^(2^20000);",
+        "3.502^(401e32^402);",
+        "1.5^(2^2000);",
+        "1.5^(2^8000);",
+        "(1.5+I)^(2^20000);",
+        "(-1.5)^(2^20000);",
+        "1.5^(-2^20000);",
+        "3^(2.0^20000);",
+        "0*1.5^(2^2000);",
+        "0.5^(2^20000);",
+    ):
+        start = time.perf_counter()
+        assert Shell().feed(stmt) == ["error: float exponent too large to print"], stmt
+        assert time.perf_counter() - start < 1, stmt
+    # powers of 1 and -1, and a power that comes back into range, stand
+    assert Shell().feed("1.0^(2^20000); (-1.0)^(2^20000+1); (1.5^(10^7))^(10^-7);") == [
+        "1.0", "-1.0", "1.5"
+    ]
+    # past 2^1024 the binary exponent is compared as an int, not a float
+    with pytest.raises(DomainError, match="too large to print"):
+        _float_digits((0, 3, 2**20000, 2), 20)
 
 
 def test_a_factor_meets_its_multiplicity_in_one_step():
