@@ -62,6 +62,7 @@ from .errors import (
     UnsupportedPatternError,
 )
 from .numbers import (
+    _SMALL_INTS,
     DEFAULT_DPS,
     IUNIT,
     Number,
@@ -283,34 +284,33 @@ class Constant(Expr):
         self._hash = hash64(KIND_CONSTANT, self.serial)
 
 
-class Add(Expr):
+class _Pairs(Expr):
+    """An overall coefficient and (rest, key) pairs: Add and Mul."""
+
+    __slots__ = ("coeff", "pairs", "_free")
+
+    def __init__(self, coeff: Number, pairs):
+        self.coeff = coeff
+        self.pairs = pairs
+        h = [self.kind, coeff._hash]
+        for r, k in pairs:
+            h += (r._hash, k._hash)
+        self._hash = hash64(*h)
+        self._free = None
+
+
+class Add(_Pairs):
     """overall + sum of key*rest.  Construct via add()."""
 
-    __slots__ = ("coeff", "pairs", "_free")
+    __slots__ = ()
     kind = KIND_ADD
 
-    def __init__(self, coeff: Number, pairs):
-        self.coeff = coeff
-        self.pairs = pairs
-        self._hash = hash64(
-            KIND_ADD, coeff._hash, *(v for r, k in pairs for v in (r._hash, k._hash))
-        )
-        self._free = None
 
-
-class Mul(Expr):
+class Mul(_Pairs):
     """overall * product of rest^key.  Construct via mul()."""
 
-    __slots__ = ("coeff", "pairs", "_free")
+    __slots__ = ()
     kind = KIND_MUL
-
-    def __init__(self, coeff: Number, pairs):
-        self.coeff = coeff
-        self.pairs = pairs
-        self._hash = hash64(
-            KIND_MUL, coeff._hash, *(v for r, k in pairs for v in (r._hash, k._hash))
-        )
-        self._free = None
 
 
 class Power(Expr):
@@ -429,11 +429,17 @@ class MatrixNode(Expr):
 def lift(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    return Numeric(num(x))
+    return _numeric(num(x))
 
 
-ZERO = Numeric(_NUM_ZERO)
-ONE = Numeric(_NUM_ONE)
+def _numeric(v: Number) -> Numeric:
+    """The Numeric of v, shared for a small int (by the Number's id)."""
+    return _SHARED.get(id(v)) or Numeric(v)
+
+
+_SHARED = {id(v): Numeric(v) for v in _SMALL_INTS}
+ZERO = _numeric(_NUM_ZERO)
+ONE = _numeric(_NUM_ONE)
 
 
 # ---------------------------------------------------------------- ordering
@@ -505,8 +511,12 @@ def _cmp_seq(xs, ys) -> int:
     return 0
 
 
+_PAIR_ORDER = functools.cmp_to_key(lambda p, q: compare(p[0], q[0]))
+
+
 def _sort_pairs(pairs):
-    pairs.sort(key=functools.cmp_to_key(lambda p, q: compare(p[0], q[0])))
+    if len(pairs) > 1:
+        pairs.sort(key=_PAIR_ORDER)
     return pairs
 
 
@@ -542,7 +552,7 @@ def _sum(overall: Number, pairs) -> Expr:
     """The canonical form of overall + sum(k*r) for (r, k) pairs with
     distinct rests r, as _split_term makes them, and nonzero k."""
     if not pairs:
-        return Numeric(overall)
+        return _numeric(overall)
     _sort_pairs(pairs)
     if overall.is_zero() and len(pairs) == 1:
         r, k = pairs[0]
@@ -560,7 +570,7 @@ def _split_term(t):
     if type(t) is Mul and not t.coeff.is_one():
         if len(t.pairs) == 1:
             r, k = t.pairs[0]
-            rest = r if k.is_one() else Power(r, Numeric(k))
+            rest = r if k.is_one() else Power(r, _numeric(k))
         else:
             rest = Mul(_NUM_ONE, t.pairs)
         return rest, t.coeff
@@ -570,7 +580,7 @@ def _split_term(t):
 def _scaled(rest: Expr, k: Number) -> Expr:
     """k * rest for numeric k not 0 or 1 and canonical non-Add rest."""
     if type(rest) is Mul:  # rest has coefficient 1 by the pair invariant
-        return mul(Numeric(k), rest)
+        return mul(_numeric(k), rest)
     return Mul(k, (_split_factor(rest),))
 
 
@@ -582,6 +592,8 @@ def mul(*factors) -> Expr:
 
 
 def _mul_factors(factors) -> Expr:
+    if all(type(f) is Numeric for f in factors):
+        return _numeric(functools.reduce(num_mul, [f.value for f in factors], _NUM_ONE))
     overall = _NUM_ONE
     bucket: dict[Expr, Number] = {}
 
@@ -623,7 +635,7 @@ def _mul_factors(factors) -> Expr:
         for b, _ in pending:
             del bucket[b]
         for b, k in pending:
-            absorb(b if k.is_one() else power(b, Numeric(k)))
+            absorb(b if k.is_one() else power(b, _numeric(k)))
     pairs = [(b, k) for b, k in bucket.items() if not k.is_zero()]
     if overall.is_zero():  # float zero: contaminate but collapse
         return Numeric(overall)
@@ -634,11 +646,11 @@ def _product(overall: Number, pairs) -> Expr:
     """The canonical form of overall * prod(b**k) for nonzero overall and
     settled (b, k) pairs with distinct bases and nonzero k, in order."""
     if not pairs:
-        return Numeric(overall)
+        return _numeric(overall)
     if len(pairs) == 1:
         b, k = pairs[0]
         if overall.is_one():
-            return b if k.is_one() else Power(b, Numeric(k))
+            return b if k.is_one() else Power(b, _numeric(k))
         if type(b) is Add and k.is_one():
             # distribute a numeric coefficient over a lone sum
             return Add(
@@ -678,8 +690,8 @@ def power(b, e) -> Expr:
             if type(b) is Mul:
                 n = e.value
                 return _mul_factors(
-                    [Numeric(num_pow(b.coeff, n))]
-                    + [power(r, Numeric(num_mul(k, n))) for r, k in b.pairs]
+                    [_numeric(num_pow(b.coeff, n))]
+                    + [power(r, _numeric(num_mul(k, n))) for r, k in b.pairs]
                 )
     return Power(b, e)
 
@@ -699,9 +711,9 @@ def _numeric_power(b: Numeric, e: Numeric) -> Expr:
                 root = _exact_rational_root(fr, ev.val.denominator)
                 if root is not None:
                     # through num_pow, which refuses a power too large to build
-                    return Numeric(num_pow(num(root), num(ev.val.numerator)))
+                    return _numeric(num_pow(num(root), num(ev.val.numerator)))
         return Power(b, e)
-    return Numeric(num_pow(bv, ev))
+    return _numeric(num_pow(bv, ev))
 
 
 def _exact_rational_root(fr: Fraction, q: int) -> Fraction | None:
@@ -811,19 +823,15 @@ def _rewrite(e: Expr, rule) -> Expr:
             if all(map(operator.is_, kids, old)):
                 out = x
             elif t is Add:
-                # an unchanged term joins as its pair; a complex key
-                # goes through mul, which may turn its exact part float
+                # an unchanged term joins as its pair
                 out = _add_terms(
-                    [Numeric(x.coeff)]
-                    + [
-                        (r, k) if c is r and k.kind != "cplx" else _scaled_expr(c, k)
-                        for c, (r, k) in zip(kids, x.pairs)
-                    ]
+                    [_numeric(x.coeff)]
+                    + [(r, k) if c is r else _scaled_expr(c, k) for c, (r, k) in zip(kids, x.pairs)]
                 )
             elif t is Mul:
                 out = _mul_factors(
-                    [Numeric(x.coeff)]
-                    + [power(c, Numeric(k)) for c, (_, k) in zip(kids, x.pairs)]
+                    [_numeric(x.coeff)]
+                    + [power(c, _numeric(k)) for c, (_, k) in zip(kids, x.pairs)]
                 )
             elif t is Power:
                 out = power(*kids)
@@ -901,7 +909,7 @@ def subs(e: Expr, bindings) -> Expr:
 
 
 def _scaled_expr(r: Expr, k: Number) -> Expr:
-    return r if k.is_one() else mul(Numeric(k), r)
+    return r if k.is_one() else mul(_numeric(k), r)
 
 
 # ----------------------------------------------------------- differentiation
@@ -932,10 +940,10 @@ def _diff1(e: Expr, x: Symbol) -> Expr:
             dr = _diff1(r, x)
             if dr.is_zero():
                 continue
-            rest = [power(rr, Numeric(kk)) for j, (rr, kk) in enumerate(pairs) if j != i]
+            rest = [power(rr, _numeric(kk)) for j, (rr, kk) in enumerate(pairs) if j != i]
             total.append(
                 _mul_factors(
-                    [Numeric(e.coeff), Numeric(k), power(r, Numeric(num_add(k, num(-1)))), dr]
+                    [_numeric(e.coeff), _numeric(k), power(r, _numeric(num_add(k, num(-1)))), dr]
                     + rest
                 )
             )
@@ -944,7 +952,7 @@ def _diff1(e: Expr, x: Symbol) -> Expr:
         b, ex = e.base, e.exponent
         db = _diff1(b, x)
         if type(ex) is Numeric:
-            return _mul_factors([ex, power(b, Numeric(num_add(ex.value, num(-1)))), db])
+            return _mul_factors([ex, power(b, _numeric(num_add(ex.value, num(-1)))), db])
         de = _diff1(ex, x)
         from .functions import log
 
@@ -1060,15 +1068,15 @@ class _Polys:
         p = None
         if t is Add:
             p = self._sum(x)
+        elif (mc := self._monomial(x)) is not None:
+            p = {mc[0]: mc[1]}
         elif t is Mul or t is Power:
-            p = self._monomial(x)
-            if p is None:
-                fs = self.factors(x)
-                if fs is not None:
-                    try:
-                        p = _pproduct(fs)
-                    except _Refused:
-                        pass
+            fs = self.factors(x)
+            if fs is not None:
+                try:
+                    p = _pproduct(fs)
+                except _Refused:
+                    pass
         elif t is Numeric:
             if x.value.is_rational():
                 p = {_MONO_ONE: x.value.val} if not x.value.is_zero() else {}
@@ -1079,16 +1087,19 @@ class _Polys:
         self.memo[id(x)] = (x, p)
         return p
 
-    def _monomial(self, x: Expr) -> dict | None:
-        """A rational multiple of a product of symbol and constant
-        powers with integer exponents below _LIMIT as its one term, else
-        None."""
-        if type(x) is Mul:
+    def _monomial(self, x: Expr) -> tuple | None:
+        """A symbol or constant, or a rational multiple of a product of
+        their powers with integer exponents below _LIMIT, as its one
+        (monomial, coefficient) term, else None."""
+        t = type(x)
+        if t is Mul:
             if not x.coeff.is_rational():
                 return None
             c, pairs = x.coeff.val, x.pairs
-        elif type(x.exponent) is Numeric:
+        elif t is Power and type(x.exponent) is Numeric:
             c, pairs = 1, ((x.base, x.exponent.value),)
+        elif t is Symbol or t is Constant:
+            return 1 << _FIELD * self.index_of(x), 1
         else:
             return None
         m = _MONO_ONE
@@ -1101,20 +1112,32 @@ class _Polys:
                 return None
             i = index.get(r)
             m += e << _FIELD * (self.index_of(r) if i is None else i)
-        return {m: c}
+        return m, c
 
     def _sum(self, x: Add) -> dict | None:
+        """The terms of x added up in order, as _padd would; a monomial
+        term is read straight into the sum, without a dict of its own."""
         if not x.coeff.is_rational():
             return None
-        terms = [({_MONO_ONE: x.coeff.val}, 1)] if not x.coeff.is_zero() else []
+        out = {} if x.coeff.is_zero() else {_MONO_ONE: x.coeff.val}
         for r, k in x.pairs:
             if not k.is_rational():
                 return None
-            p = self.poly(r)
-            if p is None:
-                return None
-            terms.append((p, k.val))
-        return _padd(terms)
+            q, mc = k.val, self._monomial(r)
+            if mc is not None:
+                terms = ((mc[0], mc[1] * q),)
+            else:
+                p = self.poly(r)
+                if p is None:
+                    return None
+                terms = p.items() if q == 1 else [(m, c * q) for m, c in p.items()]
+            for m, c in terms:
+                c += out.get(m, 0)
+                if c:
+                    out[m] = c
+                else:
+                    del out[m]
+        return out
 
     def factors(self, x: Expr) -> list | None:
         """x as (polynomial, integer exponent) factors whose product is
@@ -1160,7 +1183,9 @@ class _Polys:
 
     def tree(self, p: dict) -> Expr:
         """The canonical sum of p's terms, built by _poly_tree once per
-        polynomial object."""
+        polynomial object.  Each (atom, exponent) factor is made once per
+        tree, as the (rank, exponent, (atom, Number)) triple _poly_tree
+        takes, so every term with that factor shares its pair."""
         got = self.built.get(id(p))
         if got is not None:
             return got[1]
@@ -1174,8 +1199,14 @@ class _Polys:
             for r, i in enumerate(order):
                 self.rank[i] = r
         rank = self.rank
+        made: dict = {}  # (atom index, exponent) -> its factor
+
+        def factor(ie):
+            made[ie] = f = (rank[ie[0]], ie[1], (atoms[ie[0]], num(ie[1])))
+            return f
+
         t = _poly_tree(
-            (sorted([(rank[i], atoms[i], e) for i, e in _unpack(m)]), c)
+            (sorted([made.get(ie) or factor(ie) for ie in _unpack(m)]), c)
             for m, c in p.items()
         )
         self.built[id(p)] = (p, t)
@@ -1185,41 +1216,34 @@ class _Polys:
 
 def _poly_tree(terms) -> Expr:
     """The canonical sum of c * prod(b**e) over terms (factors, c): each
-    factor a (rank, atom b, nonzero int e) triple, the factors sorted by
-    rank, and c a nonzero int or Fraction.  Ranks order atoms of one kind
-    as compare does, and each term is built once, as the coefficient and
-    coefficient-one product _split_term would make.
+    factor a (rank, nonzero int e, (atom b, Number e)) triple, the
+    factors sorted by rank, and c a nonzero int or Fraction.  Ranks order
+    atoms of one kind as compare does, and each term is built once, as
+    the coefficient and coefficient-one product _split_term would make;
+    a product's pairs are the factors' (b, Number e) tuples as given.
 
     The terms sort by a key compare agrees with, from ranks alone:
     (kind, rank) for a lone atom, (KIND_POWER, rank, e) for its power
     and (KIND_MUL, n, rank_0, e_0, ...) for a product of n factors.
     """
     overall = _NUM_ZERO
-    nums: dict = {}  # each exponent's Number, made once
-
-    def exponent(e):
-        k = nums.get(e)
-        if k is None:
-            k = nums[e] = num(e)
-        return k
-
     keyed = []
     for fs, c in terms:
         if not fs:
             overall = num(c)
         elif len(fs) > 1:
             key = [KIND_MUL, len(fs)]
-            for r, _, e in fs:
+            for r, e, _ in fs:
                 key += (r, e)
-            keyed.append((key, Mul(_NUM_ONE, tuple((b, exponent(e)) for _, b, e in fs)), c))
+            keyed.append((key, Mul(_NUM_ONE, tuple([f[2] for f in fs])), c))
         else:
-            ((r, b, e),) = fs
+            ((r, e, (b, k)),) = fs
             if e == 1:
                 keyed.append(([b.kind, r], b, c))
             else:
-                keyed.append(([KIND_POWER, r, e], Power(b, Numeric(exponent(e))), c))
+                keyed.append(([KIND_POWER, r, e], Power(b, _numeric(k)), c))
     if not keyed:
-        return Numeric(overall)
+        return _numeric(overall)
     keyed.sort(key=operator.itemgetter(0))
     if overall.is_zero() and len(keyed) == 1:
         _, r, c = keyed[0]
@@ -1367,7 +1391,7 @@ def _expand_pairwise(x: Expr, walk):
     """Distribution on the trees: one canonical product per cross term."""
     t = type(x)
     if t is Mul:
-        acc = [Numeric(x.coeff)]
+        acc = [_numeric(x.coeff)]
         for r, k in x.pairs:
             tl = _expand_power_terms(walk(r), k)
             if len(tl) == 1:
@@ -1390,7 +1414,7 @@ def _expand_pairwise(x: Expr, walk):
 
 def _expand_power_terms(base: Expr, k: Number) -> list[Expr]:
     """Terms of base**k when that distributes, else a one-element list."""
-    entity = power(base, Numeric(k))
+    entity = power(base, _numeric(k))
     if k.is_integer() and k.val > 0 and type(base) is Add:
         n = k.val
         square = _terms_of(base)
@@ -1417,7 +1441,7 @@ def _terms_of(e: Expr) -> list[Expr]:
     if type(e) is Add:
         out = [_scaled_expr(r, k) for r, k in e.pairs]
         if not e.coeff.is_zero():
-            out.append(Numeric(e.coeff))
+            out.append(_numeric(e.coeff))
         return out
     return [e]
 
@@ -1444,7 +1468,7 @@ def evalf(e: Expr, prec: int = DEFAULT_DPS) -> Expr:
             )
         if t is Mul:
             return _mul_factors(
-                [walk(r if k.is_one() else power(r, Numeric(k))) for r, k in x.pairs]
+                [walk(r if k.is_one() else power(r, _numeric(k))) for r, k in x.pairs]
                 + [Numeric(f(x.coeff))]
             )
         if t is PSeriesNode:
@@ -1507,13 +1531,14 @@ def _render(e: Expr, parent: int) -> str:
     if t is Symbol or t is Constant:
         return e.name
     if t is Add:
+        texts: dict = {}  # id of a factor pair -> its text, shared by the terms
         s = _render_sum(
             ([str(e.coeff)] if not e.coeff.is_zero() else [])
-            + [_render_term(r, k) for r, k in e.pairs]
+            + [_render_term(r, k, texts) for r, k in e.pairs]
         )
         return f"({s})" if parent > _PREC_ADD else s
     if t is Mul:
-        s = _render_product(e)
+        s = _render_product(e, {})
         return f"({s})" if parent > _PREC_MUL else s
     if t is Power:
         base = _render(e.base, _PREC_POWER + 1)
@@ -1544,12 +1569,11 @@ def _render_sum(parts: list[str]) -> str:
     return "".join(out) if out else "0"
 
 
-def _render_term(r: Expr, k: Number) -> str:
-    if k.is_one():
-        return _render(r, _PREC_MUL)
-    if num_cmp(k, num(-1)) == 0:
-        return "-" + _render(r, _PREC_MUL)
-    return f"{_render_coeff(k)}*{_render(r, _PREC_MUL)}"
+def _render_term(r: Expr, k: Number, texts: dict) -> str:
+    s = _render_product(r, texts) if type(r) is Mul else _render(r, _PREC_MUL)
+    if k.kind == "int" and (k.val == 1 or k.val == -1):
+        return s if k.val == 1 else "-" + s
+    return f"{_render_coeff(k)}*{s}"
 
 
 def _render_coeff(k: Number) -> str:
@@ -1559,30 +1583,33 @@ def _render_coeff(k: Number) -> str:
     return f"({s})" if k.kind == "cplx" and not k.re.is_zero() else s
 
 
-def _render_product(e: Mul) -> str:
+def _render_product(e: Mul, texts: dict) -> str:
+    """e's text, each factor pair's text kept in texts by the pair's id."""
     parts = []
     coeff = e.coeff
-    neg = False
-    if not coeff.is_one():
-        if coeff.is_real() and num_cmp(coeff, num(-1)) == 0:
-            neg = True
-        else:
-            parts.append(_render_coeff(coeff))
-    for r, k in e.pairs:
-        if k.is_one():
-            parts.append(_render(r, _PREC_MUL + 1))
-        else:
-            parts.append(f"{_render(r, _PREC_POWER + 1)}^{_render_exponent(Numeric(k))}")
+    neg = coeff.kind == "int" and coeff.val == -1
+    if not (neg or coeff.is_one()):
+        parts.append(_render_coeff(coeff))
+    for pair in e.pairs:
+        s = texts.get(id(pair))
+        if s is None:
+            r, k = pair
+            s = texts[id(pair)] = (
+                _render(r, _PREC_MUL + 1) if k.is_one()
+                else f"{_render(r, _PREC_POWER + 1)}^{_render_number_exponent(k)}"
+            )
+        parts.append(s)
     s = "*".join(parts)
     return "-" + s if neg else s
 
 
+def _render_number_exponent(v: Number) -> str:
+    return str(v) if v.kind == "int" and v.val >= 0 else f"({v})"
+
+
 def _render_exponent(x: Expr) -> str:
     if type(x) is Numeric:
-        v = x.value
-        if v.is_integer() and v.val >= 0:
-            return str(v)
-        return f"({v})"
+        return _render_number_exponent(x.value)
     if type(x) in (Symbol, Constant, FunctionApp):
         return _render(x, _PREC_ATOM)
     return f"({_render(x, 0)})"

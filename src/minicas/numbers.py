@@ -13,7 +13,8 @@ precision state: every operation derives its working precision from its
 operands, and `num_to_float` takes the target precision per call.
 
 Values are immutable.  The Bernoulli memo table is the only shared
-mutable state and is guarded by a lock.
+mutable state and is guarded by a lock.  Each int in [-_SMALL, _SMALL] is
+one shared Number that every path making an int hands out: never mutate one.
 """
 
 from __future__ import annotations
@@ -321,13 +322,18 @@ def decimal_to_int(digits: str) -> int:
 # -- constructors -------------------------------------------------------
 
 
+def _int(n: int) -> Number:
+    """The Number of int n, the shared one when |n| <= _SMALL."""
+    return _SMALL_INTS[n + _SMALL] if -_SMALL <= n <= _SMALL else Number(_INT, n)
+
+
 def integer(n: int) -> Number:
-    return Number(_INT, int(n))
+    return _int(int(n))
 
 
 def _from_fraction(fr: Fraction) -> Number:
     if fr.denominator == 1:
-        return Number(_INT, fr.numerator)
+        return _int(fr.numerator)
     return Number(_RAT, fr)
 
 
@@ -407,12 +413,12 @@ def num(x) -> Number:
     Python floats convert exactly (their IEEE binary value) at the
     default precision; use from_decimal for correctly rounded decimals.
     """
+    if isinstance(x, int) and type(x) is not bool:
+        return _int(x)
     if isinstance(x, Number):
         return x
     if isinstance(x, bool):
         raise DomainError("booleans are not numbers here")
-    if isinstance(x, int):
-        return Number(_INT, x)
     if isinstance(x, Fraction):
         return _from_fraction(x)
     if isinstance(x, float):
@@ -424,10 +430,11 @@ def num(x) -> Number:
     raise DomainError(f"cannot lift {type(x).__name__} into the number tower")
 
 
-IUNIT = Number(_CPLX, re=Number(_INT, 0), im=Number(_INT, 1))
-
-_ZERO = Number(_INT, 0)
-_ONE = Number(_INT, 1)
+_SMALL = 256
+_SMALL_INTS = [Number(_INT, n) for n in range(-_SMALL, _SMALL + 1)]
+_ZERO = _int(0)
+_ONE = _int(1)
+IUNIT = Number(_CPLX, re=_ZERO, im=_ONE)
 
 
 # -- arithmetic ----------------------------------------------------------
@@ -468,7 +475,7 @@ def num_add(a: Number, b: Number) -> Number:
     if a.kind == _FLOAT or b.kind == _FLOAT:
         return _real_float_op(mpf_add, a, b)
     if a.kind == _INT and b.kind == _INT:
-        return Number(_INT, a.val + b.val)
+        return _int(a.val + b.val)
     return _from_fraction(a.val + b.val)
 
 
@@ -477,6 +484,9 @@ def num_sub(a: Number, b: Number) -> Number:
 
 
 def num_mul(a: Number, b: Number) -> Number:
+    """a * b; the exact 1 is the identity, so 1 * b is b itself."""
+    if a is _ONE or b is _ONE:
+        return b if a is _ONE else a
     if a.kind == _CPLX or b.kind == _CPLX:
         ar, ai = _parts(a)
         br, bi = _parts(b)
@@ -487,7 +497,7 @@ def num_mul(a: Number, b: Number) -> Number:
     if a.kind == _FLOAT or b.kind == _FLOAT:
         return _real_float_op(mpf_mul, a, b)
     if a.kind == _INT and b.kind == _INT:
-        return Number(_INT, a.val * b.val)
+        return _int(a.val * b.val)
     return _from_fraction(a.val * b.val)
 
 
@@ -508,7 +518,7 @@ def num_div(a: Number, b: Number) -> Number:
 
 def num_neg(a: Number) -> Number:
     if a.kind == _INT:
-        return Number(_INT, -a.val)
+        return _int(-a.val)
     if a.kind == _RAT:
         return Number(_RAT, -a.val)
     if a.kind == _FLOAT:
@@ -578,7 +588,7 @@ def num_pow(a: Number, b: Number) -> Number:
         else:
             _check_float_pow_size(a, b, dps_to_prec(_min_float_dps(a)))
         if a.kind == _INT:
-            return Number(_INT, a.val**n) if n >= 0 else _from_fraction(Fraction(1, a.val**-n))
+            return _int(a.val**n) if n >= 0 else _from_fraction(Fraction(1, a.val**-n))
         if a.kind == _RAT:
             return _from_fraction(a.val**n)
         if a.kind == _FLOAT:
@@ -586,7 +596,7 @@ def num_pow(a: Number, b: Number) -> Number:
             return Number(_FLOAT, mpf_pow_int(a.val, n, bits, round_nearest), a.prec)
         # complex: binary powering keeps exact parts exact
         if n < 0:
-            return num_div(_ONE, num_pow(a, Number(_INT, -n)))
+            return num_div(_ONE, num_pow(a, _int(-n)))
         result, base = _ONE, a
         while n:
             if n & 1:
@@ -691,7 +701,7 @@ def num_cmp(a: Number, b: Number) -> int:
 def num_gcd(a: Number, b: Number) -> Number:
     if a.kind != _INT or b.kind != _INT:
         raise DomainError("num_gcd needs integer operands")
-    return Number(_INT, math.gcd(a.val, b.val))
+    return _int(math.gcd(a.val, b.val))
 
 
 def num_factorial(n: Number) -> Number:
@@ -700,7 +710,7 @@ def num_factorial(n: Number) -> Number:
     # n! has over n bits from n = 4 on; lgamma(n+1)/ln 2 is log2(n!)
     if n.val > _MAX_POW_BITS or math.lgamma(n.val + 1) / math.log(2) + 64 > _MAX_POW_BITS:
         raise DomainError(f"exact factorial too large: {n}! passes {_MAX_POW_BITS} bits")
-    return Number(_INT, math.factorial(n.val))
+    return _int(math.factorial(n.val))
 
 
 def num_to_float(a: Number, p: int) -> Number:

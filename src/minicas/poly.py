@@ -346,7 +346,7 @@ def _from_dict(p: Poly, vars: tuple[Symbol, ...]) -> Expr:
     words = Struct(f">{nv}I").unpack
     size = _FIELD // 8 * nv
     return _poly_tree(
-        ([(j, vars[j], k) for j, k in enumerate(words(m.to_bytes(size, "big"))) if k], c)
+        ([(j, k, (vars[j], num(k))) for j, k in enumerate(words(m.to_bytes(size, "big"))) if k], c)
         for m, c in p.items()
     )
 
@@ -1077,7 +1077,8 @@ def _pair(e: Expr, gm: _GenMap):
             # a denominator of 1 shares nothing with the other one
             if d != one and td != one:
                 g = _dgcd(d, td, len(gm.vars))
-                co, q = _dquotient(td, g), _dquotient(d, g)
+                if g != one:
+                    co, q = _dquotient(td, g), _dquotient(d, g)
             n = _padd(((_dmul(n, co), 1), (_dmul(tn, q), 1)))
             d = _dmul(d, co)
         return _frac_cancel(n, d, gm)

@@ -503,3 +503,73 @@ def test_float_decimal_echo_roundtrip():
         x = from_decimal(text)
         y = from_decimal(str(x))
         assert num_cmp(x, y) == 0, (text, str(x), str(y))
+
+
+# ------------------------------------------------------- shared small ints
+
+
+def _built_int(n):
+    """An int Number built directly, as every int was before small ints
+    were shared; num_mul takes its slow path on a built 1."""
+    return Number("int", n)
+
+
+def _same_number(fast, slow):
+    assert hash(fast) == hash(slow)
+    assert fast == slow and num_cmp(fast, slow) == 0
+    assert str(fast) == str(slow)
+    assert (fast.kind, fast.prec) == (slow.kind, slow.prec)
+
+
+def test_shared_small_ints_match_built_ones():
+    rng = random.Random(20)
+    edge = numbers_module._SMALL
+    ints = [0, 1, -1, edge, -edge, edge + 1, -edge - 1, 10**40, -(10**40) - 7]
+    ints += [rng.randint(-3 * edge, 3 * edge) for _ in range(300)]
+    for n in ints:
+        d, a = rng.randint(1, 50), rng.randint(-3 * edge, 3 * edge)
+        made = [
+            num(n), integer(n), num(Fraction(n * d, d)), rational(-n * d, -d),
+            num_add(num(a), num(n - a)), num_mul(num(n), num(1)), num_mul(num(-1), num(-n)),
+            numbers_module.num_neg(num(-n)), num_pow(num(n), num(1)),
+        ]
+        for fast in made:
+            _same_number(fast, _built_int(n))
+            # shared exactly inside the table, built afresh outside it
+            assert (fast is num(n)) == (-edge <= n <= edge)
+    assert num_gcd(num(12), num(18)) is num(6)
+    assert num_factorial(num(5)) is num(120)
+    assert IUNIT.re is num(0) and IUNIT.im is num(1)
+    for bad in (True, False):
+        with pytest.raises(DomainError):
+            num(bad)
+
+
+def test_exact_one_is_the_identity_of_num_mul():
+    rng = random.Random(21)
+    for _ in range(200):
+        f = floatval(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 999)), rng.choice([5, 20, 40]))
+        part = rng.choice([integer(rng.randint(-300, 300)), rational(rng.randint(1, 9), 7), f])
+        for x in (f, complexnum(f, floatval(rng.randint(1, 9), f.prec)), complexnum(integer(2), rational(1, 3))):
+            # the slow product agrees where both parts are exact, or float
+            # at one precision
+            assert num_mul(num(1), x) is x and num_mul(x, num(1)) is x
+            _same_number(num_mul(num(1), x), num_mul(_built_int(1), x))
+        # a complex value reads the same with shared or built int parts
+        for re, im in ((part, integer(rng.randint(1, 300))), (integer(rng.randint(-300, 300)), part)):
+            if im.is_zero():
+                continue
+            slow = complexnum(
+                _built_int(re.val) if re.kind == "int" else re,
+                _built_int(im.val) if im.kind == "int" else im,
+            )
+            _same_number(complexnum(re, im), slow)
+    # one exact and one float part: the slow product turned the exact part
+    # float, and the identity keeps it
+    mixed = complexnum(floatval(Fraction(5, 2)), integer(1))
+    assert str(num_mul(num(1), mixed)) == "2.5+I"
+    assert str(num_mul(_built_int(1), mixed)) == "2.5+1.0*I"
+    # float parts at two precisions: it rounded the finer one to the coarser
+    finer = complexnum(floatval(2), from_decimal("1.2345678901234567890123"))
+    assert str(num_mul(num(1), finer)) == "2.0+1.2345678901234567890123*I"
+    assert str(num_mul(_built_int(1), finer)) == "2.0+1.234567890123456789*I"
