@@ -48,6 +48,7 @@ builds its trees with the same builder.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -170,6 +171,9 @@ class Expr:
         return power(self, other)
 
     def __rpow__(self, other):
+        # Fraction.__pow__ floats its base first: Fraction(1, 2) ** x is
+        # 0.5^x, where power(Fraction(1, 2), x) and lift(Fraction(1, 2))**x
+        # keep (1/2)^x
         return power(other, self)
 
     def __neg__(self):
@@ -289,12 +293,16 @@ class _Pairs(Expr):
 
     __slots__ = ("coeff", "pairs", "_free")
 
-    def __init__(self, coeff: Number, pairs):
+    def __init__(self, coeff: Number, pairs, hashes=None):
         self.coeff = coeff
         self.pairs = pairs
         h = [self.kind, coeff._hash]
-        for r, k in pairs:
-            h += (r._hash, k._hash)
+        if hashes is None:
+            for r, k in pairs:
+                h += (r._hash, k._hash)
+        else:  # each pair's (rest hash, key hash), from the caller
+            for rk in hashes:
+                h += rk
         self._hash = hash64(*h)
         self._free = None
 
@@ -527,9 +535,10 @@ def add(*terms) -> Expr:
     return _add_terms([lift(t) for t in terms])
 
 
-def _add_terms(terms) -> Expr:
+def _add_terms(terms, base=None) -> Expr:
     """The canonical sum of terms: trees, or (rest, key) pairs as
-    _split_term makes them."""
+    _split_term makes them.  base is a canonical Add whose rests, where
+    they survive, keep their order: by default the largest Add term."""
     overall = _NUM_ZERO
     bucket: dict[Expr, Number] = {}
     for t in terms:
@@ -540,20 +549,40 @@ def _add_terms(terms) -> Expr:
             overall = num_add(overall, t.coeff)
             for r, k in t.pairs:
                 _bucket_merge(bucket, r, k)
-        elif tt is tuple:  # a (rest, key) pair, as _split_term makes it
-            _bucket_merge(bucket, *t)
-        else:
-            r, k = _split_term(t)
-            _bucket_merge(bucket, r, k)
-    return _sum(overall, [(r, k) for r, k in bucket.items() if not k.is_zero()])
+            if base is None or len(t.pairs) > len(base.pairs):
+                base = t
+        else:  # a (rest, key) pair, as _split_term makes it, or a term
+            r, k = t if tt is tuple else _split_term(t)
+            prev = bucket.get(r)
+            bucket[r] = k if prev is None else num_add(prev, k)
+    run = None
+    # base's n rests leave at least len(bucket) - n new ones; only when
+    # so few could be cheaper to merge are they taken out as a run
+    if base is not None and (len(bucket) - (n := len(base.pairs))) * n.bit_length() < n:
+        pop = bucket.pop
+        run = [(r, k) for r, _ in base.pairs if (k := pop(r, None)) is not None and not k.is_zero()]
+    return _sum(overall, [(r, k) for r, k in bucket.items() if not k.is_zero()], run)
 
 
-def _sum(overall: Number, pairs) -> Expr:
+def _sum(overall: Number, pairs, run=None) -> Expr:
     """The canonical form of overall + sum(k*r) for (r, k) pairs with
-    distinct rests r, as _split_term makes them, and nonzero k."""
+    distinct rests r, as _split_term makes them, and nonzero k, and the
+    pairs of run, already in order.  k pairs go into a run of n by
+    binary search when that takes fewer compares than a sort,
+    k*ceil(log2(n+1)) < n."""
+    if run is None:
+        _sort_pairs(pairs)
+    elif len(pairs) * len(run).bit_length() < len(run):
+        lo = 0
+        for p in _sort_pairs(pairs):
+            lo = bisect.bisect_left(run, _PAIR_ORDER(p), lo, key=_PAIR_ORDER)
+            run.insert(lo, p)
+            lo += 1
+        pairs = run
+    else:
+        pairs = _sort_pairs(run + pairs)
     if not pairs:
         return _numeric(overall)
-    _sort_pairs(pairs)
     if overall.is_zero() and len(pairs) == 1:
         r, k = pairs[0]
         return r if k.is_one() else _scaled(r, k)
@@ -799,12 +828,14 @@ def _children(x: Expr):
     raise DomainError(f"cannot walk {t.__name__}")
 
 
-def _rewrite(e: Expr, rule) -> Expr:
+def _rewrite(e: Expr, rule, kept=None) -> Expr:
     """Memoized bottom-up rewrite of e.
 
     rule(x, walk) returns the image of x, or None to rebuild x canonically
     from walk applied to its children; a node whose children all come
-    back as themselves, an atom among them, stays the same object.  walk
+    back as themselves, an atom among them, stays the same object, and a
+    rebuilt sum keeps its unchanged terms in order.  A child c with
+    kept(c) true is known to come back as itself and is not walked.  walk
     may also be given nodes built on the fly, so every walked node stays
     referenced until the rewrite ends: the memo is keyed by id.
     """
@@ -818,7 +849,7 @@ def _rewrite(e: Expr, rule) -> Expr:
         out = rule(x, walk)
         if out is None:
             old = _children(x)
-            kids = [walk(c) for c in old]
+            kids = [c if kept and kept(c) else walk(c) for c in old]
             t = type(x)
             if all(map(operator.is_, kids, old)):
                 out = x
@@ -826,7 +857,8 @@ def _rewrite(e: Expr, rule) -> Expr:
                 # an unchanged term joins as its pair
                 out = _add_terms(
                     [_numeric(x.coeff)]
-                    + [(r, k) if c is r else _scaled_expr(c, k) for c, (r, k) in zip(kids, x.pairs)]
+                    + [(r, k) if c is r else _scaled_expr(c, k) for c, (r, k) in zip(kids, x.pairs)],
+                    x,
                 )
             elif t is Mul:
                 out = _mul_factors(
@@ -905,7 +937,14 @@ def subs(e: Expr, bindings) -> Expr:
             raise UnsupportedPatternError("cannot substitute a series variable")
         return None
 
-    return _rewrite(e, rule)
+    def kept(x: Expr) -> bool:
+        # a product, or numeric power, of symbols and constants none bound
+        for b, _ in x.pairs if type(x) is Mul else (_split_factor(x),):
+            if (type(b) is not Symbol and type(b) is not Constant) or b.serial in table:
+                return False
+        return True
+
+    return _rewrite(e, rule, kept)
 
 
 def _scaled_expr(r: Expr, k: Number) -> Expr:
@@ -1183,9 +1222,10 @@ class _Polys:
 
     def tree(self, p: dict) -> Expr:
         """The canonical sum of p's terms, built by _poly_tree once per
-        polynomial object.  Each (atom, exponent) factor is made once per
-        tree, as the (rank, exponent, (atom, Number)) triple _poly_tree
-        takes, so every term with that factor shares its pair."""
+        polynomial object.  Each monomial's fields are read inline, as
+        _unpack reads them, and each (atom, exponent) factor is made once
+        per tree, as the record _factor makes, so every term with that
+        factor shares its pair."""
         got = self.built.get(id(p))
         if got is not None:
             return got[1]
@@ -1199,32 +1239,50 @@ class _Polys:
             for r, i in enumerate(order):
                 self.rank[i] = r
         rank = self.rank
-        made: dict = {}  # (atom index, exponent) -> its factor
-
-        def factor(ie):
-            made[ie] = f = (rank[ie[0]], ie[1], (atoms[ie[0]], num(ie[1])))
-            return f
-
-        t = _poly_tree(
-            (sorted([made.get(ie) or factor(ie) for ie in _unpack(m)]), c)
-            for m, c in p.items()
-        )
+        made = [{} for _ in atoms]  # per atom index: exponent -> its factor record
+        terms = []
+        for m, c in p.items():
+            fs = []
+            i = 0
+            while m:
+                if not m & _MASK:  # skip to the lowest nonzero field
+                    s = ((m & -m).bit_length() - 1) // _FIELD
+                    m >>= _FIELD * s
+                    i += s
+                e = ((m + _HALF) & _MASK) - _HALF
+                f = made[i].get(e)
+                if f is None:
+                    f = made[i][e] = _factor(rank[i], atoms[i], e)
+                fs.append(f)
+                m = (m - e) >> _FIELD
+                i += 1
+            fs.sort()
+            terms.append((fs, c))
+        t = _poly_tree(terms)
         self.built[id(p)] = (p, t)
         self.memo[id(t)] = (t, p)
         return t
 
 
+def _factor(rank: int, atom: Expr, e: int) -> tuple:
+    """_poly_tree's record of the factor atom**e: rank, (rank, e) sort
+    key, (atom, Number e) pair and the pair's hash ints, as _Pairs reads them."""
+    k = num(e)
+    return rank, (rank, e), (atom, k), (atom._hash, k._hash)
+
+
 def _poly_tree(terms) -> Expr:
     """The canonical sum of c * prod(b**e) over terms (factors, c): each
-    factor a (rank, nonzero int e, (atom b, Number e)) triple, the
-    factors sorted by rank, and c a nonzero int or Fraction.  Ranks order
-    atoms of one kind as compare does, and each term is built once, as
-    the coefficient and coefficient-one product _split_term would make;
-    a product's pairs are the factors' (b, Number e) tuples as given.
+    factor a record of b**e for a nonzero int e, as _factor makes it,
+    the factors sorted by rank, and c a nonzero int or Fraction.  Ranks
+    order atoms of one kind as compare does, and each term is built
+    once, as the coefficient and coefficient-one product _split_term
+    would make; a product's pairs are the records' pairs as given, and
+    its hash comes from their hash ints.
 
     The terms sort by a key compare agrees with, from ranks alone:
     (kind, rank) for a lone atom, (KIND_POWER, rank, e) for its power
-    and (KIND_MUL, n, rank_0, e_0, ...) for a product of n factors.
+    and (KIND_MUL, n, (rank_0, e_0), ...) for a product of n factors.
     """
     overall = _NUM_ZERO
     keyed = []
@@ -1232,23 +1290,22 @@ def _poly_tree(terms) -> Expr:
         if not fs:
             overall = num(c)
         elif len(fs) > 1:
-            key = [KIND_MUL, len(fs)]
-            for r, e, _ in fs:
-                key += (r, e)
-            keyed.append((key, Mul(_NUM_ONE, tuple([f[2] for f in fs])), c))
+            _, ks, pairs, hs = zip(*fs)
+            keyed.append(((KIND_MUL, len(fs), *ks), Mul(_NUM_ONE, pairs, hs), c))
         else:
-            ((r, e, (b, k)),) = fs
+            ((r, _, (b, k), _),) = fs
+            e = k.val
             if e == 1:
-                keyed.append(([b.kind, r], b, c))
+                keyed.append(((b.kind, r), b, c))
             else:
-                keyed.append(([KIND_POWER, r, e], Power(b, _numeric(k)), c))
+                keyed.append(((KIND_POWER, r, e), Power(b, _numeric(k)), c))
     if not keyed:
         return _numeric(overall)
     keyed.sort(key=operator.itemgetter(0))
     if overall.is_zero() and len(keyed) == 1:
         _, r, c = keyed[0]
         return r if c == 1 else _scaled(r, num(c))
-    return Add(overall, tuple((r, num(c)) for _, r, c in keyed))
+    return Add(overall, tuple([(r, num(c)) for _, r, c in keyed]))
 
 
 # Packed monomials.  Field i of a monomial holds the exponent of atom i

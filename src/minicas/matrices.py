@@ -204,8 +204,11 @@ def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
 
     The rows come scaled to integer coefficients, and the product of
     their scales divides out at the end, with one cancellation when some
-    denominator is not a number.
+    denominator is not a number.  When an exponent reaches the dicts'
+    limit, the determinant is taken on the trees; on polynomial entries
+    it is expanded, as the dicts print it below the limit.
     """
+    den = ()  # not None until the entries read as polynomials
     try:
         read = _exact_rows(m.row_list())
         if read is None:
@@ -218,7 +221,8 @@ def _det_bareiss_dict(m: MatrixNode) -> Expr | None:
             return _from_dict(p if scale == 1 else _pscale(p, Fraction(1, scale)), gm.vars)
         return _quotient(p, _pscale(den, scale), gm)
     except _Overflow:
-        return None  # an exponent reached the dicts' limit; the trees hold it
+        d = _det_on(m.row_list(), _is_sparse(m), *_TREES)
+        return expand(d) if den is None else _norm(d)
 
 
 def _exact_rows(rows: list[list[Expr]]):

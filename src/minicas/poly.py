@@ -58,6 +58,8 @@ from .expr import (
     _LIMIT,
     _MASK,
     _MONO_ONE,
+    _factor,
+    _numeric,
     _padd,
     _pmul_unchecked,
     _poly_tree,
@@ -79,7 +81,6 @@ from .expr import (
     power,
     subs,
 )
-from .numbers import num
 
 _ZERO = lift(0)
 _ONE = lift(1)
@@ -116,7 +117,7 @@ def _term_split(term: Expr, x: Symbol) -> tuple[int, Expr]:
         raise DomainError(f"{x.name} carries a non-integer exponent")
     if t is Mul:
         deg = 0
-        factors = [Numeric(term.coeff)]
+        factors = [_numeric(term.coeff)]
         for r, k in term.pairs:
             if r == x:
                 if not k.is_integer():
@@ -125,7 +126,7 @@ def _term_split(term: Expr, x: Symbol) -> tuple[int, Expr]:
             elif x in free_symbols(r):
                 raise DomainError(f"{x.name} appears in a non-polynomial position")
             else:
-                factors.append(power(r, Numeric(k)))
+                factors.append(power(r, _numeric(k)))
         return deg, mul(*factors)
     if x in free_symbols(term):
         raise DomainError(f"{x.name} appears in a non-polynomial position")
@@ -345,8 +346,9 @@ def _from_dict(p: Poly, vars: tuple[Symbol, ...]) -> Expr:
     nv = len(vars)
     words = Struct(f">{nv}I").unpack
     size = _FIELD // 8 * nv
+    factor = cache(lambda j, k: _factor(j, vars[j], k))  # one record per (j, k)
     return _poly_tree(
-        ([(j, k, (vars[j], num(k))) for j, k in enumerate(words(m.to_bytes(size, "big"))) if k], c)
+        ([factor(j, k) for j, k in enumerate(words(m.to_bytes(size, "big"))) if k], c)
         for m, c in p.items()
     )
 
@@ -851,7 +853,7 @@ def _factors(m: Mul, vars):
         raise DomainError("polynomial coefficients must be exact rationals")
     for r, k in m.pairs:
         if not k.is_integer() or k.val < 1:
-            raise DomainError(f"{power(r, Numeric(k))} is not a polynomial factor")
+            raise DomainError(f"{power(r, _numeric(k))} is not a polynomial factor")
         c, p = _integerize(_to_dict(r, vars))
         if k.val >= _LIMIT and abs(c) != 1:
             raise _Overflow  # the content alone would need 2^30 digits
@@ -1083,7 +1085,7 @@ def _pair(e: Expr, gm: _GenMap):
             d = _dmul(d, co)
         return _frac_cancel(n, d, gm)
     if t is Mul:
-        factors = [Numeric(e.coeff)] + [power(r, Numeric(k)) for r, k in e.pairs]
+        factors = [_numeric(e.coeff)] + [power(r, _numeric(k)) for r, k in e.pairs]
         ps = [(_normal_pair(x, gm), len(gm.vars)) for x in factors]
         a, qs = zip(*(p for p, _ in ps))
         if dict not in map(type, qs) and math.prod(qs) == 1:

@@ -72,6 +72,7 @@ from .expr import (
     Relational,
     Symbol,
     _MONO_ONE,
+    _numeric,
     _padd,
     _pmul,
     _Polys,
@@ -545,13 +546,13 @@ def _srs(ring: _Ring, e: Expr, x: Symbol, point: Expr, n: int) -> _Series:
     if t is Symbol:
         return _Series({1: ring.one}, None)
     if t is Add:
-        parts = [] if e.coeff.is_zero() else [_leaf(ring, [(Numeric(e.coeff), 0)], None)]
+        parts = [] if e.coeff.is_zero() else [_leaf(ring, [(_numeric(e.coeff), 0)], None)]
         for r, k in e.pairs:
             term = _srs(ring, r, x, point, n)
-            parts.append(term if k.is_one() else _scale(ring, term, ring.read(Numeric(k))))
+            parts.append(term if k.is_one() else _scale(ring, term, ring.read(_numeric(k))))
         return _sum(ring, parts)
     if t is Mul:
-        entities = [r if k.is_one() else power(r, Numeric(k)) for r, k in e.pairs]
+        entities = [r if k.is_one() else power(r, _numeric(k)) for r, k in e.pairs]
         # A factor is expanded at order n, then again higher when the low
         # degrees of the others sum below zero.  The factor expanded last
         # knows that sum and is expanded once: a function application,
@@ -576,7 +577,7 @@ def _srs(ring: _Ring, e: Expr, x: Symbol, point: Expr, n: int) -> _Series:
             parts.append(s)
         out = parts[0]
         if not e.coeff.is_one():
-            out = _scale(ring, out, ring.read(Numeric(e.coeff)))
+            out = _scale(ring, out, ring.read(_numeric(e.coeff)))
         for s in parts[1:]:
             out = _mul(ring, out, s)
         return out

@@ -60,7 +60,7 @@ from minicas.expr import (
     _unpack,
 )
 from minicas.functions import sin, zeta
-from minicas.numbers import num
+from minicas.numbers import num, num_add
 from minicas.poly import _from_dict, _GenMap, _ordered_vars, normal
 
 # ---------------------------------------------------------------- oracles
@@ -364,10 +364,10 @@ def test_expand_builds_each_output_term_once(monkeypatch):
     made = 0
     init = expr_module.Mul.__init__
 
-    def counted_init(self, coeff, pairs):
+    def counted_init(self, *args):
         nonlocal made
         made += 1
-        init(self, coeff, pairs)
+        init(self, *args)
 
     monkeypatch.setattr(expr_module.Mul, "__init__", counted_init)
     got = expand(power(add(mul(2, x), mul(3, y), z, 1), 20))
@@ -927,8 +927,9 @@ def test_free_symbols_is_a_cached_frozenset_on_deep_trees():
     assert free_symbols(lift(2)) == frozenset() == set()
 
 
-def _rebuild_always(e, rule):
-    """_rewrite as it was, rebuilding every node it walks."""
+def _rebuild_always(e, rule, kept=None):
+    """_rewrite as it was, rebuilding every node it walks; it walks the
+    children kept(child) would let _rewrite skip."""
     cache = {}
     keep = []
 
@@ -1088,6 +1089,23 @@ for stmt in [
     "series(gamma(t), t==0, 3);", "charpoly([[a,1,0],[b,c,1],[0,d,e]], l);",
 ]:
     print(sh.feed(stmt))
+
+# one sum built four ways: by expand's kernel, by add and mul, by a subs
+# rebuild that keeps the terms free of w, and by poly's _from_dict; each
+# pair of them is == and keys one dict entry, by any mixer
+from fractions import Fraction
+from math import factorial
+from minicas import add, expand, mul, normal, power, subs, symbols
+x, y, z, w = symbols("x y z w")
+f3 = [Fraction(factorial(3), factorial(i) * factorial(j) * factorial(3 - i - j))
+      for i in range(4) for j in range(4 - i)]
+exps = [(i, j, 3 - i - j) for i in range(4) for j in range(4 - i)]
+sums = [expand(power(add(x, mul(Fraction(1, 2), y), z), 3)),
+        add(*[mul(c / 2**j, power(x, i), power(y, j), power(z, k)) for c, (i, j, k) in zip(f3, exps)]),
+        subs(expand(power(add(x, mul(Fraction(1, 2), y), w), 3)), {w: z})]
+sums.append(normal(sums[1]))
+print([a == b for a in sums for b in sums].count(True), len(set(sums)),
+      len({p for e in sums for p in e.pairs}), len({r for e in sums for r, _ in e.pairs}))
 """
 
 
@@ -1102,7 +1120,8 @@ def test_printed_results_do_not_depend_on_the_hash_mixer():
     ]
     keep, swap = (r.splitlines() for r in runs)
     assert keep[0] != swap[0]  # the replacement mixer took effect
-    assert len(keep) == 14 and keep[1:] == swap[1:]
+    assert len(keep) == 15 and keep[1:] == swap[1:]
+    assert keep[-1] == "16 1 10 10"  # 4 equal sums of 10 terms, by either mixer
     assert not any("error" in line for line in keep)
 
 
@@ -1209,6 +1228,18 @@ def test_python_operators_and_methods_are_the_function_forms():
             assert (p == q) == (c == 0)
             if not isinstance(v, float):
                 assert (p == v) == (c == 0)
+
+
+def test_a_fraction_base_stays_exact_through_power_and_lift():
+    # Fraction.__pow__ floats its base before Expr.__rpow__ is asked, so
+    # the operator form loses exactness; power() and a lifted base keep it
+    x = Symbol("x")
+    half = Fraction(1, 2)
+    assert to_string(half**x) == "0.5^x"
+    for e in (power(half, x), lift(half) ** x):
+        assert to_string(e) == "(1/2)^x"
+        assert e == power(lift(half), x) and hash(e) == hash(power(lift(half), x))
+    assert to_string(power(Fraction(-2, 3), add(x, 1))) == "(-2/3)^(1+x)"
 
 
 # ------------------------------------------------------------- fast paths
@@ -1386,3 +1417,280 @@ def test_printer_matches_the_reference_on_shared_factor_pairs():
                   add(e, *(mul(rng.choice(keys), rng.choice(rests)) for _ in range(4)))):
             assert to_string(t) == _reference_print(t)
     assert shared > 20
+
+
+# ------------------------------------------------- rebuilding canonical sums
+#
+# The references below keep the sum and tree builders as they were
+# before sums were merged instead of re-sorted: every pair of a rebuilt
+# sum sorted by compare, every term of a substitution walked, and the
+# kernel's terms built from _unpack's fields as (rank, e, (atom, Number))
+# triples into products that hash their own pairs.
+
+
+def _reference_add_terms(terms):
+    """_add_terms as it was: the bucket in term order, then every
+    surviving pair sorted by compare."""
+    overall, bucket = num(0), {}
+
+    def merge(r, k):
+        prev = bucket.get(r)
+        bucket[r] = k if prev is None else num_add(prev, k)
+
+    for t in terms:
+        if type(t) is Numeric:
+            overall = num_add(overall, t.value)
+        elif type(t) is Add:
+            overall = num_add(overall, t.coeff)
+            for r, k in t.pairs:
+                merge(r, k)
+        elif type(t) is tuple:
+            merge(*t)
+        else:
+            merge(*expr_module._split_term(t))
+    pairs = [(r, k) for r, k in bucket.items() if not k.is_zero()]
+    if not pairs:
+        return Numeric(overall)
+    pairs.sort(key=cmp_to_key(lambda p, q: compare(p[0], q[0])))
+    if overall.is_zero() and len(pairs) == 1:
+        r, k = pairs[0]
+        return r if k.is_one() else expr_module._scaled(r, k)
+    return Add(overall, tuple(pairs))
+
+
+def _reference_poly_tree(terms):
+    """_poly_tree as it was, on (rank, e, (atom, Number e)) triples."""
+    overall, keyed = num(0), []
+    for fs, c in terms:
+        if not fs:
+            overall = num(c)
+        elif len(fs) > 1:
+            key = [expr_module.KIND_MUL, len(fs)]
+            for r, e, _ in fs:
+                key += (r, e)
+            keyed.append((key, Mul(num(1), tuple(f[2] for f in fs)), c))
+        else:
+            ((r, e, (b, k)),) = fs
+            if e == 1:
+                keyed.append(([b.kind, r], b, c))
+            else:
+                keyed.append(([expr_module.KIND_POWER, r, e], Power(b, Numeric(k)), c))
+    if not keyed:
+        return Numeric(overall)
+    keyed.sort(key=lambda t: t[0])
+    if overall.is_zero() and len(keyed) == 1:
+        _, r, c = keyed[0]
+        return r if c == 1 else expr_module._scaled(r, num(c))
+    return Add(overall, tuple((r, num(c)) for _, r, c in keyed))
+
+
+def _reference_tree(polys, p):
+    """_Polys.tree as it was: each term's _unpack fields as triples."""
+    atoms = polys.atoms
+    order = sorted(range(len(atoms)), key=cmp_to_key(lambda i, j: compare(atoms[i], atoms[j])))
+    rank = {i: r for r, i in enumerate(order)}
+    return _reference_poly_tree(
+        (sorted((rank[i], e, (atoms[i], num(e))) for i, e in _unpack(m)), c) for m, c in p.items()
+    )
+
+
+def _assert_same_tree(got, want, what):
+    """got and want print alike, are ==, hash alike, and so do their
+    pairs and the pairs of every product among their rests."""
+    assert to_string(got) == to_string(want), what
+    assert got == want and hash(got) == hash(want) and type(got) is type(want), what
+    if type(got) in (Add, Mul):
+        assert len(got.pairs) == len(want.pairs), what
+        for (r, k), (rw, kw) in zip(got.pairs, want.pairs):
+            assert r == rw and hash(r) == hash(rw) and k == kw and hash(k) == hash(kw), what
+            if type(r) is Mul:
+                _assert_same_tree(r, rw, what)
+
+
+def test_one_pass_builder_matches_the_triple_builder():
+    x, y, z = symbols("x y z")
+    limit = expr_module._LIMIT
+    atoms = [z, Pi, sin(y), x, Euler, add(1, x), add(y, mul(2, z)), y, zeta(3)]
+    coeffs = [1, -1, 3, -7, Fraction(2, 3), Fraction(-1, 4), 10**30, Fraction(5, 10**20)]
+    exponents = [-3, -2, -1, 1, 1, 1, 2, 3, 7, limit - 1, -limit]
+    rng = random.Random(4111)
+    shapes = Counter()
+    for n in range(500):
+        polys = _Polys(expand)
+        # atoms met in compare's order or not: each term's factors come
+        # by atom index and are sorted by rank
+        for a in atoms if n % 3 == 0 else rng.sample(atoms, len(atoms)):
+            polys.index_of(a)
+        p = {}
+        for _ in range(rng.choice([1, 1, 2, 5, 9, 30])):
+            m = 0
+            for i in rng.sample(range(len(atoms)), rng.choice([0, 1, 1, 2, 3, 4])):
+                # a sum is an atom only under a negative power
+                neg = type(polys.atoms[i]) is Add
+                e = rng.choice([-2, -1] if neg else exponents)
+                m += e << _FIELD * i
+            p[m] = rng.choice(coeffs)
+        _assert_same_tree(polys.tree(p), _reference_tree(polys, p), p)
+        shapes[type(polys.tree(p)).__name__] += 1
+    assert len(shapes) >= 5, shapes
+    # poly's dicts over symbols and generators, through _from_dict
+    gm = _GenMap(_ordered_vars(add(x, y, z)))
+    gm.sym_for(sin(x))
+    gm.sym_for(sqrt(y))
+    vars, nv = gm.vars, len(gm.vars)
+    for _ in range(300):
+        p = {}
+        for _ in range(rng.choice([1, 2, 4, 8, 20])):
+            mono = [0] * nv
+            for i in rng.sample(range(nv), rng.randint(0, 3)):
+                mono[i] = rng.choice([1, 1, 2, 3, limit - 1])
+            p[sum(k << _FIELD * (nv - 1 - j) for j, k in enumerate(mono))] = rng.choice(coeffs)
+        want = _reference_poly_tree(
+            ([(j, k, (vars[j], num(k))) for j, k in enumerate(_fields(m, nv)) if k], c)
+            for m, c in p.items()
+        )
+        _assert_same_tree(_from_dict(p, vars), want, p)
+
+
+def _fields(m, nv):
+    """The nv exponents of one of poly's monomials, variable 0 first."""
+    return [m >> _FIELD * (nv - 1 - j) & expr_module._MASK for j in range(nv)]
+
+
+def test_merged_sums_match_the_fully_sorted_ones():
+    # a sum built from a canonical Add keeps its surviving pairs as a
+    # run and puts the new ones in by binary search when that is
+    # cheaper than sorting; the result is the sorted one in every case
+    syms = symbols("a b c d e f g")
+    rests = sorted({mul(*rng_s) for rng_s in _monomials(syms)}, key=cmp_to_key(compare))
+    keys = [1, -1, 2, Fraction(1, 3), 0.5, -0.25, add(1, I), mul(0.5, I)]
+    rng = random.Random(907)
+    sides = Counter()
+    for _ in range(600):
+        n = rng.choice([1, 2, 3, 5, 8, 20, 60, 150])
+        chosen = rng.sample(rests, min(len(rests), n + 40))
+        base_terms = [mul(rng.choice(keys), r) for r in chosen[:n]]
+        base = add(rng.choice([0, 1, 0.5]), *base_terms)
+        if type(base) is not Add:
+            continue
+        k = rng.choice([0, 1, 2, 3, 5, 10, 40])
+        terms = [mul(rng.choice(keys), r) for r in chosen[n : n + k]]
+        # terms that merge into the run, and terms that cancel a base term
+        terms += [mul(rng.choice(keys), r) for r in rng.sample(chosen[:n], min(n, rng.randint(0, 3)))]
+        terms += [mul(-1, t) for t in rng.sample(base_terms, min(n, rng.randint(0, 2)))]
+        terms += [(r, num(rng.choice([1, -2]))) for r in chosen[n + k : n + k + rng.randint(0, 2)]]
+        rng.shuffle(terms)
+        terms.insert(rng.randint(0, len(terms)), base)
+        if rng.random() < 0.3:
+            terms.append(add(*[t for t in terms[:3] if type(t) is not tuple]))  # a second Add
+        got = expr_module._add_terms(list(terms))
+        want = _reference_add_terms(list(terms))
+        _assert_same_tree(got, want, [to_string(t) if not isinstance(t, tuple) else t for t in terms])
+        # which side of the switch the rebuild from base took
+        kept = {r for r, _ in base.pairs}
+        if type(got) is Add:
+            run = sum(1 for r, _ in got.pairs if r in kept)
+            new = len(got.pairs) - run
+            sides[new * run.bit_length() < run] += 1
+    assert sides[True] > 100 and sides[False] > 100, sides
+
+
+def _monomials(syms):
+    """Products of one to three of syms, with exponents 1 to 3."""
+    out = []
+    for a in syms:
+        for e in (1, 2, 3):
+            out.append((power(a, e),))
+            for b in syms:
+                if compare(a, b) < 0:
+                    out.append((power(a, e), b))
+                    for c in syms[-2:]:
+                        if compare(b, c) < 0:
+                            out.append((a, power(b, e), c))
+    return out
+
+
+def _generic_subs(e, bindings):
+    """subs as a plain _rewrite rule: every child walked."""
+    table = expr_module._normalize_bindings(bindings)
+
+    def rule(x, walk):
+        if type(x) is Symbol:
+            pair = table.get(x.serial)
+            return None if pair is None else pair[1]
+        if type(x) is PSeriesNode and x.var.serial in table:
+            raise UnsupportedPatternError("cannot substitute a series variable")
+        return None
+
+    return _rewrite(e, rule)
+
+
+def test_subs_skips_only_the_terms_it_cannot_change():
+    x, y, z, w, v = symbols("x y z w v")
+    rng = random.Random(5303)
+    bases = [x, y, z, w, Pi, Euler, sqrt(2), sqrt(y)]
+    exps = [1, 1, 2, 3, -1, -2, Fraction(1, 2), 0.5]
+    keys = [1, -1, 2, Fraction(-1, 3), 0.5, -1.25, 0.1, I, add(2, I), add(0.5, mul(-1, I))]
+    series = [pseries(v, 0, [(x, 0), (add(y, 1), 1)], 3), pseries(v, 1, [(mul(2, z), 2)], None)]
+    bindings = [
+        {x: y}, {x: mul(-1, y)}, {x: add(y, 1)}, {x: 0}, {y: 0, z: 0}, {x: z, z: x},
+        {x: lift(0.5)}, {y: add(x, mul(-1, z))}, {w: add(x, y, z)}, {x: mul(2, I)},
+        {z: lift(Fraction(1, 2)), y: x}, {v: 1}, {w: power(x, -1)}, {Symbol("unused"): x},
+    ]
+    outcomes = Counter()
+    for _ in range(700):
+        terms = []
+        for _ in range(rng.randint(1, 12)):
+            factors = [power(rng.choice(bases), rng.choice(exps)) for _ in range(rng.randint(1, 3))]
+            r = rng.random()
+            if r < 0.1:
+                factors.append(sin(add(rng.choice(bases), rng.choice(bases))))
+            elif r < 0.2:
+                factors.append(power(rng.choice(bases), rng.choice([y, add(x, 1)])))
+            elif r < 0.25:
+                factors.append(rng.choice(series))
+            elif r < 0.3:
+                factors.append(add(rng.choice(bases), 1))
+            terms.append(mul(rng.choice(keys), *factors))
+        e = add(rng.choice([0, 1, 0.5]), *terms)
+        if rng.random() < 0.5:
+            e = expand(e)
+        b = rng.choice(bindings)
+        got, want = _outcome(lambda: subs(e, b)), _outcome(lambda: _generic_subs(e, b))
+        if isinstance(want, tuple):
+            assert got == want, (to_string(e), b)
+            outcomes[want[0].__name__] += 1
+        else:
+            _assert_same_tree(got, want, (to_string(e), b))
+            outcomes[type(got).__name__] += 1
+    assert outcomes["UnsupportedPatternError"] > 5 and outcomes["Add"] > 300, outcomes
+
+
+def test_subs_into_an_expanded_square_merges_its_new_terms(monkeypatch):
+    # one substitution into the 1,275-term square of a 50-term linear
+    # form changes its 50 terms with a_k: they are sorted among
+    # themselves and put into the kept 1,225 by binary search, in 1,077
+    # compares, where sorting all the pairs took 8,596
+    n = 50
+    syms = [Symbol(f"a{i}") for i in range(n)]
+    rng = random.Random(17)
+    cs = rng.sample([(1, 2, 3)[i % 3] for i in range(n)], n)
+    k, j = rng.sample(range(n), 2)
+    cs[k] = 1
+    square = expand(power(add(*[mul(c, s) for c, s in zip(cs, syms)]), 2))
+    repl = mul(-1, add(*[mul(cs[i], syms[i]) for i in range(n) if i not in (k, j)]))
+    want = _generic_subs(square, {syms[k]: repl})
+    calls = 0
+    inner = expr_module.compare
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return inner(a, b)
+
+    monkeypatch.setattr(expr_module, "compare", counted)
+    got = subs(square, {syms[k]: repl})
+    monkeypatch.undo()
+    assert len(square.pairs) == 1275 and calls <= 1500, calls
+    _assert_same_tree(got, want, "collapse")
+    assert to_string(expand(got)) == to_string(mul(cs[j] ** 2, power(syms[j], 2)))
