@@ -18,7 +18,10 @@ element of a coefficient ring, and its order.  series_of picks the ring
 once: the sparse dict polynomials of expand's kernel (expr._Polys), or
 the canonical trees.  The walk reads each leaf into the ring once: a
 constant free of the variable, a Taylor-loop coefficient, a coefficient
-of the node a series hook returns.  Sums, scalings, products, powers and
+of the node a series hook returns.  The kernel reads a sum holding the
+variable only in integer powers of itself with one _Polys.poly call,
+split by the variable's exponent; other sums, and every sum on the
+trees, are walked term by term.  Sums, scalings, products, powers and
 exp then run on elements, and series_of builds the one PSeriesNode at
 the end.  The public ps_add, ps_scale, ps_mul, ps_pow and ps_exp each
 read their nodes, run the same operation and build one node.
@@ -27,15 +30,16 @@ The kernel covers exact rational numbers, symbols, constants and
 function applications, with sums, products and integer powers of them.
 Its element is a rational content times a primitive int dict: the
 Cauchy products and the power and exp recurrences add and multiply
-ints only, and each coefficient takes one rational scale.  Each output
-coefficient is built once, expanded, so the printed gamma series grows
-about as fast as its number of distinct monomials, not doubling with
-every order as nested sums of earlier coefficients did.  The kernel
-remembers the trees it built, so the node of a hook reads back with one
-lookup per coefficient, and an unchanged coefficient, such as one
-multiplied by x^(-1) or by 1, is not built again.  A leaf that no
-operation touches keeps its tree: a Taylor-loop series prints what
-subs gave.
+ints only, and each coefficient takes one rational scale; a number
+lead is inverted as a number, and a number is built as its Numeric.
+Each output coefficient is built once, expanded, so the printed gamma
+series grows about as fast as its number of distinct monomials, not
+doubling with every order as nested sums of earlier coefficients did.
+The kernel remembers the trees it built, so the node of a hook reads
+back with one lookup per coefficient, and an unchanged coefficient,
+such as one multiplied by x^(-1) or by 1, is not built again.  A leaf
+that no operation touches keeps its tree: a Taylor-loop series prints
+what subs gave.
 
 The kernel refuses a float, I, a numeric-base power such as 2^(1/2) or
 a symbolic exponent, the split expand makes: products are not
@@ -46,11 +50,14 @@ packed monomials (expr._LIMIT).  It also refuses a sum under a
 negative power, such as the (1+y)^(-1) of a lead 1+y: that is an
 opaque atom there, which cannot cancel against 1+y multiplied out, so
 a coefficient that is zero would not read as zero, and a reciprocal
-would divide by it.  One refusal
-sends the whole of series_of to the same operations on the canonical
-trees, since the coefficients earlier operations expanded would not
-cancel either; operations called on their own take a kernel each and
-fall back one at a time.
+would divide by it; a sum read in one pass refuses where its terms'
+reads would, so no later read meets such an atom already known.  A
+leaf may hold a tree the kernel expands to zero, so a negative or
+fractional power leads with the first element that is not zero.  One
+refusal sends the whole of series_of to the same operations on the
+canonical trees, since the coefficients earlier operations expanded
+would not cancel either; operations called on their own take a kernel
+each and fall back one at a time.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ from typing import Callable, NamedTuple
 from .errors import DomainError, PoleError, SeriesError, UnevaluatedDerivativeError
 from .expr import (
     Add,
+    Constant,
     Expr,
     FunctionApp,
     Mul,
@@ -71,6 +79,9 @@ from .expr import (
     PSeriesNode,
     Relational,
     Symbol,
+    _FIELD,
+    _HALF,
+    _MASK,
     _MONO_ONE,
     _numeric,
     _padd,
@@ -110,7 +121,8 @@ class _Ring(NamedTuple):
     read turns a tree into an element, raising _Refused where the kernel
     does not cover it; plus sums elements, times multiplies elements and
     rational numbers, out turns an element into its canonical tree and
-    is_zero tests an element.
+    is_zero tests an element.  laurent(e, x) splits a sum into ascending
+    {exponent of x: element}, or answers None for the walk to read it.
     """
 
     read: Callable
@@ -119,9 +131,12 @@ class _Ring(NamedTuple):
     out: Callable
     is_zero: Callable
     one: object
+    laurent: Callable
 
 
-_TREES = _Ring(lambda c: c, add, mul, lambda c: c, lambda c: c.is_zero(), lift(1))
+# the trees walk every sum, so floats round in the walk's order
+_TREES = _Ring(lambda c: c, add, mul, lambda c: c, lambda c: c.is_zero(), lift(1),
+               lambda e, x: None)
 
 # The kernel's elements are (n, d, ints, whole): a rational content n/d
 # in lowest terms with d > 0, times ints, a dict polynomial with int
@@ -199,6 +214,14 @@ def _dict_plus(*xs) -> tuple:
     return _content(1, d, _padd((p, n * (d // e)) for n, e, p, _ in xs), None)
 
 
+def _number(e) -> int | Fraction | None:
+    """The rational number a kernel element stands for, else None."""
+    if type(e) is tuple and len(e[2]) == 1 and _MONO_ONE in e[2]:
+        n, d = e[0] * e[2][_MONO_ONE], e[1]
+        return n if d == 1 else Fraction(n, d)
+    return None
+
+
 def _kernel() -> _Ring:
     """A ring on a fresh _Polys, whose read refuses what the module
     docstring lists."""
@@ -211,8 +234,33 @@ def _kernel() -> _Ring:
             raise _Refused
         return _split(p)
 
-    return _Ring(read, _dict_plus, _dict_times, lambda e: polys.tree(_whole(e)),
-                 lambda e: not e[2], _ONE)
+    def laurent(e: Add, x: Symbol) -> dict | None:
+        # x only in integer powers of itself: a sum holding x under a
+        # power would be multiplied out past the order the walk keeps
+        for r, _ in e.pairs:
+            t = type(r)
+            for b, _ in r.pairs if t is Mul else ((r.base if t is Power else r, 1),):
+                if type(b) is not Symbol and type(b) is not Constant and x in free_symbols(b):
+                    return None
+        shift = _FIELD * polys.index_of(x)
+        half = 1 << shift >> 1  # the fields below x's round away: none borrows
+        seen = len(polys.atoms)
+        p = polys.poly(e)
+        if any(type(a) is Add for a in polys.atoms[seen:]):
+            raise _Refused  # as read would, reading that atom's term
+        if p is None:
+            return None
+        parts: dict = {}
+        for m, c in p.items():
+            k = ((((m + half) >> shift) + _HALF) & _MASK) - _HALF
+            parts.setdefault(k, {})[m - (k << shift)] = c
+        return {k: _split(parts[k]) for k in sorted(parts)}
+
+    def out(e: tuple) -> Expr:
+        q = _number(e)
+        return polys.tree(_whole(e)) if q is None else lift(q)
+
+    return _Ring(read, _dict_plus, _dict_times, out, lambda e: not e[2], _ONE, laurent)
 
 
 # The ring of the running series_of: a kernel while it has read every
@@ -398,6 +446,9 @@ def _pow(ring: _Ring, a: _Series, k, rel_hint: int | None = None) -> _Series:
             if n:
                 square = _mul(ring, square, square)
         return result
+    # a leaf may hold a tree the kernel expands to zero: the lead is the
+    # first element that is not zero
+    a = _Series(_nonzero(ring, a.coeffs.items()), a.order)
     if not a.coeffs:
         if a.order is None:
             raise SeriesError("zero series raised to a negative or fractional power")
@@ -416,24 +467,30 @@ def _pow(ring: _Ring, a: _Series, k, rel_hint: int | None = None) -> _Series:
     if rel <= 0:
         return _Series({}, mk + rel)
     lead = a.coeffs[m]
-    if ring.is_zero(lead):
-        # only a leaf holds a zero element: a tree the kernel expands to
-        # zero, whose reciprocal it refuses to read
-        raise _Refused
-    lead = ring.out(lead)
-    inv_lead, scale = ring.read(power(lead, -1)), ring.read(power(lead, k))
+    q = _number(lead)
+    if q is None:
+        lead = ring.out(lead)
+        inv_lead, scale = ring.read(power(lead, -1)), ring.read(power(lead, k))
+    else:
+        # a number inverts on its element, without a tree
+        inv_lead = Fraction(q.denominator, q.numerator)
+        scale = inv_lead if k == -1 else ring.read(power(lift(q), k))
     # f_n = sum over j of ((k+1) j - n) u_j f_(n-j) / n, with (k+1) j
-    # taken once per j, an int when k is one
+    # taken once per j, an int when k is one.  For k = -1 the kernel
+    # takes f_n = sum over j of -u_j f_(n-j), with no scalar per step;
+    # the trees keep the general form, which rounds floats as it did
+    plain = k == -1 and ring is not _TREES
     k1 = k.numerator + 1 if k.denominator == 1 else k + 1
-    u = [(e - m, k1 * (e - m), ring.times(c, inv_lead)) for e, c in a.coeffs.items() if e != m]
+    u = [(e - m, k1 * (e - m), ring.times(-1, c, inv_lead) if plain else ring.times(c, inv_lead))
+         for e, c in a.coeffs.items() if e != m]
     f = [ring.one]
     for n in range(1, rel):
         parts = []
         for j, kj, uj in u:
             if j > n:
                 break
-            parts.append(ring.times(kj - n, uj, f[n - j]))
-        f.append(ring.times(Fraction(1, n), ring.plus(*parts)))
+            parts.append(ring.times(uj, f[n - j]) if plain else ring.times(kj - n, uj, f[n - j]))
+        f.append(ring.plus(*parts) if plain else ring.times(Fraction(1, n), ring.plus(*parts)))
     return _Series(
         _nonzero(ring, ((mk + n, ring.times(scale, fn)) for n, fn in enumerate(f))), mk + rel
     )
@@ -546,6 +603,9 @@ def _srs(ring: _Ring, e: Expr, x: Symbol, point: Expr, n: int) -> _Series:
     if t is Symbol:
         return _Series({1: ring.one}, None)
     if t is Add:
+        coeffs = ring.laurent(e, x)
+        if coeffs is not None:
+            return _Series(coeffs, None)
         parts = [] if e.coeff.is_zero() else [_leaf(ring, [(_numeric(e.coeff), 0)], None)]
         for r, k in e.pairs:
             term = _srs(ring, r, x, point, n)
@@ -590,7 +650,8 @@ def _srs(ring: _Ring, e: Expr, x: Symbol, point: Expr, n: int) -> _Series:
                 if k > 0:
                     return _EXACT_ZERO
                 raise SeriesError("pole of infinite order: zero base series")
-            m = _ldeg(base)
+            # the low degree of the elements that are not zero
+            m = _ldeg(_Series(_nonzero(ring, base.coeffs.items()), base.order))
             want = n - math.floor(m * (k - 1))
             if want > n:
                 base = _srs(ring, e.base, x, point, want)

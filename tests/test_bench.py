@@ -74,9 +74,9 @@ def test_unknown_id():
 def test_record_format():
     r = bench_run("lw-b", 10)
     assert r.test_id == "lw-b" and r.n == 10
-    assert r.seconds >= 0.0
-    assert re.fullmatch(r"lw-b,10,\d+\.\d{6},[0-9a-f]{16}", r.csv_line())
-    assert CSV_HEADER == "test_id,n,seconds,digest"
+    assert r.seconds >= 0.0 and r.print_seconds >= 0.0
+    assert re.fullmatch(r"lw-b,10,\d+\.\d{6},\d+\.\d{6},[0-9a-f]{16}", r.csv_line())
+    assert CSV_HEADER == "test_id,n,seconds,print_seconds,digest"
     assert CSV_HEADER.count(",") == r.csv_line().count(",")
 
 
@@ -128,13 +128,13 @@ def test_cli_bench_csv(tmp_path):
     assert main(["bench", "--test", "lw-b", "--n", "10", "--csv", str(path)]) == 0
     assert main(["bench", "--test", "lw-b", "--n", "10", "--csv", str(path)]) == 0
     lines = path.read_text().splitlines()
-    assert lines[0] == "test_id,n,seconds,digest"
+    assert lines[0] == "test_id,n,seconds,print_seconds,digest"
     assert len(lines) == 3
     digests = set()
     for row in lines[1:]:
-        m = re.fullmatch(r"lw-b,10,(\d+\.\d{6}),([0-9a-f]{16})", row)
+        m = re.fullmatch(r"lw-b,10,(\d+\.\d{6}),(\d+\.\d{6}),([0-9a-f]{16})", row)
         assert m
-        digests.add(m.group(2))
+        digests.add(m.group(3))
     assert len(digests) == 1
 
 

@@ -28,6 +28,7 @@ from minicas.expr import (
     Power,
     PSeriesNode,
     Symbol,
+    _LIMIT,
     _MONO_ONE,
     _padd,
     _pmul,
@@ -578,17 +579,22 @@ def test_refused_coefficients_keep_the_tree_path():
 
 def test_a_leaf_lead_that_expands_to_zero_is_inverted_on_the_trees():
     # a Taylor coefficient whose tree is not zero keeps its exponent, as
-    # the node did, though the kernel expands it to zero; the kernel
-    # refuses its reciprocal, so the expansion takes the tree path.  The
-    # tree path divides by that zero lead, a fault this pins unchanged:
-    # the true series starts at x^(-2)
+    # the node did, though the kernel expands it to zero.  The kernel
+    # takes the low degree over elements that are not zero, expands the
+    # base again at the order that shift asks for, and inverts the true
+    # lead: the series is that of sin(x^2)^(-1)
     x, y = symbols("x y")
     zero = add(power(add(1, y), 2), -1, mul(-2, y), mul(-1, power(y, 2)))
     e = power(sin(add(mul(zero, x), power(x, 2))), -1)
-    s = series_of(e, (x, 0), 3)
+    for n in (1, 2, 3, 5):
+        s = series_of(e, (x, 0), n)
+        assert to_string(s) == to_string(series_of(power(sin(power(x, 2)), -1), (x, 0), n))
+    assert series_of(e, (x, 0), 3).terms[0] == (lift(1), -2)
+    # the tree ring tests zero structurally, so the tree path still
+    # divides by the zero lead: a fault that lasts until the trees get
+    # a zero test that expands
     tree = on_trees(series_of, e, (x, 0), 3)
-    assert s.terms[0] == (power(zero, -1), -1)
-    assert s.terms == tree.terms and s.order == tree.order == 3
+    assert tree.terms[0] == (power(zero, -1), -1) and tree.order == 3
 
 
 def test_gamma_series_grows_slowly():
@@ -660,9 +666,9 @@ def test_exact_monomial_powers_take_no_products():
 
 def test_an_expansion_sums_once_per_add_and_builds_one_node():
     # inside series_of a series is a dict of ring elements: a p/q
-    # expansion makes one n-ary sum per Add node and one node in all;
-    # gamma(x) shifts to gamma(x+1)*x^(-1), and each of the two hook
-    # nodes adds one node
+    # expansion reads each of its two sums in one pass, with no n-ary
+    # sum, and makes one node in all; gamma(x) shifts to
+    # gamma(x+1)*x^(-1), and each of the two hook nodes adds one node
     x = symbols("x")[0]
     rng = random.Random(5)
     sums, nodes = [], []
@@ -675,10 +681,31 @@ def test_an_expansion_sums_once_per_add_and_builds_one_node():
             q = add(*[mul(rng.choice([-7, 2, 3, 5]), power(x, k)) for k in range(4)])
             sums.clear(), nodes.clear()
             s = series_of(mul(p, power(q, -1)), (x, 0), 12)
-            assert (len(sums), len(nodes), s.order) == (2, 1, 12), to_string(s)
+            assert (len(sums), len(nodes), s.order) == (0, 1, 12), to_string(s)
         sums.clear(), nodes.clear()
         series_of(gamma(x), (x, 0), 6)
         assert (len(sums), len(nodes)) == (1, 3)
+
+
+def test_a_numeric_quotient_builds_no_tree_before_its_node():
+    # the sums read in one pass, the number lead inverts on its element
+    # and a number coefficient is built as its Numeric: no kernel tree
+    # is built, and the one node is the only tree the expansion makes
+    x, y = symbols("x y")
+    events = []
+    tree, build = _Polys.tree, series_module.pseries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Polys, "tree", lambda *a: events.append("tree") or tree(*a))
+        mp.setattr(series_module, "pseries", lambda *a: events.append("node") or build(*a))
+        p = add(1, mul(-4, x), mul(6, power(x, 3)))
+        q = add(2, mul(3, x), mul(-7, power(x, 2)), mul(5, power(x, 3)))
+        s = series_of(mul(p, power(q, -1)), (x, 0), 12)
+        assert events == ["node"], events
+        assert to_string(s).startswith("1/2-11/4*x+")
+        # a coefficient with a symbol in it is built by the kernel
+        events.clear()
+        series_of(power(add(1, mul(y, x)), -1), (x, 0), 4)
+        assert events.count("node") == 1 and "tree" in events
 
 
 def test_a_registered_series_hook_joins_the_expansion():
@@ -1120,3 +1147,115 @@ def test_series_print_what_the_earlier_ring_printed():
         assert _printed(series_of, e, (x, p), n) == printed, (to_string(e), p, n)
         errors += printed.startswith(("SeriesError", "DomainError", "ZeroDivisionError"))
     assert 20 <= errors <= 200
+
+
+def _laurent_sum(rng, x, y, z):
+    """A seeded sum over x, y and z: mostly a Laurent polynomial in x
+    with coefficients in y, z, Pi, Euler and sin of y or z, and now and
+    then a term the one-pass read leaves to the walk (x inside sin, a
+    sum holding x under a power, x^(1/2)), one the kernel refuses (a
+    float, I, a sum under a negative power) or x-terms that cancel."""
+    big = 3**45
+
+    def number():
+        return rng.choice([
+            lift(rng.choice([-3, -2, -1, 1, 2, 5])),
+            lift(Fraction(rng.choice([-7, -1, 1, 3]), rng.choice([2, 3, 4, 9]))),
+            lift(rng.choice([big, -big, Fraction(big, 7)])),
+        ])
+
+    def exponent():
+        if rng.random() < 0.04:
+            return rng.choice([_LIMIT - 1, -_LIMIT, _LIMIT - 2, 1 - _LIMIT])
+        return rng.randint(-2, 2)
+
+    def factor():
+        return rng.choice([
+            y, z, Pi, Euler, sin(y), sin(z), power(y, exponent()), power(z, exponent()),
+        ])
+
+    def term():
+        out = [number(), power(x, rng.randint(-3, 3))]
+        out += [factor() for _ in range(rng.randint(0, 2))]
+        roll = rng.random()
+        if roll < 0.04:
+            out.append(sin(x))
+        elif roll < 0.07:
+            out.append(power(add(1, x), rng.choice([-1, 2])))
+        elif roll < 0.10:
+            out.append(lift(rng.choice([0.5, -1.25])))
+        elif roll < 0.13:
+            out.append(add(1, I))
+        elif roll < 0.17:
+            out.append(power(add(rng.choice([1, 2]), y, rng.choice([0, z])), rng.choice([-1, -2])))
+        elif roll < 0.19:
+            out.append(power(x, Fraction(1, 2)))
+        return mul(*out)
+
+    terms = [term() for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.2:
+        # x-terms that cancel once the sum is multiplied out
+        c = mul(power(x, rng.randint(-2, 2)), factor())
+        terms += [mul(c, power(add(1, y), 2)), mul(-1, c, add(1, mul(2, y), power(y, 2)))]
+    if rng.random() < 0.3:
+        terms.append(number())
+    return add(*terms)
+
+
+def test_the_one_pass_sum_read_matches_the_term_walk():
+    # property: a sum read in one pass into {exponent of x: element}
+    # prints what the per-term walk printed, error text included, and
+    # takes the same ring: the kernel, or the tree rerun after the
+    # kernel refused.  The reference is the walk, the kernel's split
+    # answering None.  Sums are expanded alone, under a factor read
+    # before them (so x is not the first atom of the kernel, and a
+    # negative field below x's would borrow from a careless read), as
+    # a reciprocal, and as a quotient of two
+    rng = random.Random(2203)
+    x, y, z = symbols("x y z")
+    kernel, node = series_module._kernel, series_module._node
+
+    reads = []  # for each one-pass read asked for: whether it split
+
+    def walking():
+        return kernel()._replace(laurent=lambda e, v: None)
+
+    def splitting():
+        ring = kernel()
+
+        def laurent(e, v):
+            got = ring.laurent(e, v)
+            reads.append(got is not None)
+            return got
+
+        return ring._replace(laurent=laurent)
+
+    def run(ring_of, e, point, n):
+        rings = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "_kernel", ring_of)
+            mp.setattr(series_module, "_node",
+                       lambda r, *a: rings.append(r is series_module._TREES) or node(r, *a))
+            printed = _printed(series_of, e, (x, point), n)
+        return printed, rings[-1] if rings else None
+
+    trees = errors = 0
+    for _ in range(1100):
+        s = _laurent_sum(rng, x, y, z)
+        e = rng.choice([
+            s, s,
+            mul(power(rng.choice([y, z, mul(y, power(z, -1))]), -1), s),
+            power(s, -1),
+            mul(s, power(_laurent_sum(rng, x, y, z), -1)),
+        ])
+        point, n = rng.choice([0, 0, 1, -1]), rng.randint(1, 8)
+        want = run(walking, e, point, n)
+        got = run(splitting, e, point, n)
+        assert got == want, (to_string(e), point, n)
+        trees += want[1] is True
+        errors += want[0].startswith(("SeriesError", "DomainError", "ZeroDivisionError"))
+    # the draw reaches the kernel, the tree rerun and the error path, and
+    # both the one-pass read and its answer None
+    split = sum(reads)
+    assert 200 <= trees <= 700 and 20 <= errors <= 400, (trees, errors)
+    assert split >= 1000 and len(reads) - split >= 300, (split, len(reads))
