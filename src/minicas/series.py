@@ -32,6 +32,10 @@ Its element is a rational content times a primitive int dict: the
 Cauchy products and the power and exp recurrences add and multiply
 ints only, and each coefficient takes one rational scale; a number
 lead is inverted as a number, and a number is built as its Numeric.
+Operands whose coefficients are all rational numbers skip the
+elements: a product or power runs on ints over one denominator, with
+one gcd per coefficient.  An exact base raised to an integer power is
+first cut where the power reaches the order asked for.
 Each output coefficient is built once, expanded, so the printed gamma
 series grows about as fast as its number of distinct monomials, not
 doubling with every order as nested sums of earlier coefficients did.
@@ -222,6 +226,29 @@ def _number(e) -> int | Fraction | None:
     return None
 
 
+def _rational(n: int, d: int) -> tuple:
+    """The kernel element n/d, for ints n and d != 0."""
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return n // g, d // g, _ONE[2], None
+
+
+def _ints(s: _Series) -> tuple | None:
+    """The coefficients of s as (D, [(exponent, int)]) over one common
+    denominator D, zero elements left out, when each is a rational
+    number; else None."""
+    nums = []
+    for k, c in s.coeffs.items():
+        if type(c) is not tuple:
+            return None
+        p = c[2]
+        if p:
+            if len(p) != 1 or _MONO_ONE not in p:
+                return None
+            nums.append((k, c[0] * p[_MONO_ONE], c[1]))
+    d = math.lcm(*(q for _, _, q in nums))
+    return d, [(k, n * (d // q)) for k, n, q in nums]
+
+
 def _kernel() -> _Ring:
     """A ring on a fresh _Polys, whose read refuses what the module
     docstring lists."""
@@ -398,6 +425,19 @@ def _mul(ring: _Ring, a: _Series, b: _Series) -> _Series:
     if b.order is not None:
         candidates.append(b.order + _ldeg(a))
     order = min(candidates) if candidates else None
+    na = _ints(a)
+    nb = na and _ints(b)
+    if nb is not None:
+        # numbers: the Cauchy product on ints over one denominator
+        sums: dict[int, int] = {}
+        for ka, x in na[1]:
+            for kb, y in nb[1]:
+                k = ka + kb
+                if order is not None and k >= order:
+                    break
+                sums[k] = sums.get(k, 0) + x * y
+        d = na[0] * nb[0]
+        return _Series({k: _rational(sums[k], d) for k in sorted(sums) if sums[k]}, order)
     gathered: dict[int, list] = {}
     for ka, x in a.coeffs.items():
         for kb, y in b.coeffs.items():
@@ -466,6 +506,37 @@ def _pow(ring: _Ring, a: _Series, k, rel_hint: int | None = None) -> _Series:
         rel = rel_hint
     if rel <= 0:
         return _Series({}, mk + rel)
+    got = _ints(a)
+    if got is not None:
+        # numbers: with k = p/r and u_j the int of x^(m+j), the
+        # coefficient of x^(mk+n) is lead^k F_n / E_n, over
+        # E_n = prod of i r u_0 for 0 < i <= n, where
+        # F_n = sum over j of ((p+r) j - n r) u_j F_(n-j) E_(n-1) / E_(n-j).
+        # For an integer k the coefficient over lead^k is an int over
+        # u_0^n, so E_n drops each i and F_n is divided by n as it goes:
+        # it carries no n! for the gcd to take out
+        d, pairs = got
+        u = [0] * min(rel, pairs[-1][0] - m + 1)
+        for e, c in pairs:
+            if e - m < rel:
+                u[e - m] = c
+        lead = Fraction(u[0], d)
+        # a lead power such as 2^(1/2) refuses, as on the elements
+        scale = lead**k if k.denominator == 1 else _number(ring.read(power(lift(lead), k)))
+        pr, r = k.numerator + k.denominator, k.denominator
+        step = [r * u[0] * (i if r > 1 else 1) for i in range(rel)]  # E_i / E_(i-1)
+        f, den, coeffs = [1], scale.denominator, {}
+        for n in range(rel):
+            if n:
+                fn, w = 0, 1
+                for j in range(1, min(n + 1, len(u))):
+                    fn += (pr * j - n * r) * u[j] * f[n - j] * w
+                    w *= step[n - j]
+                f.append(fn // n if r == 1 else fn)
+                den *= step[n]
+            if f[n]:
+                coeffs[mk + n] = _rational(scale.numerator * f[n], den)
+        return _Series(coeffs, mk + rel)
     lead = a.coeffs[m]
     q = _number(lead)
     if q is None:
@@ -476,21 +547,17 @@ def _pow(ring: _Ring, a: _Series, k, rel_hint: int | None = None) -> _Series:
         inv_lead = Fraction(q.denominator, q.numerator)
         scale = inv_lead if k == -1 else ring.read(power(lift(q), k))
     # f_n = sum over j of ((k+1) j - n) u_j f_(n-j) / n, with (k+1) j
-    # taken once per j, an int when k is one.  For k = -1 the kernel
-    # takes f_n = sum over j of -u_j f_(n-j), with no scalar per step;
-    # the trees keep the general form, which rounds floats as it did
-    plain = k == -1 and ring is not _TREES
+    # taken once per j, an int when k is one
     k1 = k.numerator + 1 if k.denominator == 1 else k + 1
-    u = [(e - m, k1 * (e - m), ring.times(-1, c, inv_lead) if plain else ring.times(c, inv_lead))
-         for e, c in a.coeffs.items() if e != m]
+    u = [(e - m, k1 * (e - m), ring.times(c, inv_lead)) for e, c in a.coeffs.items() if e != m]
     f = [ring.one]
     for n in range(1, rel):
         parts = []
         for j, kj, uj in u:
             if j > n:
                 break
-            parts.append(ring.times(uj, f[n - j]) if plain else ring.times(kj - n, uj, f[n - j]))
-        f.append(ring.plus(*parts) if plain else ring.times(Fraction(1, n), ring.plus(*parts)))
+            parts.append(ring.times(kj - n, uj, f[n - j]))
+        f.append(ring.times(Fraction(1, n), ring.plus(*parts)))
     return _Series(
         _nonzero(ring, ((mk + n, ring.times(scale, fn)) for n, fn in enumerate(f))), mk + rel
     )
@@ -655,6 +722,11 @@ def _srs(ring: _Ring, e: Expr, x: Symbol, point: Expr, n: int) -> _Series:
             want = n - math.floor(m * (k - 1))
             if want > n:
                 base = _srs(ring, e.base, x, point, want)
+            if k.denominator == 1 and k > 1 and base.order is None and len(base.coeffs) > 1:
+                # an exact power would be multiplied out in full: cut the
+                # base where the power reaches order n, and past its lead
+                cut = max(want, m + 1)
+                base = _Series(_nonzero(ring, _truncate(base, cut).coeffs.items()), cut)
             rel = want - m if base.order is None else None
             return _pow(ring, base, k, rel)
         return _leaf(ring, _taylor(e, x, point, n), n)

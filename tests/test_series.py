@@ -10,6 +10,7 @@ marks order-bookkeeping identities asserted directly.
 import contextvars
 import math
 import random
+import time
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -60,6 +61,7 @@ from minicas.functions import (
     sin,
     zeta,
 )
+from minicas.shell import Shell
 from minicas.series import (
     ps_add,
     ps_mul,
@@ -590,11 +592,18 @@ def test_a_leaf_lead_that_expands_to_zero_is_inverted_on_the_trees():
         s = series_of(e, (x, 0), n)
         assert to_string(s) == to_string(series_of(power(sin(power(x, 2)), -1), (x, 0), n))
     assert series_of(e, (x, 0), 3).terms[0] == (lift(1), -2)
-    # the tree ring tests zero structurally, so the tree path still
-    # divides by the zero lead: a fault that lasts until the trees get
-    # a zero test that expands
+
+
+@pytest.mark.xfail(strict=True, reason="the tree ring tests zero structurally, so the tree "
+                   "path divides by the zero lead (ROADMAP item 3, step 1)")
+def test_the_tree_path_inverts_the_true_lead_of_a_leaf_that_expands_to_zero():
+    # the tree path prints (-1-2*y-y^2+(1+y)^2)^(-1)*x^(-1) first, until
+    # the trees get a zero test that expands
+    x, y = symbols("x y")
+    zero = add(power(add(1, y), 2), -1, mul(-2, y), mul(-1, power(y, 2)))
+    e = power(sin(add(mul(zero, x), power(x, 2))), -1)
     tree = on_trees(series_of, e, (x, 0), 3)
-    assert tree.terms[0] == (power(zero, -1), -1) and tree.order == 3
+    assert tree.terms[0] == (lift(1), -2) and tree.order == 3
 
 
 def test_gamma_series_grows_slowly():
@@ -704,8 +713,31 @@ def test_a_numeric_quotient_builds_no_tree_before_its_node():
         assert to_string(s).startswith("1/2-11/4*x+")
         # a coefficient with a symbol in it is built by the kernel
         events.clear()
-        series_of(power(add(1, mul(y, x)), -1), (x, 0), 4)
+        s = series_of(power(add(1, mul(y, x)), -1), (x, 0), 4)
         assert events.count("node") == 1 and "tree" in events
+        assert to_string(s) == "1-y*x+y^2*x^2-y^3*x^3+O(x^4)"
+
+
+def test_number_series_multiply_and_raise_on_ints_without_elements():
+    # all-number operands of a product or power run on ints: p/q and
+    # (1+a*x+b*x^2)^r multiply and add no ring element, where gamma's
+    # coefficients in Euler, Pi and zeta still do
+    x = symbols("x")[0]
+    calls = []
+    times, plus = series_module._dict_times, series_module._dict_plus
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series_module, "_dict_times", lambda *a: calls.append(1) or times(*a))
+        mp.setattr(series_module, "_dict_plus", lambda *a: calls.append(1) or plus(*a))
+        p = add(1, mul(-4, x), mul(6, power(x, 3)))
+        q = add(-2, mul(Fraction(3, 5), x), mul(-7, power(x, 2)), mul(5, power(x, 3)))
+        for e in [mul(p, power(q, -1)), mul(p, power(q, -2)), power(q, -1)] + [
+            power(add(1, mul(a, x), mul(b, power(x, 2))), r)
+            for a, b, r in [(2, -3, Fraction(1, 2)), (-3, 2, Fraction(-2, 3)), (3, 5, Fraction(3, 2))]
+        ]:
+            s = series_of(e, (x, 0), 12)
+            assert not calls and s.order == 12, to_string(e)
+        series_of(gamma(x), (x, 0), 6)
+        assert calls
 
 
 def test_a_registered_series_hook_joins_the_expansion():
@@ -1259,3 +1291,147 @@ def test_the_one_pass_sum_read_matches_the_term_walk():
     split = sum(reads)
     assert 200 <= trees <= 700 and 20 <= errors <= 400, (trees, errors)
     assert split >= 1000 and len(reads) - split >= 300, (split, len(reads))
+
+
+def _number_case(rng, x, y):
+    """A seeded expansion, or ps_mul or ps_pow of nodes, whose operands
+    are mostly series of rational numbers: Fraction and 3^45
+    coefficients, zeros in the middle, negative leads and leads with
+    denominators, shifts by x^(-2) to x^2, and now and then a symbol
+    or a lead whose power is irrational.  Answers (run, args)."""
+    big = 3**45
+
+    def number():
+        roll = rng.random()
+        if roll < 0.15:
+            return 0
+        if roll < 0.25:
+            return rng.choice([big, -big, Fraction(big, 7), Fraction(-5, big)])
+        return Fraction(rng.choice([-7, -3, -2, -1, 1, 2, 3, 5]), rng.choice([1, 1, 2, 3, 4]))
+
+    def lead():
+        return rng.choice([1, -1, 2, -3, Fraction(-3, 2), Fraction(1, 5), big])
+
+    def square_lead():
+        # a lead whose power is rational, now and then one whose is not
+        return rng.choice([1, 1, 4, Fraction(9, 4), Fraction(1, 16), 2, 3])
+
+    def poly(first, deg=None):
+        deg = rng.randint(0, 3) if deg is None else deg
+        return add(mul(first, power(x, 0)), *[mul(number(), power(x, k)) for k in range(1, deg + 1)])
+
+    def shifted(e):
+        return mul(power(x, rng.randint(-2, 2)), e) if rng.random() < 0.3 else e
+
+    n = rng.randint(1, 20)
+    at = (x, rng.choice([0, 0, 1, -1]))
+    kind = rng.randrange(8)
+    if kind == 0:  # p/q and p/q^2
+        e = mul(poly(number()), power(shifted(poly(lead(), rng.randint(1, 3))), -rng.randint(1, 2)))
+    elif kind == 1:  # q^(-1), q^(-2), q^(1/2), q^(-3/2)
+        k = rng.choice([-1, -2, Fraction(1, 2), Fraction(-3, 2)])
+        first = lead() if k.denominator == 1 else square_lead()
+        e = power(shifted(poly(first, rng.randint(1, 3))), k)
+    elif kind == 2:  # (1 + a x + b x^2)^r
+        r = rng.choice([Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(-2, 3), Fraction(3, 2)])
+        e = power(add(1, mul(number(), x), mul(number(), power(x, 2))), r)
+    elif kind == 3:  # a shifted quotient times a power
+        e = shifted(mul(power(poly(lead(), 2), -1), power(poly(square_lead(), 2), Fraction(1, 2))))
+    elif kind == 4:  # y p/q: a symbol keeps the elements
+        e = mul(y, poly(number()), power(poly(lead(), 2), -1))
+    elif kind == 5:  # a lead power outside the kernel
+        e = power(add(rng.choice([2, 3, -2]), x), rng.choice([Fraction(1, 2), Fraction(-3, 2)]))
+    else:  # ps_mul and ps_pow of number nodes
+        def node():
+            lo = rng.randint(-2, 2)
+            terms = [(lift(c), lo + j) for j, c in enumerate([lead()] + [number() for _ in range(3)])]
+            return pseries(x, 0, [t for t in terms if not t[0].is_zero()],
+                           rng.choice([None, lo + rng.randint(1, 8)]))
+
+        if kind == 6:
+            return ps_mul, (node(), node())
+        k = rng.choice([-1, -2, 2, 3, Fraction(1, 2), Fraction(-3, 2)])
+        return ps_pow, (node(), k, rng.choice([None, n]))
+    return series_of, (e, at, n)
+
+
+def test_number_series_on_ints_print_what_the_elements_print():
+    # property: a product or power whose coefficients are all numbers,
+    # run on ints over one denominator, prints what the same operation
+    # on kernel elements prints, error text included; the reference is
+    # the elements, the numeric check answering None.  Every element
+    # the ints build is in lowest terms over a positive denominator
+    rng = random.Random(2411)
+    x, y = symbols("x y")
+    ints, rational = series_module._ints, series_module._rational
+    taken = []
+
+    def spied(s):
+        got = ints(s)
+        taken.append(got is not None)
+        return got
+
+    def checked(n, d):
+        got = rational(n, d)
+        assert got[1] > 0 and math.gcd(got[0], got[1]) == 1 and got[0] * d == n * got[1], (n, d)
+        return got
+
+    errors = 0
+    for _ in range(1200):
+        f, args = _number_case(rng, x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "_ints", lambda s: None)
+            want = _printed(f, *args)
+        errors += want.startswith(("SeriesError", "DomainError", "ZeroDivisionError"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "_ints", spied)
+            mp.setattr(series_module, "_rational", checked)
+            got = _printed(f, *args)
+        assert got == want, (f.__name__, [to_string(a) if isinstance(a, PSeriesNode) else a
+                                          for a in args])
+    # the draw reaches the ints, the elements and the error path
+    assert sum(taken) >= 1000 and len(taken) - sum(taken) >= 300, (sum(taken), len(taken))
+    assert errors >= 20, errors
+
+
+def test_an_exact_power_is_cut_to_the_order_it_needs():
+    # an exact base raised to an integer power is cut where the power
+    # reaches the order, past its lead, so it is not multiplied out in
+    # full; cut at that order alone, the base of the last statement
+    # would leave O(x^(-48))
+    for stmt, want in [
+        ("series((1+x)^400, x==0, 3);", "1+400*x+79800*x^2+O(x^3)"),
+        ("series((1+x)^1000, x==0, 3);", "1+1000*x+499500*x^2+O(x^3)"),
+        ("series((1+x)^2000, x==0, 3);", "1+2000*x+1999000*x^2+O(x^3)"),
+        ("series((1+x)^(2^20), x==0, 2);", "1+1048576*x+O(x^2)"),
+        ("series(sin(x)*(1+x)^500, x==0, 3);", "x+500*x^2+O(x^3)"),
+        ("series((-2*x+1/3*x^2+x^3)^8, x==0, 1);", "O(x)"),
+    ]:
+        start = time.perf_counter()
+        assert Shell().feed(stmt) == [want], stmt
+        assert time.perf_counter() - start < 1, stmt
+
+
+def test_a_cut_power_prints_what_the_uncut_power_printed():
+    # property: integer powers of exact bases, cut, print what the
+    # expansion that multiplied them out in full printed (the earlier
+    # ring above), error text included: float, y and sin(y)
+    # coefficients, Laurent shifts, points 0 and 1 and orders 1 to 7
+    rng = random.Random(4099)
+    x, y = symbols("x y")
+
+    def coeff():
+        return rng.choice([lift(rng.randint(-3, 3)), lift(Fraction(rng.choice([-1, 1, 5]), 3)),
+                           lift(rng.choice([0.5, -1.25])), y, mul(-2, y), sin(y)])
+
+    errors = 0
+    for _ in range(400):
+        lo = rng.randint(-2, 1)
+        base = add(*[mul(coeff(), power(x, lo + j)) for j in range(rng.randint(1, 4))])
+        k = rng.choice([0, 1, 2, 3, 5, 8, -1, -2, Fraction(1, 2), Fraction(-3, 2)])
+        e = rng.choice([power(base, k), mul(power(base, k), rng.choice([sin(x), power(x, -1), y]))])
+        at, n = (x, rng.choice([0, 0, 1])), rng.randint(1, 7)
+        printed = _printed(_ref_series_of, e, at, n)
+        assert _printed(series_of, e, at, n) == printed, (to_string(e), at, n)
+        errors += printed.startswith(("SeriesError", "DomainError", "ZeroDivisionError"))
+    assert errors >= 10, errors
