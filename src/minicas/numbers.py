@@ -337,6 +337,13 @@ def _from_fraction(fr: Fraction) -> Number:
     return Number(_RAT, fr)
 
 
+def _coprime(n: int, d: int) -> Number:
+    """The Number n/d for coprime ints n and d > 0, without Fraction()'s gcd."""
+    fr = object.__new__(Fraction)
+    fr._numerator, fr._denominator = n, d
+    return _from_fraction(fr)
+
+
 def rational(p: int, q: int) -> Number:
     if q == 0:
         raise ZeroDivisionError("rational with zero denominator")

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache, reduce
+from heapq import heappop, heappush
 from operator import or_ as _or
 from struct import Struct
 
@@ -232,7 +233,7 @@ def _ordered_vars(*exprs: Expr) -> tuple[Symbol, ...]:
     return tuple(sorted(set().union(*map(free_symbols, exprs)), key=lambda s: s.serial))
 
 
-def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
+def _to_dict(e: Expr, vars: tuple[Symbol, ...], expanding: bool = True) -> Poly:
     """The expansion of e as a dict polynomial over vars: the product
     expand's kernel forms, returned as it is, without building the
     expanded tree.  vars are the kernel's first atoms (_var_index).
@@ -245,15 +246,16 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
     once; otherwise e is refused, if it must be, before anything is
     multiplied out (_refuse_factors).  A shape the kernel does not cover
     (a float that cancels, say) is expanded on the trees and read from
-    there.
+    there.  With expanding False nothing is expanded: such a shape is
+    refused, and so is a function or a sum under a negative power.
     """
-    polys = _Polys(expand, _var_index(vars))
+    polys = _Polys(expand if expanding else _unexpanded, _var_index(vars))
     fs = polys.factors(e)
-    if fs is None:
+    if fs is None and expanding:
         e = expand(e)
         fs = polys.factors(e)
-        if fs is None:
-            raise _refusal(e)
+    if fs is None:
+        raise _refusal(e)
     for p, _ in fs:
         if not p:
             return {}
@@ -275,6 +277,12 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...]) -> Poly:
         return _pproduct(fs)
     except _Refused:
         raise _Overflow from None
+
+
+def _unexpanded(x: Expr):
+    # the walk of a read that expands nothing: a sum read as an atom could
+    # be 0 under its negative power, in a product read as 0 for a 0 factor
+    raise DomainError("not read without expanding")
 
 
 _last_index: list = [None, {}]
@@ -305,13 +313,21 @@ def _refuse_factors(fs: list, atoms: list, nv: int) -> None:
     for i in lo:
         if type(atoms[i]) is Add:
             # a sum is an atom only under a negative power
-            raise DomainError(f"{power(atoms[i], lo[i])} is not a polynomial factor")
+            raise _NotAFactor(atoms[i], lo[i])
         if i >= nv and (lo[i] < 0 or hi[i] > 0):
             raise DomainError(f"{atoms[i]} is not one of the polynomial's symbols")
         if lo[i] < 0:
             raise DomainError(f"{atoms[i]} occurs under a negative power")
     if any(h >= _LIMIT for h in hi.values()):
         raise _Overflow
+
+
+class _NotAFactor(DomainError):
+    """A base under a negative power where a polynomial factor belongs,
+    its message built only when shown: most readers discard it."""
+
+    def __str__(self):
+        return f"{power(*self.args)} is not a polynomial factor"
 
 
 def _refusal(e: Expr) -> DomainError:
@@ -383,7 +399,9 @@ def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
     quotient of a reaches.  Each exponent of an exact quotient is at
     most a's degree less b's in that variable: once the quotient has as
     many terms as a, that bound is tested too, so a division that does
-    not go ends before its remainder climbs to the limit.
+    not go ends before its remainder climbs to the limit.  Each lead
+    comes from a heap of the remainder's monomials, stale ones skipped
+    (Monagan and Pearce, JSC 46, 2011), not from a scan of it.
     """
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
@@ -397,8 +415,11 @@ def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
     others = [(t, v) for t, v in b.items() if t != lb]
     q: Poly = {}
     r = dict(a)
+    heap = sorted(-t for t in r)  # a sorted list is a heap
     while r:
-        lr = max(r)
+        lr = -heappop(heap)
+        if lr not in r:
+            continue
         m = lr - lb
         if m & guard:
             return None
@@ -414,6 +435,8 @@ def _ddiv_exact(a: Poly, b: Poly) -> Poly | None:
         q[m] = c
         for t, v in others:
             key = m + t
+            if key not in r:
+                heappush(heap, -key)
             s = r.get(key, 0) - c * v
             if s:
                 r[key] = s
@@ -738,6 +761,9 @@ def _dict_gcd_front(a: Poly, b: Poly, nv: int) -> Poly:
     """Full gcd with the cheap structural reductions applied first."""
     if not a or not b or a == b:
         return _dunit_normal(a or b)
+    if len(a) == 1 or len(b) == 1:
+        # a one-term side shares only a monomial and the integer content
+        return {_fieldwise(min, (*a, *b), nv): math.gcd(*a.values(), *b.values())}
     # common monomial factors come out before anything else
     ma, mb = _fieldwise(min, a, nv), _fieldwise(min, b, nv)
     mg = _fieldwise(min, (ma, mb), nv)
@@ -853,7 +879,7 @@ def _factors(m: Mul, vars):
         raise DomainError("polynomial coefficients must be exact rationals")
     for r, k in m.pairs:
         if not k.is_integer() or k.val < 1:
-            raise DomainError(f"{power(r, _numeric(k))} is not a polynomial factor")
+            raise _NotAFactor(r, _numeric(k))
         c, p = _integerize(_to_dict(r, vars))
         if k.val >= _LIMIT and abs(c) != 1:
             raise _Overflow  # the content alone would need 2^30 digits
@@ -1097,16 +1123,19 @@ def _pair(e: Expr, gm: _GenMap):
         k = fr.numerator
         if abs(k) >= _LIMIT:
             return gm.sym_for(e), 1
-        if fr.denominator == 1:
-            a, b = _normal_pair(e.base, gm)
-        else:
-            # map the q-th root of the base to a generator, so that
-            # rational powers of one base cancel among themselves
-            a, b = gm.sym_for(power(e.base, lift(Fraction(1, fr.denominator)))), 1
-        if k > 0:
-            return (_dpow(a, k), _dpow(b, k)) if type(b) is dict else (power(a, k), b**k)
-        # a base's pair is a tree over 1 or dicts
-        n, d = _fraction((a, b), gm, len(gm.vars))
+        a, b, d = None, 1, {_MONO_ONE: 1}
+        n = _sum_dict(e.base, gm) if k < 0 and fr.denominator == 1 and type(e.base) is Add else None
+        if n is None:
+            if fr.denominator == 1:
+                a, b = _normal_pair(e.base, gm)
+            else:
+                # map the q-th root of the base to a generator, so that
+                # rational powers of one base cancel among themselves
+                a, b = gm.sym_for(power(e.base, lift(Fraction(1, fr.denominator)))), 1
+            if k > 0:
+                return (_dpow(a, k), _dpow(b, k)) if type(b) is dict else (power(a, k), b**k)
+            # a base's pair is a tree over 1 or dicts
+            n, d = _fraction((a, b), gm, len(gm.vars))
         if not n:
             raise ZeroDivisionError("zero denominator after cancellation")
         c, p = _integerize(n)
@@ -1117,6 +1146,17 @@ def _pair(e: Expr, gm: _GenMap):
     if t in (Power, Constant, FunctionApp, PSeriesNode):
         return gm.sym_for(e), 1
     raise DomainError(f"cannot bring {t.__name__} into a rational form")
+
+
+def _sum_dict(e: Add, gm: _GenMap) -> Poly | None:
+    """Sum e read straight into its dict, its pair not built as a tree and
+    read back; None, for the walk, when a part of e is not a polynomial
+    (the walk makes it a generator) or e is a number (it stays one)."""
+    try:
+        p = _to_dict(e, gm.vars, expanding=False)
+    except DomainError:
+        return None
+    return None if list(p) == [_MONO_ONE] else p
 
 
 def _number_lcm(d, q):

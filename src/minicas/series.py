@@ -104,6 +104,7 @@ from .expr import (
     pseries,
     subs,
 )
+from .numbers import _coprime
 
 __all__ = [
     "series_of",
@@ -284,8 +285,11 @@ def _kernel() -> _Ring:
         return {k: _split(parts[k]) for k in sorted(parts)}
 
     def out(e: tuple) -> Expr:
-        q = _number(e)
-        return polys.tree(_whole(e)) if q is None else lift(q)
+        n, d, p, _ = e
+        if len(p) == 1 and _MONO_ONE in p:
+            # a number element is in lowest terms over a positive d
+            return _numeric(_coprime(n * p[_MONO_ONE], d))
+        return polys.tree(_whole(e))
 
     return _Ring(read, _dict_plus, _dict_times, out, lambda e: not e[2], _ONE, laurent)
 

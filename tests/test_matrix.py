@@ -14,10 +14,12 @@ statement, what their own elimination loops printed before they came to
 share one; those loops are kept here as the reference.
 """
 
+import math
 import operator
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from math import factorial
 
 import mpmath
@@ -30,10 +32,17 @@ from minicas.errors import (
     SingularMatrixError,
 )
 from minicas.expr import (
+    Add,
+    Constant,
     Eq,
     ExprList,
+    FunctionApp,
     MatrixNode,
+    Mul,
     Numeric,
+    Pi,
+    Power,
+    PSeriesNode,
     Relational,
     Symbol,
     add,
@@ -61,7 +70,7 @@ from minicas import expr as expr_module
 from minicas import matrices as matrices_module
 from minicas import parser as parser_module
 from minicas import poly as poly_module
-from minicas.expr import _padd
+from minicas.expr import _LIMIT, _padd
 from minicas.matrices import (
     _det_bareiss,
     _det_bareiss_dict,
@@ -1185,3 +1194,211 @@ def test_hilbert_and_identity_shapes():
         identity(0)
     with pytest.raises(ShapeError):
         matrix([])
+
+
+# ------------------------------------------- the rational reader, on a reference
+#
+# normal()'s pair of a power before a sum under a negative integer power
+# was read straight into its dict, kept here as the reference: the base
+# always took the walk, its pair was rebuilt as a tree and read back.
+
+
+def _ref_pair(e, gm):
+    P = poly_module
+    t = type(e)
+    if t is Numeric:
+        if e.value.is_rational():
+            fr = e.value.as_fraction()
+            return lift(fr.numerator), fr.denominator
+        return gm.sym_for(e), 1
+    if t is Symbol:
+        return e, 1
+    if t is Add:
+        ps = [(P._normal_pair(x, gm), len(gm.vars)) for x in P._terms_of(e)]
+        a, qs = zip(*(p for p, _ in ps))
+        if dict not in map(type, qs) and reduce(P._number_lcm, qs, 1) == 1:
+            return add(*(x if q == 1 else mul(x, lift(P._qdiv(1, q))) for x, q in zip(a, qs))), 1
+        one = {P._MONO_ONE: 1}
+        n, d = {}, one
+        for tn, td in (P._fraction(p, gm, w) for p, w in ps):
+            co, q = td, d
+            if d != one and td != one:
+                g = P._dgcd(d, td, len(gm.vars))
+                if g != one:
+                    co, q = P._dquotient(td, g), P._dquotient(d, g)
+            n = _padd(((P._dmul(n, co), 1), (P._dmul(tn, q), 1)))
+            d = P._dmul(d, co)
+        return P._frac_cancel(n, d, gm)
+    if t is Mul:
+        factors = [P._numeric(e.coeff)] + [power(r, P._numeric(k)) for r, k in e.pairs]
+        ps = [(P._normal_pair(x, gm), len(gm.vars)) for x in factors]
+        a, qs = zip(*(p for p, _ in ps))
+        if dict not in map(type, qs) and math.prod(qs) == 1:
+            return reduce(mul, a), 1
+        ns, ds = zip(*(P._fraction(p, gm, w) for p, w in ps))
+        return P._frac_cancel(reduce(P._dmul, ns), reduce(P._dmul, ds), gm)
+    if t is Power and type(e.exponent) is Numeric and e.exponent.value.is_rational():
+        fr = e.exponent.value.as_fraction()
+        k = fr.numerator
+        if abs(k) >= _LIMIT:
+            return gm.sym_for(e), 1
+        if fr.denominator == 1:
+            a, b = P._normal_pair(e.base, gm)
+        else:
+            a, b = gm.sym_for(power(e.base, lift(Fraction(1, fr.denominator)))), 1
+        if k > 0:
+            return (P._dpow(a, k), P._dpow(b, k)) if type(b) is dict else (power(a, k), b**k)
+        n, d = P._fraction((a, b), gm, len(gm.vars))
+        if not n:
+            raise ZeroDivisionError("zero denominator after cancellation")
+        c, p = P._integerize(n)
+        if type(a) is Numeric or type(b) is dict and p == {P._MONO_ONE: 1}:
+            return power(P._from_dict(d, gm.vars), -k), c**-k
+        return P._pscale(P._dpow(d, -k), P._qdiv(1, c**-k)), P._dpow(p, -k)
+    if t in (Power, Constant, FunctionApp, PSeriesNode):
+        return gm.sym_for(e), 1
+    raise DomainError(f"cannot bring {t.__name__} into a rational form")
+
+
+def _answer(f, *args):
+    try:
+        return to_string(f(*args))
+    except Exception as exc:  # the error text is part of the answer
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reader_leaves(rng, x, y):
+    """Seeded leaves for det, inverse, lsolve and normal: k/(x+s) and
+    other light ones, then heavy ones, of which a draw takes one: floats,
+    and sin(a), Pi and x^(1/2) generators."""
+    a = Symbol("a")
+    xs = lambda s: add(x, s)
+    half = power(x, Fraction(1, 2))
+    zero = add(power(xs(1), 2), mul(-1, power(x, 2)), mul(-2, x), -1)
+    half_sum = add(mul(Fraction(1, 2), power(xs(1), 2)), mul(Fraction(-1, 2), power(x, 2)), mul(-1, x))
+    light = [
+        mul(rng.choice([-5, -3, -1, 1, 2, 4]), power(xs(rng.randint(1, 6)), -1)),
+        mul(rng.choice([-5, -3, -1, 1, 2, 4]), power(xs(rng.randint(1, 6)), -1)),
+        power(xs(rng.randint(-3, 6) or 1), rng.choice([-1, -2])),
+        mul(Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 4)), power(add(y, mul(2, x), 3), -1)),
+        x, y, lift(rng.randint(-4, 4)), lift(Fraction(rng.randint(1, 5), rng.randint(2, 7))),
+        add(mul(2, x), 3),
+        # sums that expand to 0, to a number and to a monomial, and one
+        # that expands to 0 deep inside a base
+        power(zero, -1),
+        power(add(power(xs(1), 2), mul(-1, power(x, 2)), mul(-2, x)), -1),
+        power(add(3, power(add(power(zero, -1), power(xs(2), -1)), -1)), -1),
+        power(add(power(xs(1), 2), mul(-2, x), -1), -1),
+        # a sum the walk keeps a number, so that (1+x)^2 stays grouped
+        mul(Fraction(1, 2), power(xs(1), 2), power(half_sum, -1)),
+    ]
+    heavy = [
+        mul(0.5, power(add(x, 1.5), -1)),
+        # a float base that is a polynomial once expanded
+        power(add(mul(x, add(1, mul(0.5, y))), mul(-0.5, x, y), 1), -1),
+        power(add(x, sin(a)), -1),
+        mul(sin(a), power(xs(2), -1)),
+        power(add(x, Pi), -1),
+        # a base that is a polynomial once expanded, over a generator
+        power(add(y, mul(add(1, half), add(1, mul(-1, half)))), -1),
+    ]
+    return light, heavy
+
+
+def _random_reader_entry(rng, leaves, depth):
+    """Sums, products, quotients and nested fractions of leaves."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)
+    sub = lambda: _random_reader_entry(rng, leaves, depth - 1)
+    kind = rng.choice(["add", "mul", "quotient", "nested"])
+    if kind == "add":
+        return add(sub(), sub())
+    if kind == "mul":
+        return mul(sub(), sub())
+    if kind == "quotient":
+        return mul(sub(), power(sub(), -1))
+    return power(add(lift(rng.randint(1, 3)), power(sub(), -1)), -1)
+
+
+def test_the_rational_reader_prints_what_the_walk_printed(monkeypatch):
+    rng = random.Random(2525)
+    x, y, u, v = symbols("x y u v")
+    reads = Counter()
+    inner = poly_module._to_dict
+
+    def counted(e, vars, expanding=True):
+        if expanding:
+            return inner(e, vars)
+        try:
+            p = inner(e, vars, expanding=False)
+        except DomainError:
+            reads["refused"] += 1
+            raise
+        reads["number" if list(p) == [poly_module._MONO_ONE] else "direct"] += 1
+        return p
+
+    monkeypatch.setattr(poly_module, "_to_dict", counted)
+    errors = Counter()
+    compared = []
+
+    def same(f, *args):
+        got = _answer(f, *args)
+        with monkeypatch.context() as mp:
+            mp.setattr(poly_module, "_pair", _ref_pair)
+            want = _answer(f, *args)
+        assert got == want, (f.__name__, [to_string(a) for a in args if not isinstance(a, list)])
+        if got.split(":")[0].endswith("Error"):
+            errors[got] += 1
+        compared.append(f)
+
+    # exponents one below the dict limit, read alone and next to k/(x+s):
+    # sums of such quotients make gcds the heuristic cannot evaluate, so
+    # they stay out of the draw
+    for e in [
+        power(add(power(x, _LIMIT - 1), 1), -1),
+        mul(power(x, _LIMIT - 1), power(add(x, 2), -1)),
+        power(add(power(x, _LIMIT - 1), y), -2),
+    ]:
+        k = mul(rng.choice([-3, 2, 5]), power(add(x, rng.randint(1, 6)), -1))
+        m = matrix([[e, 1], [0, k]])
+        for f, *args in [(mat_det, m), (mat_inverse, m), (normal, mul(e, k)), (normal, e)]:
+            same(f, *args)
+    for _ in range(200):
+        light, heavy = _reader_leaves(rng, x, y)
+        try:
+            es = [_random_reader_entry(rng, light, rng.randint(0, 2)) for _ in range(4)]
+            if rng.random() < 0.5:
+                es[rng.randrange(4)] = _random_reader_entry(rng, heavy + light[:2], 1)
+            r = rng.random()
+            if r < 0.15:
+                # a singular matrix: the second row a multiple of the first
+                c = rng.choice([2, Fraction(-1, 3)])
+                es[2], es[3] = mul(c, es[0]), mul(c, es[1])
+            elif r < 0.3:
+                # the equations' unknowns in the same ratio
+                es[1] = mul(-1, es[0])
+            m = matrix([es[:2], es[2:]])
+            eqs = [Eq(add(mul(es[0], u), mul(es[1], v)), es[2]), Eq(add(u, mul(-1, v)), es[3])]
+            calls = [
+                (mat_det, m),
+                (mat_inverse, m),
+                (solve_linear, eqs, [u, v]),
+                (normal, add(es[0], mul(es[1], es[2]))),
+                (normal, mul(es[3], power(add(es[0], es[2]), -1))),
+            ]
+        except ZeroDivisionError:
+            continue  # the constructors met a number 0 under a negative power
+        for f, *args in calls:
+            same(f, *args)
+    # every statement compared, and each way through the reader taken:
+    # the direct read of a base, the walk after a refusal or a number,
+    # and each error the draw can meet
+    assert len(compared) >= 1000, len(compared)
+    assert reads["direct"] >= 2000 and reads["refused"] >= 1000 and reads["number"] >= 100, reads
+    for text in [
+        "ZeroDivisionError: zero to a negative power",
+        "ZeroDivisionError: zero denominator after cancellation",
+        "SingularMatrixError: matrix is singular",
+        "NoUniqueSolutionError: system is inconsistent",
+    ]:
+        assert errors[text] >= 15, errors

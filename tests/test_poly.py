@@ -11,6 +11,7 @@ unit * content * primpart, and value preservation through normal().
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -703,9 +704,9 @@ def _count_calls(monkeypatch, name):
     calls = []
     inner = getattr(poly_module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return inner(*args)
+        return inner(*args, **kwargs)
 
     monkeypatch.setattr(poly_module, name, counted)
     return calls
@@ -734,6 +735,73 @@ def test_normal_sums_skip_trivial_gcds(monkeypatch):
     assert Shell().feed("normal((x^2-49)/(x-7));") == ["7+x"]
     assert len(gcds) == 1
     assert sorted(to_string(e) for e, _ in reads) == ["-49+x^2", "-7+x"]
+
+
+def _ref_gcd_front(a, b, nv):
+    """_dict_gcd_front before a one-term side answered at once, kept as
+    the reference: the structural reductions, then the gcd core."""
+    P = poly_module
+    if not a or not b or a == b:
+        return P._dunit_normal(a or b)
+    ma, mb = P._fieldwise(min, a, nv), P._fieldwise(min, b, nv)
+    mg = P._fieldwise(min, (ma, mb), nv)
+    if ma:
+        a = {m - ma: c for m, c in a.items()}
+    if mb:
+        b = {m - mb: c for m, c in b.items()}
+    for i in range(nv):
+        da = P._degree(a, i, nv)
+        db = P._degree(b, i, nv)
+        if da and not db:
+            a = P._content_along(a, i, nv)
+        elif db and not da:
+            b = P._content_along(b, i, nv)
+    g = P._primitive_gcd(a, b, nv, P._dict_gcd)
+    if mg:
+        g = {m + mg: c for m, c in g.items()}
+    return g
+
+
+def test_a_one_term_side_answers_the_gcd_front_at_once(monkeypatch):
+    # the gcd with a one-term side is the fieldwise-min monomial times
+    # the gcd of every coefficient: what the structural reductions and
+    # the core find, with the shortcut taken away from every level
+    P = poly_module
+    rng = random.Random(2626)
+
+    def monomial(nv):
+        return sum(rng.choice([0, 0, 1, 2, 3, _LIMIT - rng.randint(1, 3)]) << _FIELD * i
+                   for i in range(nv))
+
+    def coefficient(content):
+        return content * rng.choice([-1, 1]) * rng.choice([1, 1, 2, 6, 35, 3**45])
+
+    seen = Counter()
+    for _ in range(500):
+        nv = rng.randint(1, 4)
+        content = rng.choice([1, 1, -1, 2, 6, -12])
+        one = {} if rng.random() < 0.08 else {monomial(nv): coefficient(content)}
+        other = {monomial(nv): coefficient(content) for _ in range(rng.randint(1, 4))}
+        a, b = (one, other) if rng.random() < 0.5 else (other, one)
+        got = P._dict_gcd_front(a, b, nv)
+        if one:
+            # the formula on exponent tuples
+            fields = [[m >> _FIELD * i & (2**_FIELD - 1) for i in range(nv)] for m in [*a, *b]]
+            low = sum(min(f[i] for f in fields) << _FIELD * i for i in range(nv))
+            assert got == {low: math.gcd(*a.values(), *b.values())}
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(P, "_dict_gcd_front", _ref_gcd_front)
+                want = _ref_gcd_front(a, b, nv)
+        except DomainError:
+            # the reference's core met exponents past the limit in the
+            # other side's coefficient gcds; the shortcut needs none
+            seen["reference overflowed"] += 1
+            continue
+        assert got == want, (a, b, nv)
+        seen["zero" if not one else "one term each" if len(other) == 1 else "one term"] += 1
+        seen["content"] += bool(got) and abs(next(iter(got.values()))) > 1
+    assert min(seen[k] for k in ("zero", "one term", "one term each", "content")) >= 25, seen
 
 
 def test_normal_sum_over_number_denominators_keeps_its_terms():
@@ -878,9 +946,10 @@ def _ref_mul(a, b):
     return {t: c for t, c in out.items() if c}
 
 
-def _ref_div(a, b):
+def _ref_div(a, b, steps=None):
     """Tuple division: the exact quotient over Z, or None.  A quotient
-    exponent past a's degree less b's in its variable ends it."""
+    exponent past a's degree less b's in its variable ends it.  steps,
+    a list, gets each quotient monomial as it is found."""
     lb = max(b)
     room = [max(ta) - max(tb) for ta, tb in zip(zip(*a), zip(*b))]
     q, r = {}, dict(a)
@@ -893,6 +962,8 @@ def _ref_div(a, b):
         if rest:
             return None
         q[m] = c
+        if steps is not None:
+            steps.append(m)
         for t, v in b.items():
             key = tuple(x + y for x, y in zip(m, t))
             s = r.get(key, 0) - c * v
@@ -928,7 +999,7 @@ def _random_tuple_poly(rng, nv, big, small_last=False):
 def test_packed_arithmetic_matches_the_tuple_reference():
     P = poly_module
     rng = random.Random(1717)
-    seen = {"exact": 0, "inexact": 0, "overflow": 0, "larger_field": 0}
+    seen = {"exact": 0, "inexact": 0, "late": 0, "overflow": 0, "larger_field": 0}
     for _ in range(300):
         nv = rng.randint(2, 4)
         big = set(rng.sample(range(nv), rng.randint(0, 2)))
@@ -949,6 +1020,15 @@ def test_packed_arithmetic_matches_the_tuple_reference():
             got = P._ddiv_exact(_pack_poly(num, nv), pb)
             assert got == (None if want is None else _pack_poly(want, nv))
             seen["inexact"] += want is None
+            # inexact only in a*b's lowest term: every quotient term of a
+            # comes out before the division fails
+            low = dict(ab)
+            low[min(ab)] += rng.choice([-1, 1, 7])
+            steps = []
+            want = _ref_div({t: c for t, c in low.items() if c}, b, steps)
+            got = P._ddiv_exact(_pack_poly({t: c for t, c in low.items() if c}, nv), pb)
+            assert got == (None if want is None else _pack_poly(want, nv))
+            seen["late"] += want is None and len(steps) >= len(a)
         else:
             with pytest.raises(DomainError):
                 P._dmul(pa, pb)
