@@ -39,11 +39,13 @@ A kernel monomial is one int holding each atom's exponent in a signed
 field of _FIELD bits, so a product of monomials is a sum of ints and a
 power a multiple.  A product whose factors reach an exponent of _LIMIT
 is refused (_Refused) before it could overflow a field, and that
-subtree takes the pairwise path, which holds any exponent.  The tree is
-built once by _poly_tree, which sorts the terms by keys made from the
-atoms' ranks in compare's order, with no compare per term.
-poly._to_dict reads the kernel's dicts directly, and poly._from_dict
-builds its trees with the same builder.
+subtree takes the pairwise path, which holds any exponent.  One
+builder, _poly_tree, makes every tree from a kernel dict, expand's and
+poly._from_dict's alike: each term in the pass that unpacks its
+monomial, sorted by keys made from the atoms' ranks in compare's order,
+with no compare per term, and the node's free symbols preset from the
+atoms that occur, so free_symbols answers a fresh result at once.
+poly._to_dict reads the kernel's dicts directly.
 """
 
 from __future__ import annotations
@@ -67,6 +69,8 @@ from .numbers import (
     DEFAULT_DPS,
     IUNIT,
     Number,
+    _from_fraction,
+    _int,
     check_precision,
     hash64,
     num,
@@ -137,7 +141,7 @@ class Expr:
     """Base class.  Instances are immutable and hash-consable by value.
 
     Every node above the atoms has a _free slot, which caches its free
-    symbols: None until free_symbols first asks.
+    symbols: None until free_symbols first asks, unless _poly_tree set it.
     """
 
     __slots__ = ("_hash",)
@@ -1222,79 +1226,59 @@ class _Polys:
 
     def tree(self, p: dict) -> Expr:
         """The canonical sum of p's terms, built by _poly_tree once per
-        polynomial object.  Each monomial's fields are read inline, as
-        _unpack reads them, and each (atom, exponent) factor is made once
-        per tree, as the record _factor makes, so every term with that
-        factor shares its pair."""
+        polynomial object."""
         got = self.built.get(id(p))
         if got is not None:
             return got[1]
         atoms = self.atoms
         if len(self.rank) != len(atoms):
-            order = sorted(
-                range(len(atoms)),
-                key=functools.cmp_to_key(lambda i, j: compare(atoms[i], atoms[j])),
-            )
-            self.rank = [0] * len(atoms)
-            for r, i in enumerate(order):
-                self.rank[i] = r
-        rank = self.rank
-        made = [{} for _ in atoms]  # per atom index: exponent -> its factor record
-        terms = []
-        for m, c in p.items():
-            fs = []
-            i = 0
-            while m:
-                if not m & _MASK:  # skip to the lowest nonzero field
-                    s = ((m & -m).bit_length() - 1) // _FIELD
-                    m >>= _FIELD * s
-                    i += s
-                e = ((m + _HALF) & _MASK) - _HALF
-                f = made[i].get(e)
-                if f is None:
-                    f = made[i][e] = _factor(rank[i], atoms[i], e)
-                fs.append(f)
-                m = (m - e) >> _FIELD
-                i += 1
-            fs.sort()
-            terms.append((fs, c))
-        t = _poly_tree(terms)
+            rank = {id(a): r for r, a in enumerate(sorted(atoms, key=functools.cmp_to_key(compare)))}
+            self.rank = [rank[id(a)] for a in atoms]
+        t = _poly_tree(p, atoms, self.rank)
         self.built[id(p)] = (p, t)
         self.memo[id(t)] = (t, p)
         return t
 
 
-def _factor(rank: int, atom: Expr, e: int) -> tuple:
-    """_poly_tree's record of the factor atom**e: rank, (rank, e) sort
-    key, (atom, Number e) pair and the pair's hash ints, as _Pairs reads them."""
-    k = num(e)
-    return rank, (rank, e), (atom, k), (atom._hash, k._hash)
-
-
-def _poly_tree(terms) -> Expr:
-    """The canonical sum of c * prod(b**e) over terms (factors, c): each
-    factor a record of b**e for a nonzero int e, as _factor makes it,
-    the factors sorted by rank, and c a nonzero int or Fraction.  Ranks
-    order atoms of one kind as compare does, and each term is built
-    once, as the coefficient and coefficient-one product _split_term
-    would make; a product's pairs are the records' pairs as given, and
-    its hash comes from their hash ints.
-
-    The terms sort by a key compare agrees with, from ranks alone:
+def _poly_tree(p: dict, atoms, rank) -> Expr:
+    """The canonical sum of the kernel polynomial p over atoms, rank[i]
+    the place of atoms[i] in compare's order.  Each term is built as
+    _split_term would split it, in the pass that reads its monomial's
+    fields as _unpack does, and each (atom, exponent) factor once per
+    tree, as the record rank, (rank, e), (atom, Number e) pair and the
+    pair's hash ints.  The terms sort by keys compare agrees with:
     (kind, rank) for a lone atom, (KIND_POWER, rank, e) for its power
     and (KIND_MUL, n, (rank_0, e_0), ...) for a product of n factors.
-    """
+    The node's free symbols are set from the atoms that occur."""
+    made = [{} for _ in atoms]  # per atom index: exponent -> its factor record
     overall = _NUM_ZERO
     keyed = []
-    for fs, c in terms:
-        if not fs:
-            overall = num(c)
-        elif len(fs) > 1:
+    for m, c in p.items():
+        c = _int(c) if type(c) is int else _from_fraction(c)
+        if not m:
+            overall = c
+            continue
+        fs = []
+        i = 0
+        while m:
+            if not m & _MASK:  # skip to the lowest nonzero field
+                s = ((m & -m).bit_length() - 1) // _FIELD
+                m >>= _FIELD * s
+                i += s
+            e = ((m + _HALF) & _MASK) - _HALF
+            f = made[i].get(e)
+            if f is None:
+                a, k = atoms[i], _int(e)
+                f = made[i][e] = rank[i], (rank[i], e), (a, k), (a._hash, k._hash)
+            fs.append(f)
+            m = (m - e) >> _FIELD
+            i += 1
+        if len(fs) > 1:
+            fs.sort()
             _, ks, pairs, hs = zip(*fs)
             keyed.append(((KIND_MUL, len(fs), *ks), Mul(_NUM_ONE, pairs, hs), c))
         else:
-            ((r, _, (b, k), _),) = fs
-            e = k.val
+            ((r, (_, e), (b, k), _),) = fs
             if e == 1:
                 keyed.append(((b.kind, r), b, c))
             else:
@@ -1303,9 +1287,14 @@ def _poly_tree(terms) -> Expr:
         return _numeric(overall)
     keyed.sort(key=operator.itemgetter(0))
     if overall.is_zero() and len(keyed) == 1:
-        _, r, c = keyed[0]
-        return r if c == 1 else _scaled(r, num(c))
-    return Add(overall, tuple([(r, num(c)) for _, r, c in keyed]))
+        _, t, c = keyed[0]
+        if not c.is_one():
+            t = _scaled(t, c)
+    else:
+        t = Add(overall, tuple([(r, c) for _, r, c in keyed]))
+    if type(t) is not Symbol and type(t) is not Constant:
+        t._free = _NO_SYMBOLS.union(*[free_symbols(a) for a, d in zip(atoms, made) if d])
+    return t
 
 
 # Packed monomials.  Field i of a monomial holds the exponent of atom i
@@ -1589,10 +1578,15 @@ def _render(e: Expr, parent: int) -> str:
         return e.name
     if t is Add:
         texts: dict = {}  # id of a factor pair -> its text, shared by the terms
-        s = _render_sum(
-            ([str(e.coeff)] if not e.coeff.is_zero() else [])
-            + [_render_term(r, k, texts) for r, k in e.pairs]
-        )
+        parts = [] if e.coeff.is_zero() else [str(e.coeff)]
+        for r, k in e.pairs:  # each term's text, with "+" before it unless it starts with "-"
+            s = _render_product(r, texts) if type(r) is Mul else _render(r, _PREC_MUL)
+            if k.kind != "int" or (k.val != 1 and k.val != -1):
+                s = f"{_render_coeff(k)}*{s}"
+            elif k.val == -1:
+                s = "-" + s
+            parts.append(s if not parts or s[0] == "-" else "+" + s)
+        s = "".join(parts)
         return f"({s})" if parent > _PREC_ADD else s
     if t is Mul:
         s = _render_product(e, {})
@@ -1615,22 +1609,6 @@ def _render(e: Expr, parent: int) -> str:
         rows = e.row_list()
         return "[" + ",".join("[" + ",".join(_render(a, 0) for a in row) + "]" for row in rows) + "]"
     return f"<{t.__name__}>"
-
-
-def _render_sum(parts: list[str]) -> str:
-    out = []
-    for p in parts:
-        if out and not p.startswith("-"):
-            out.append("+")
-        out.append(p)
-    return "".join(out) if out else "0"
-
-
-def _render_term(r: Expr, k: Number, texts: dict) -> str:
-    s = _render_product(r, texts) if type(r) is Mul else _render(r, _PREC_MUL)
-    if k.kind == "int" and (k.val == 1 or k.val == -1):
-        return s if k.val == 1 else "-" + s
-    return f"{_render_coeff(k)}*{s}"
 
 
 def _render_coeff(k: Number) -> str:
@@ -1699,7 +1677,7 @@ def _render_series(e: PSeriesNode, parent: int) -> str:
             parts.append(f"O({xs})")
         else:
             parts.append(f"O({xs}^{_render_exponent(lift(e.order))})")
-    s = _render_sum(parts)
+    s = "".join(p if not i or p[0] == "-" else "+" + p for i, p in enumerate(parts)) or "0"
     return f"({s})" if parent > _PREC_ADD and (len(parts) > 1) else s
 
 

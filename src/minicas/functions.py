@@ -8,11 +8,12 @@ expand untouched, so sin(x) really returns sin(x).  The hooks are
     eval_hook(args) -> Expr | None        exact rewrite at construction
     evalf_hook(values, prec) -> Number    numeric value at prec digits
     diff_hook(args, i) -> Expr            partial derivative in args[i]
-    series_hook(args, var, point, n) -> PSeriesNode | None
+    series_hook(args, var, point, n) -> PSeriesNode | _Series | None
 
-and all of them are pure.  The registry maps (name, arity) to the
-definition; it is append-only behind a lock so lookups after
-registration need no synchronization.
+and all of them are pure.  series_hook returns a PSeriesNode, the
+running expansion's _Series, built in that expansion's ring, or None.
+The registry maps (name, arity) to the definition; it is append-only
+behind a lock so lookups after registration need no synchronization.
 
 The predefined catalogue covers sin, cos, exp, log, gamma, psi (one and
 two arguments), zeta and factorial.  Exact rewrites only fire on exact
@@ -233,32 +234,28 @@ def _gamma_series(args, x, point, n):
     """Series of gamma(g) where g(point) is an integer.
 
     At 1 the log-gamma coefficients apply directly; other integers are
-    shifted there through the functional equation, reusing series_of on
+    shifted there through the functional equation, reusing _series_at on
     the rewritten expression so order bookkeeping stays in one place.
-    Non-integer points decline and fall back to the Taylor loop.
+    The series comes back in the running expansion's ring, else as its
+    node.  Non-integer points decline and fall back to the Taylor loop.
     """
-    from .series import _exp, _expansion_node, _pow, _scale, _series_at, _sum, _truncate, series_of
+    from .series import _exp, _expansion, _expansion_node, _pow, _scale, _series_at, _sum, _truncate
 
     g = args[0]
     g0 = subs(g, {x: point})
     v = _exact(g0)
     if v is None or not v.is_integer():
         return None
-    if v.val <= 0:
-        m = -v.val
-        # gamma(g) = gamma(g+m+1) / (g (g+1) ... (g+m))
-        shifted = mul(
-            gamma(add(g, m + 1)),
-            *[power(add(g, j), -1) for j in range(m + 1)],
-        )
-        return series_of(shifted, (x, point), n)
-    if v.val >= 2:
-        q = v.val
-        # gamma(g) = (g-1) (g-2) ... (g-q+1) gamma(g-q+1)
-        shifted = mul(*[add(g, -j) for j in range(1, q)], gamma(add(g, 1 - q)))
-        return series_of(shifted, (x, point), n)
 
-    def exp_log_gamma(ring):
+    def build(ring):
+        if v.val <= 0:
+            # gamma(g) = gamma(g+m+1) / (g (g+1) ... (g+m)), m = -g(point)
+            shifted = mul(gamma(add(g, 1 - v.val)), *[power(add(g, j), -1) for j in range(1 - v.val)])
+            return _series_at(ring, shifted, x, point, n)
+        if v.val >= 2:
+            # gamma(g) = (g-1) (g-2) ... (g-q+1) gamma(g-q+1), q = g(point)
+            shifted = mul(*[add(g, -j) for j in range(1, v.val)], gamma(add(g, 1 - v.val)))
+            return _series_at(ring, shifted, x, point, n)
         u = _series_at(ring, add(g, -1), x, point, n)
         terms = [_scale(ring, u, ring.read(mul(-1, Euler)))]
         for k in range(2, n):
@@ -266,7 +263,8 @@ def _gamma_series(args, x, point, n):
             terms.append(_scale(ring, _pow(ring, u, k), ring.read(c)))
         return _exp(ring, _truncate(_sum(ring, terms), n), n)
 
-    return _expansion_node(exp_log_gamma, x, point)
+    ring = _expansion.get()
+    return _expansion_node(build, x, point) if ring is None else build(ring)
 
 
 def _psi1_eval(args):

@@ -68,7 +68,7 @@ from .expr import (
 )
 from .poly import collect, normal
 from .poly import _by_degree, _ddiv_exact, _dgcd, _dmul, _dquotient, _from_dict, _Overflow, _qdiv
-from .poly import _fraction, _frac_cancel, _GenMap, _normal_pair, _ordered_vars, _to_dict
+from .poly import _fraction, _frac_cancel, _GenMap, _normal_pair, _ordered_vars, _to_dict, _Unexpanded
 
 __all__ = [
     "matrix",
@@ -273,18 +273,26 @@ def _read(e: Expr, gm, unknowns=frozenset()):
     denominator None when _to_dict reads e, and only a refused e going
     through normal()'s pair; None when e is not a rational function of
     them, or when one of the unknowns sits in e anywhere but in a
-    numerator of degree at most 1 (_unknown_degree)."""
+    numerator of degree at most 1 (_unknown_degree).  A sum under a
+    negative power sends e to the pair before anything is expanded; any
+    other refusal reads e expanded, which can lift it, as in (x+I)*(x-I)."""
     vars = gm.vars
-    try:
-        return _to_dict(e, vars), None
-    except DomainError:
-        pass
+    for expanding in (False, True):
+        try:
+            return _to_dict(e, vars, expanding=expanding), None
+        except _Unexpanded:
+            break
+        except DomainError:
+            pass
     if _unknown_degree(e, unknowns) not in (0, 1):
         return None
     try:
         pair = _normal_pair(e, gm)
     except DomainError:
         return None
+    except ZeroDivisionError:
+        expand(e)  # a sum that is 0 under a negative power raises as expanding it always has
+        raise
     if len(gm.vars) > len(vars):
         return None  # a generator
     return _fraction(pair, gm, len(vars))

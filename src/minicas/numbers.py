@@ -81,6 +81,7 @@ MIN_DPS = 2
 
 _INT, _RAT, _FLOAT, _CPLX = "int", "rat", "float", "cplx"
 _VARIANT_RANK = {_INT: 0, _RAT: 1, _FLOAT: 2, _CPLX: 3}
+_new = object.__new__  # a Number or Fraction made without its constructor
 
 
 def hash64(*values: int) -> int:
@@ -242,7 +243,7 @@ class Number:
         if self.kind == _INT:
             return int_to_decimal(self.val)
         if self.kind == _RAT:
-            return f"{int_to_decimal(self.val.numerator)}/{int_to_decimal(self.val.denominator)}"
+            return f"{int_to_decimal(self.val._numerator)}/{int_to_decimal(self.val._denominator)}"
         if self.kind == _FLOAT:
             return _format_float(self.val, self.prec)
         re_s, im_s = self.re, self.im
@@ -323,8 +324,12 @@ def decimal_to_int(digits: str) -> int:
 
 
 def _int(n: int) -> Number:
-    """The Number of int n, the shared one when |n| <= _SMALL."""
-    return _SMALL_INTS[n + _SMALL] if -_SMALL <= n <= _SMALL else Number(_INT, n)
+    """The Number of int n: the shared one when |n| <= _SMALL, else made in one step."""
+    if -_SMALL <= n <= _SMALL:
+        return _SMALL_INTS[n + _SMALL]
+    x = _new(Number)
+    x.kind, x.val, x.prec, x.re, x.im, x._hash = _INT, n, None, None, None, hash64(0, n)
+    return x
 
 
 def integer(n: int) -> Number:
@@ -332,16 +337,19 @@ def integer(n: int) -> Number:
 
 
 def _from_fraction(fr: Fraction) -> Number:
-    if fr.denominator == 1:
-        return _int(fr.numerator)
-    return Number(_RAT, fr)
+    n, d = fr._numerator, fr._denominator
+    if d == 1:
+        return _int(n)
+    x = _new(Number)
+    x.kind, x.val, x.prec, x.re, x.im, x._hash = _RAT, fr, None, None, None, hash64(1, n, d)
+    return x
 
 
-def _coprime(n: int, d: int) -> Number:
-    """The Number n/d for coprime ints n and d > 0, without Fraction()'s gcd."""
-    fr = object.__new__(Fraction)
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n/d for coprime ints n and d > 0, without Fraction()'s gcd."""
+    fr = _new(Fraction)
     fr._numerator, fr._denominator = n, d
-    return _from_fraction(fr)
+    return fr
 
 
 def rational(p: int, q: int) -> Number:

@@ -41,7 +41,6 @@ from fractions import Fraction
 from functools import cache, reduce
 from heapq import heappop, heappush
 from operator import or_ as _or
-from struct import Struct
 
 from .errors import DomainError
 from .expr import (
@@ -59,7 +58,6 @@ from .expr import (
     _LIMIT,
     _MASK,
     _MONO_ONE,
-    _factor,
     _numeric,
     _padd,
     _pmul_unchecked,
@@ -282,7 +280,11 @@ def _to_dict(e: Expr, vars: tuple[Symbol, ...], expanding: bool = True) -> Poly:
 def _unexpanded(x: Expr):
     # the walk of a read that expands nothing: a sum read as an atom could
     # be 0 under its negative power, in a product read as 0 for a 0 factor
-    raise DomainError("not read without expanding")
+    raise (_Unexpanded if type(x) is Add else DomainError)("not read without expanding")
+
+
+class _Unexpanded(DomainError):
+    """A read that expands nothing met a sum under a negative power."""
 
 
 _last_index: list = [None, {}]
@@ -355,18 +357,12 @@ def _exponent_ranges(p: Poly) -> dict[int, tuple[int, int]]:
 
 
 def _from_dict(p: Poly, vars: tuple[Symbol, ...]) -> Expr:
-    """The canonical tree of p, each term built once.  vars are in
-    canonical order, as _ordered_vars gives them, so variable j has rank
-    j for _poly_tree.  A monomial's fields, read as big-endian unsigned
-    32-bit words ("I"), are its exponents in the order of vars."""
+    """The canonical tree of p, built by the kernel's builder over the
+    atoms _var_index gives, the last variable first.  vars are in
+    canonical order, as _ordered_vars gives them, so the variable in
+    field i has rank nv-1-i."""
     nv = len(vars)
-    words = Struct(f">{nv}I").unpack
-    size = _FIELD // 8 * nv
-    factor = cache(lambda j, k: _factor(j, vars[j], k))  # one record per (j, k)
-    return _poly_tree(
-        ([factor(j, k) for j, k in enumerate(words(m.to_bytes(size, "big"))) if k], c)
-        for m, c in p.items()
-    )
+    return _poly_tree(p, vars[::-1], range(nv - 1, -1, -1))
 
 
 def _dmul(a: Poly, b: Poly) -> Poly:

@@ -39,11 +39,12 @@ first cut where the power reaches the order asked for.
 Each output coefficient is built once, expanded, so the printed gamma
 series grows about as fast as its number of distinct monomials, not
 doubling with every order as nested sums of earlier coefficients did.
-The kernel remembers the trees it built, so the node of a hook reads
-back with one lookup per coefficient, and an unchanged coefficient,
-such as one multiplied by x^(-1) or by 1, is not built again.  A leaf
-that no operation touches keeps its tree: a Taylor-loop series prints
-what subs gave.
+Inside an expansion a series hook may hand back its series in the
+running ring, which is taken as it is, with no node built and read
+back.  The kernel remembers the trees it built, so an unchanged
+coefficient, such as one multiplied by x^(-1) or by 1, is not built
+again.  A leaf that no operation touches keeps its tree: a Taylor-loop
+series prints what subs gave.
 
 The kernel refuses a float, I, a numeric-base power such as 2^(1/2) or
 a symbolic exponent, the split expand makes: products are not
@@ -104,7 +105,7 @@ from .expr import (
     pseries,
     subs,
 )
-from .numbers import _coprime
+from .numbers import _fraction, _from_fraction
 
 __all__ = [
     "series_of",
@@ -177,7 +178,11 @@ def _whole(e: tuple) -> dict:
         return whole
     if d == 1:
         return _pscale(ints, n)
-    return {m: Fraction(c * n, d) for m, c in ints.items()}
+    out = {}
+    for m, c in ints.items():  # gcd(c*n, d) is gcd(c, d), as n/d is in lowest terms
+        g = math.gcd(c, d)
+        out[m] = c * n // d if g == d else _fraction(c // g * n, d // g)
+    return out
 
 
 def _dict_times(*fs) -> tuple:
@@ -288,7 +293,7 @@ def _kernel() -> _Ring:
         n, d, p, _ = e
         if len(p) == 1 and _MONO_ONE in p:
             # a number element is in lowest terms over a positive d
-            return _numeric(_coprime(n * p[_MONO_ONE], d))
+            return _numeric(_from_fraction(_fraction(n * p[_MONO_ONE], d)))
         return polys.tree(_whole(e))
 
     return _Ring(read, _dict_plus, _dict_times, out, lambda e: not e[2], _ONE, laurent)
@@ -738,6 +743,8 @@ def _srs(ring: _Ring, e: Expr, x: Symbol, point: Expr, n: int) -> _Series:
         hook = e.fdef.series_hook
         if hook is not None:
             got = hook(e.args, x, point, n)
+            if type(got) is _Series:  # built in this ring, zeros dropped as a node drops them
+                return _Series(_nonzero(ring, got.coeffs.items()), got.order)
             if got is not None:
                 return _read(ring, got)
         return _leaf(ring, _taylor(e, x, point, n), n)

@@ -1,6 +1,7 @@
 """The table arithmetic of tools/ab_pairs.py on canned run records."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -40,3 +41,29 @@ def test_the_table_takes_medians_quartiles_and_wins_per_pair():
 
 def test_quartiles_of_one_run_are_that_run():
     assert ab_pairs.quartiles([0.5]) == (0.5, 0.5, 0.5)
+
+
+def test_a_run_keeps_each_items_compute_and_print_times(monkeypatch):
+    lines = [
+        {"record": "env"},
+        {"record": "item", "item": "gamma", "digest": "d1",
+         "stage_s": {"compute": 0.004, "print": 0.0015, "digest": 0.0001}},
+        {"record": "item", "item": "rational-0", "digest": "d2",
+         "stage_s": {"compute": 0.0002, "print": 0.00005, "digest": 0.00001}},
+        {"record": "summary", "setup_runs_s": [0.1], "passes": 7, "digest_changes": 0},
+        {"correct": 2, "attempted": 2, "failed": 0, "metrics": {"wall_s": {"value": 0.01}}},
+    ]
+
+    class Done:
+        returncode = 0
+        stdout = "\n".join(json.dumps(r) for r in lines) + "\n"
+        stderr = ""
+
+    seen = {}
+    monkeypatch.setattr(ab_pairs.subprocess, "run", lambda cmd, **kw: seen.update(cmd=cmd, **kw) or Done)
+    rec, digests = ab_pairs.run_once("/checkout", "series-print", 1, 20, 0)
+    assert seen["cwd"] == "/checkout" and seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert digests == {"gamma": "d1", "rational-0": "d2"}
+    assert rec["item_compute_ms"] == pytest.approx({"gamma": 4.0, "rational-0": 0.2})
+    assert rec["item_print_ms"] == pytest.approx({"gamma": 1.5, "rational-0": 0.05})
+    assert rec["metrics"] == {"wall_s": 0.01} and rec["passes"] == 7 and rec["failed"] == 0

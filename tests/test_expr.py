@@ -60,7 +60,8 @@ from minicas.expr import (
     _unpack,
 )
 from minicas.functions import sin, zeta
-from minicas.numbers import num, num_add
+from minicas import numbers as numbers_module
+from minicas.numbers import Number, num, num_add
 from minicas.poly import _from_dict, _GenMap, _ordered_vars, normal
 
 # ---------------------------------------------------------------- oracles
@@ -1391,10 +1392,13 @@ def _reference_print(e):
         return _reference_factors(e)
     if type(e) is not Add:
         return to_string(e)
-    return expr_module._render_sum(
-        ([str(e.coeff)] if not e.coeff.is_zero() else [])
-        + [_reference_term(r, k) for r, k in e.pairs]
-    )
+    parts = ([str(e.coeff)] if not e.coeff.is_zero() else []) + [_reference_term(r, k) for r, k in e.pairs]
+    out = []
+    for p in parts:
+        if out and not p.startswith("-"):
+            out.append("+")
+        out.append(p)
+    return "".join(out)
 
 
 def test_printer_matches_the_reference_on_shared_factor_pairs():
@@ -1507,14 +1511,57 @@ def _assert_same_tree(got, want, what):
                 _assert_same_tree(r, rw, what)
 
 
+def _ref_number(c):
+    """The Number of an int or Fraction as Number() itself makes it."""
+    c = Fraction(c)
+    return Number("int", c.numerator) if c.denominator == 1 else Number("rat", c)
+
+
+def _assert_built_numbers(t, p, atoms, what):
+    """Every number in t, the kernel-built tree of p over atoms, has the
+    kind, value and hash Number() gives it, and equals num()'s."""
+    def same(k, c):
+        want = _ref_number(c)
+        assert (k.kind, k.val, k._hash, k.prec, k.re, k.im) == (
+            want.kind, want.val, want._hash, None, None, None), what
+        assert type(k.val) is type(want.val) and k == num(c), what
+
+    if type(t) is Numeric:
+        return same(t.value, p.get(0, 0))
+    if type(t) is Add:
+        if 0 in p:
+            same(t.coeff, p[0])
+        assert sorted(k.val for _, k in t.pairs) == sorted(c for m, c in p.items() if m), what
+        terms = t.pairs
+    else:
+        (c,) = p.values()
+        terms = [(t, None)]
+        if type(t) is Mul:
+            same(t.coeff, c)
+    exponents = {e for m in p for _, e in _unpack(m)}
+    for r, k in terms:
+        if k is not None:
+            same(k, k.val)
+        if type(r) is Mul:
+            pairs = r.pairs
+        else:
+            pairs = [(r.base, r.exponent.value)] if type(r) is Power else []
+        for b, e in pairs:
+            assert b in atoms and e.val in exponents, what
+            same(e, e.val)
+
+
 def test_one_pass_builder_matches_the_triple_builder():
     x, y, z = symbols("x y z")
     limit = expr_module._LIMIT
+    small = numbers_module._SMALL
     atoms = [z, Pi, sin(y), x, Euler, add(1, x), add(y, mul(2, z)), y, zeta(3)]
-    coeffs = [1, -1, 3, -7, Fraction(2, 3), Fraction(-1, 4), 10**30, Fraction(5, 10**20)]
-    exponents = [-3, -2, -1, 1, 1, 1, 2, 3, 7, limit - 1, -limit]
+    coeffs = [1, -1, 3, -7, Fraction(2, 3), Fraction(-1, 4), 10**30, Fraction(5, 10**20),
+              small, small + 1, -small - 1, Fraction(10**40 + 1, 7)]
+    exponents = [-3, -2, -1, 1, 1, 1, 2, 3, 7, small + 1, -small - 1, limit - 1, limit, -limit]
     rng = random.Random(4111)
     shapes = Counter()
+    preset = 0
     for n in range(500):
         polys = _Polys(expand)
         # atoms met in compare's order or not: each term's factors come
@@ -1530,9 +1577,19 @@ def test_one_pass_builder_matches_the_triple_builder():
                 e = rng.choice([-2, -1] if neg else exponents)
                 m += e << _FIELD * i
             p[m] = rng.choice(coeffs)
-        _assert_same_tree(polys.tree(p), _reference_tree(polys, p), p)
-        shapes[type(polys.tree(p)).__name__] += 1
+        got = polys.tree(p)
+        _assert_same_tree(got, _reference_tree(polys, p), p)
+        _assert_built_numbers(got, p, atoms, p)
+        shapes[type(got).__name__] += 1
+        # the free symbols preset on the built node are those of the tree
+        # the constructors build, one add and one mul per term
+        want = add(*(mul(c, *(power(polys.atoms[i], e) for i, e in _unpack(m))) for m, c in p.items()))
+        if type(got) not in (Numeric, Symbol, Constant):
+            assert got._free is not None and got._free == free_symbols(want), p
+            preset += 1
+        assert free_symbols(got) == free_symbols(want), p
     assert len(shapes) >= 5, shapes
+    assert preset > 400, preset
     # poly's dicts over symbols and generators, through _from_dict
     gm = _GenMap(_ordered_vars(add(x, y, z)))
     gm.sym_for(sin(x))
@@ -1549,7 +1606,12 @@ def test_one_pass_builder_matches_the_triple_builder():
             ([(j, k, (vars[j], num(k))) for j, k in enumerate(_fields(m, nv)) if k], c)
             for m, c in p.items()
         )
-        _assert_same_tree(_from_dict(p, vars), want, p)
+        got = _from_dict(p, vars)
+        _assert_same_tree(got, want, p)
+        _assert_built_numbers(got, p, vars, p)
+        if type(got) not in (Numeric, Symbol):
+            assert got._free == free_symbols(add(*(mul(c, *(power(vars[j], k) for j, k in enumerate(
+                _fields(m, nv)) if k)) for m, c in p.items()))), p
 
 
 def _fields(m, nv):

@@ -34,6 +34,7 @@ from minicas.expr import (
     diff,
     evalf,
     expand,
+    free_symbols,
     lift,
     mul,
     power,
@@ -46,7 +47,9 @@ from minicas import expr as expr_module
 from minicas.expr import _FIELD, _MONO_ONE, _expand_pairwise, _padd, _Polys, _rewrite, _split_factor, _terms_of
 from minicas.functions import cos, exp, sin
 from minicas.shell import Shell
+from minicas import numbers as numbers_module
 from minicas import poly as poly_module
+from minicas.numbers import Number, num
 from minicas.poly import (
     _from_dict,
     _to_dict,
@@ -904,7 +907,8 @@ def test_normal_reads_no_tree_it_built(monkeypatch):
 def test_from_dict_builds_what_the_constructors_build():
     rng = random.Random(3141)
     vars = symbols("a b c d")
-    empty = 0
+    small = numbers_module._SMALL
+    empty = preset = 0
     for trial in range(500):
         nv = rng.randint(1, 4)
         p = {}
@@ -912,8 +916,10 @@ def test_from_dict_builds_what_the_constructors_build():
             mono = [0] * nv
             if rng.random() < 0.7:
                 for i in rng.sample(range(nv), rng.randint(1, nv)):
-                    mono[i] = rng.randint(1, 4)
-            c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+                    mono[i] = rng.choice([1, 2, 3, 4, small + 1, _LIMIT - 1])
+            c = rng.choice([rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                            rng.choice([-1, 1]) * rng.choice([small + 1, 10**25]),
+                            Fraction(10**25 + 1, rng.choice([3, 7]))])
             if c:
                 p[tuple(mono)] = c
         empty += not p
@@ -921,8 +927,27 @@ def test_from_dict_builds_what_the_constructors_build():
         want = add(*(mul(lift(c), *(power(v, k) for v, k in zip(vars, m) if k))
                      for m, c in p.items()))
         got = _from_dict({_packed(m): c for m, c in p.items()}, vars[:nv])
-        assert got == want and to_string(got) == to_string(want), p
-    assert empty > 10
+        assert got == want and hash(got) == hash(want) and to_string(got) == to_string(want), p
+        # its numbers as num() makes them, and its free symbols preset
+        for k in _numbers_of(got):
+            assert type(k.val) is int or k.val.denominator != 1, p
+            ref = Number("int" if type(k.val) is int else "rat", k.val)
+            assert (k.kind, k.val, k._hash) == (ref.kind, ref.val, ref._hash) and k == num(k.val), p
+        if type(got) not in (Numeric, Symbol):
+            assert got._free == free_symbols(want), p
+            preset += 1
+    assert empty > 10 and preset > 350
+
+
+def _numbers_of(e):
+    """The Numbers of a tree of sums, products and powers of symbols."""
+    if type(e) is Numeric:
+        return [e.value]
+    if type(e) is Power:
+        return [e.exponent.value]
+    if type(e) in (Add, Mul):
+        return [e.coeff] + [n for r, k in e.pairs for n in [k] + _numbers_of(r)]
+    return []
 
 
 # ------------------------------------------- packed monomials, on a reference

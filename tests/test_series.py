@@ -677,7 +677,8 @@ def test_an_expansion_sums_once_per_add_and_builds_one_node():
     # inside series_of a series is a dict of ring elements: a p/q
     # expansion reads each of its two sums in one pass, with no n-ary
     # sum, and makes one node in all; gamma(x) shifts to
-    # gamma(x+1)*x^(-1), and each of the two hook nodes adds one node
+    # gamma(x+1)*x^(-1), and both hook calls hand back their series in
+    # the running ring, so gamma(x) makes one node as well
     x = symbols("x")[0]
     rng = random.Random(5)
     sums, nodes = [], []
@@ -693,7 +694,47 @@ def test_an_expansion_sums_once_per_add_and_builds_one_node():
             assert (len(sums), len(nodes), s.order) == (0, 1, 12), to_string(s)
         sums.clear(), nodes.clear()
         series_of(gamma(x), (x, 0), 6)
-        assert (len(sums), len(nodes)) == (1, 3)
+        assert (len(sums), len(nodes)) == (1, 1)
+
+
+def test_a_hook_series_prints_what_its_node_round_trip_printed(monkeypatch):
+    # the reference keeps the round trip a hook's series took before it
+    # was handed back in the running ring: built into its node by
+    # _expansion_node, and that node read back by _read, at every level
+    # of gamma's shifts, on the kernel and, with a float, on the trees
+    x, y = symbols("x y")
+    forms = [lambda g: g, lambda g: add(g, mul(y, x), 2), lambda g: mul(g, add(1, x, y)),
+             lambda g: power(g, 2), lambda g: power(g, -1), lambda g: mul(g, gamma(add(x, 2))),
+             lambda g: add(g, 0.5)]
+    cases = [(f(gamma(add(x, k))), pt, n)
+             for k in range(-3, 4) for f in forms for pt in (0, 1) for n in range(1, 11)]
+
+    def printed():
+        return [_printed(series_of, e, (x, pt), n) for e, pt, n in cases]
+
+    nodes, build = [], series_module.pseries
+    monkeypatch.setattr(series_module, "pseries", lambda *a: nodes.append(1) or build(*a))
+    got = printed()
+    new_nodes = len(nodes)
+    hook = gamma.series_hook
+    read = []
+
+    def round_trip(args, var, point, n):
+        s = hook(args, var, point, n)
+        if type(s) is not series_module._Series:
+            return s
+        read.append(1)
+        return series_module._expansion_node(lambda ring: s, var, point)
+
+    monkeypatch.setattr(gamma, "series_hook", round_trip)
+    nodes.clear()
+    want = printed()
+    assert got == want
+    # every case answered, a few with an error line, and the node round
+    # trip was taken at least once per case and level of shift
+    assert sum(": " in t for t in got) < len(got) // 20, [t for t in got if ": " in t][:5]
+    assert len(read) >= len(cases) and len(nodes) - new_nodes >= len(read)
+    assert any("." in t for t in got)  # the float form took the trees
 
 
 def test_a_numeric_quotient_builds_no_tree_before_its_node():

@@ -31,7 +31,7 @@ from collections import defaultdict
 
 def run_once(root: str, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
     """One perfbench run in checkout root: (run record, item digests).
-    The record keeps each item's median compute time."""
+    The record keeps each item's median compute and print times."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -44,6 +44,7 @@ def run_once(root: str, workload: str, seed: int, seconds: int, trace: int) -> t
         if r.get("record") == "item":
             digests[r["item"]] = r["digest"]
             rec.setdefault("item_compute_ms", {})[r["item"]] = 1e3 * r["stage_s"]["compute"]
+            rec.setdefault("item_print_ms", {})[r["item"]] = 1e3 * r["stage_s"]["print"]
         elif r.get("record") == "summary":
             rec.update(setup_runs_s=r["setup_runs_s"], passes=r["passes"],
                        digest_changes=r["digest_changes"])
