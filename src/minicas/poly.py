@@ -16,13 +16,15 @@ per variable (see the dict representation below), so expand, the gcds,
 exact division and the determinants share one monomial format.
 _integerize splits a dict into its rational content and a primitive
 integer part, and everything behind that boundary (the gcd algorithms,
-trial and exact division, determinants) runs over Z.  The gcd driver strips common monomial
-factors, drops variables private to one input, and then tries the
-heuristic gcd: evaluate at a big integer xi, take the gcd one level
-down, reconstruct a candidate from the balanced base-xi digits of the
-result, and verify it by trial division of both inputs.  When the
-heuristic keeps missing, the subresultant polynomial remainder sequence
-settles the matter.
+trial and exact division, determinants) runs over Z.  One gcd driver,
+_dgcd, does the front once for every gcd: it splits off the contents,
+answers a zero, equal or one-term side, strips common monomial factors,
+drops variables private to one input and picks the main variable.  Then
+it tries the heuristic gcd: evaluate at a big integer xi, take the gcd
+one level down, reconstruct a candidate from the balanced base-xi
+digits of the result, and verify it by trial division of both inputs.
+When the heuristic keeps missing, the subresultant polynomial remainder
+sequence settles the matter.
 
 normal() extends cancellation beyond plain polynomials.  Subexpressions
 that are not rational in the symbols (function applications, floats,
@@ -616,7 +618,7 @@ def _coeff_content(u: dict[int, Poly], w: int) -> Poly:
     """gcd of the coefficient polynomials (w counts the inner variables)."""
     g: Poly = {}
     for c in u.values():
-        g = _dict_gcd_front(g, c, w)
+        g = _dgcd(g, c, w)
         if _is_done(g):
             break
     return g
@@ -665,7 +667,7 @@ def _sr_gcd_z(a: Poly, b: Poly, nv: int) -> Poly:
         u, v = v, u
     cu = _coeff_content(u, w)
     cv = _coeff_content(v, w)
-    cg = _dict_gcd_front(cu, cv, w)
+    cg = _dgcd(cu, cv, w)
     u = {k: _must(_ddiv_exact(c, cu)) for k, c in u.items()}
     v = {k: _must(_ddiv_exact(c, cv)) for k, c in v.items()}
     cone = {_MONO_ONE: 1}
@@ -753,35 +755,6 @@ def _content_along(p: Poly, i: int, nv: int) -> Poly:
     return _coeff_content(groups, nv)
 
 
-def _dict_gcd_front(a: Poly, b: Poly, nv: int) -> Poly:
-    """Full gcd with the cheap structural reductions applied first."""
-    if not a or not b or a == b:
-        return _dunit_normal(a or b)
-    if len(a) == 1 or len(b) == 1:
-        # a one-term side shares only a monomial and the integer content
-        return {_fieldwise(min, (*a, *b), nv): math.gcd(*a.values(), *b.values())}
-    # common monomial factors come out before anything else
-    ma, mb = _fieldwise(min, a, nv), _fieldwise(min, b, nv)
-    mg = _fieldwise(min, (ma, mb), nv)
-    if ma:
-        a = {m - ma: c for m, c in a.items()}
-    if mb:
-        b = {m - mb: c for m, c in b.items()}
-    # a variable only one side sees cannot survive; that input shrinks
-    # to the gcd of its coefficients along the private variable
-    for i in range(nv):
-        da = _degree(a, i, nv)
-        db = _degree(b, i, nv)
-        if da and not db:
-            a = _content_along(a, i, nv)
-        elif db and not da:
-            b = _content_along(b, i, nv)
-    g = _primitive_gcd(a, b, nv, _dict_gcd)
-    if mg:
-        g = {m + mg: c for m, c in g.items()}
-    return g
-
-
 def _dict_gcd(a: Poly, b: Poly, nv: int) -> Poly:
     """The heuristic gcd, or the subresultant PRS when it gives up."""
     g = _heur_gcd_z(a, b, nv)
@@ -790,36 +763,49 @@ def _dict_gcd(a: Poly, b: Poly, nv: int) -> Poly:
     return g
 
 
-def _primitive_gcd(a: Poly, b: Poly, nv: int, core) -> Poly | None:
-    """gcd of nonzero int polynomials a and b from core(pa, pb, nv),
-    which sees their primitive parts with the best main variable first;
-    None when core gives up."""
-    ca, pa = _integerize(a)
-    cb, pb = _integerize(b)
-    cg = math.gcd(ca, cb)
-    if pa == pb:
-        return _pscale(pa, cg)
-    i = _main_var(pa, pb, nv)
-    if i is None:
-        return {_MONO_ONE: cg}
-    g = core(_permute(pa, i, nv), _permute(pb, i, nv), nv)
-    if g is None:
-        return None
-    # unit normality is judged in the canonical order, not the permuted one
-    return _pscale(_dunit_normal(_permute(g, i, nv, back=True)), cg)
-
-
-def _dgcd(a: Poly, b: Poly, nv: int, core=_dict_gcd_front) -> Poly | None:
-    """gcd of dicts over Q.  A zero input is answered by _dict_gcd_front;
-    otherwise core(pa, pb, nv) sees the primitive int parts, and the gcd
-    of the rational contents is multiplied back.  None from core passes
-    through."""
-    if not (a and b):
-        return _dict_gcd_front(a, b, nv)
-    ca, pa = _integerize(a)
-    cb, pb = _integerize(b)
-    g = core(pa, pb, nv)
-    return None if g is None else _pscale(g, _qgcd(ca, cb))
+def _dgcd(a: Poly, b: Poly, nv: int, core=None) -> Poly | None:
+    """gcd of dicts over Q, unit normal, with the gcd of the rational
+    contents as its content: the one gcd driver.  The structural steps
+    run first, each once; then core(pa, pb, nv), _dict_gcd by default,
+    sees the primitive int parts with the best main variable first.
+    None from core passes through."""
+    if not a or not b or a == b:
+        return _dunit_normal(a or b)
+    ca, a = _integerize(a)
+    cb, b = _integerize(b)
+    cg = _qgcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        # a one-term side shares only a monomial and the content
+        return {_fieldwise(min, (*a, *b), nv): cg}
+    # common monomial factors come out before anything else
+    ma, mb = _fieldwise(min, a, nv), _fieldwise(min, b, nv)
+    mg = _fieldwise(min, (ma, mb), nv)
+    if ma:
+        a = {m - ma: c for m, c in a.items()}
+    if mb:
+        b = {m - mb: c for m, c in b.items()}
+    # a variable only one side sees cannot survive; that input shrinks
+    # to the gcd of its coefficients along the private variable, which
+    # is primitive as the input is
+    for i in range(nv):
+        da = _degree(a, i, nv)
+        db = _degree(b, i, nv)
+        if da and not db:
+            a = _content_along(a, i, nv)
+        elif db and not da:
+            b = _content_along(b, i, nv)
+    if a == b:
+        g = a
+    elif (i := _main_var(a, b, nv)) is None:
+        g = {_MONO_ONE: 1}
+    else:
+        g = (core or _dict_gcd)(_permute(a, i, nv), _permute(b, i, nv), nv)
+        if g is None:
+            return None
+        # unit normality is judged in the canonical order, not the permuted one
+        g = _dunit_normal(_permute(g, i, nv, back=True))
+    g = _pscale(g, cg)
+    return {m + mg: c for m, c in g.items()} if mg else g
 
 
 def _qgcd(a, b):
@@ -972,13 +958,15 @@ def _whole(x) -> Poly:
 
 
 def heur_gcd(a, b) -> Expr | None:
-    """The heuristic gcd alone.  None when six retries never verify."""
-    return _gcd_entry(a, b, lambda pa, pb, nv: _primitive_gcd(pa, pb, nv, _heur_gcd_z))
+    """The heuristic gcd alone, behind the same front as poly_gcd.  None
+    when six retries never verify."""
+    return _gcd_entry(a, b, _heur_gcd_z)
 
 
 def sr_gcd(a, b) -> Expr:
-    """The subresultant PRS gcd, the deterministic fallback."""
-    return _gcd_entry(a, b, lambda pa, pb, nv: _primitive_gcd(pa, pb, nv, _sr_gcd_z))
+    """The subresultant PRS gcd, the deterministic fallback, behind the
+    same front as poly_gcd."""
+    return _gcd_entry(a, b, _sr_gcd_z)
 
 
 def lcm(a, b) -> Expr:

@@ -5,7 +5,8 @@ so an expression may span lines.  Each printed result is pushed onto
 the back-reference ring addressed by %, %% and %%% (most recent first).
 Names auto-create symbols in the session table on first use, so within
 one session the same spelling is the same symbol.  Errors print and the
-session continues; quit (with or without ';') ends it.
+session continues, as does a statement stopped by Ctrl-C; quit (with or
+without ';') ends it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ class Shell:
             return f"error: {err}"
         except RecursionError:
             return "error: expression nested too deeply"
+        except KeyboardInterrupt:
+            return "error: interrupted"
         # only a result that printed becomes a back-reference
         self.history.insert(0, out)
         del self.history[_RING:]

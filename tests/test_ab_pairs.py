@@ -67,3 +67,24 @@ def test_a_run_keeps_each_items_compute_and_print_times(monkeypatch):
     assert rec["item_compute_ms"] == pytest.approx({"gamma": 4.0, "rational-0": 0.2})
     assert rec["item_print_ms"] == pytest.approx({"gamma": 1.5, "rational-0": 0.05})
     assert rec["metrics"] == {"wall_s": 0.01} and rec["passes"] == 7 and rec["failed"] == 0
+
+
+def test_a_run_records_the_line_count_of_its_sides_source(monkeypatch, tmp_path):
+    pkg = tmp_path / "src" / "minicas"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n\n")
+    (pkg / "b.py").write_text("z = 3\nw = 4")  # no newline at the end, as wc -l counts
+    (pkg / "notes.txt").write_text("not code\n" * 10)
+    (tmp_path / "src" / "other.py").write_text("outside the package\n")
+
+    class Done:
+        returncode = 1
+        stdout = ""
+        stderr = "failed"
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", lambda cmd, **kw: Done)
+    rec, _ = ab_pairs.run_once(str(tmp_path), "rational-gcd", 1, 20, 0)
+    assert rec["src_lines"] == 4
+    # a run that failed keeps its count too, next to its stderr
+    assert rec["stderr"] == "failed" and rec["rc"] == 1
+    assert ab_pairs.src_lines(str(tmp_path / "missing")) == 0

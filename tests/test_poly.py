@@ -741,8 +741,9 @@ def test_normal_sums_skip_trivial_gcds(monkeypatch):
 
 
 def _ref_gcd_front(a, b, nv):
-    """_dict_gcd_front before a one-term side answered at once, kept as
-    the reference: the structural reductions, then the gcd core."""
+    """The gcd front before a one-term side answered at once, kept as
+    the reference: the structural reductions, then the contents split
+    and the gcd core behind the best main variable."""
     P = poly_module
     if not a or not b or a == b:
         return P._dunit_normal(a or b)
@@ -759,7 +760,16 @@ def _ref_gcd_front(a, b, nv):
             a = P._content_along(a, i, nv)
         elif db and not da:
             b = P._content_along(b, i, nv)
-    g = P._primitive_gcd(a, b, nv, P._dict_gcd)
+    ca, pa = P._integerize(a)
+    cb, pb = P._integerize(b)
+    cg = math.gcd(ca, cb)
+    if pa == pb:
+        g = P._pscale(pa, cg)
+    elif (i := P._main_var(pa, pb, nv)) is None:
+        g = {_MONO_ONE: cg}
+    else:
+        g = P._dict_gcd(P._permute(pa, i, nv), P._permute(pb, i, nv), nv)
+        g = P._pscale(P._dunit_normal(P._permute(g, i, nv, back=True)), cg)
     if mg:
         g = {m + mg: c for m, c in g.items()}
     return g
@@ -786,7 +796,7 @@ def test_a_one_term_side_answers_the_gcd_front_at_once(monkeypatch):
         one = {} if rng.random() < 0.08 else {monomial(nv): coefficient(content)}
         other = {monomial(nv): coefficient(content) for _ in range(rng.randint(1, 4))}
         a, b = (one, other) if rng.random() < 0.5 else (other, one)
-        got = P._dict_gcd_front(a, b, nv)
+        got = P._dgcd(a, b, nv)
         if one:
             # the formula on exponent tuples
             fields = [[m >> _FIELD * i & (2**_FIELD - 1) for i in range(nv)] for m in [*a, *b]]
@@ -794,7 +804,7 @@ def test_a_one_term_side_answers_the_gcd_front_at_once(monkeypatch):
             assert got == {low: math.gcd(*a.values(), *b.values())}
         try:
             with monkeypatch.context() as mp:
-                mp.setattr(P, "_dict_gcd_front", _ref_gcd_front)
+                mp.setattr(P, "_dgcd", _ref_gcd_front)
                 want = _ref_gcd_front(a, b, nv)
         except DomainError:
             # the reference's core met exponents past the limit in the
@@ -1085,11 +1095,9 @@ def test_packed_gcds_match_the_tuple_reference():
     # gcd(g*u, g*v) through the heuristic and through the PRS: the
     # planted g divides the answer, the answer divides both inputs, and
     # the two cores agree.  A monomial factor near the limit comes out
-    # in the front, before the heuristic evaluates anything.
+    # in the driver's front, before either core evaluates anything.
     P = poly_module
     rng = random.Random(4242)
-    heur = lambda pa, pb, nv: P._primitive_gcd(pa, pb, nv, P._heur_gcd_z)
-    prs = lambda pa, pb, nv: P._primitive_gcd(pa, pb, nv, P._sr_gcd_z)
     for trial in range(60):
         nv = rng.randint(2, 4)
         g, u, v = (_random_tuple_poly(rng, nv, set()) for _ in range(3))
@@ -1100,16 +1108,177 @@ def test_packed_gcds_match_the_tuple_reference():
             b = _ref_mul(b, {tuple(_LIMIT - 11 if i == j else 0 for i in range(nv)): 1})
         pa, pb = _pack_poly(a, nv), _pack_poly(b, nv)
         want = P._dgcd(pa, pb, nv)
-        if trial % 3:
-            # the cores alone evaluate every exponent: small ones here
-            assert P._dgcd(pa, pb, nv, prs) == want
-            assert P._dgcd(pa, pb, nv, heur) in (None, want)
+        assert P._dgcd(pa, pb, nv, P._sr_gcd_z) == want
+        assert P._dgcd(pa, pb, nv, P._heur_gcd_z) in (None, want)
         ref = {tuple(m >> _FIELD * (nv - 1 - j) & expr_module._MASK for j in range(nv)): c
                for m, c in want.items()}
         _, prim = P._integerize(ref)
         assert _ref_div(a, {t: int(c) for t, c in prim.items()}) is not None
         assert _ref_div(b, {t: int(c) for t, c in prim.items()}) is not None
         assert _ref_div(prim, {t: int(c) for t, c in P._integerize(g)[1].items()}) is not None
+
+
+def _old_front(a, b, nv):
+    """The gcd front as it stood when three preambles shared it, kept as
+    the reference with _old_primitive_gcd and _old_dgcd: the structural
+    reductions, with a one-term side answered at once."""
+    P = poly_module
+    if not a or not b or a == b:
+        return P._dunit_normal(a or b)
+    if len(a) == 1 or len(b) == 1:
+        return {P._fieldwise(min, (*a, *b), nv): math.gcd(*a.values(), *b.values())}
+    ma, mb = P._fieldwise(min, a, nv), P._fieldwise(min, b, nv)
+    mg = P._fieldwise(min, (ma, mb), nv)
+    if ma:
+        a = {m - ma: c for m, c in a.items()}
+    if mb:
+        b = {m - mb: c for m, c in b.items()}
+    for i in range(nv):
+        da = P._degree(a, i, nv)
+        db = P._degree(b, i, nv)
+        if da and not db:
+            a = P._content_along(a, i, nv)
+        elif db and not da:
+            b = P._content_along(b, i, nv)
+    g = _old_primitive_gcd(a, b, nv, P._dict_gcd)
+    if mg:
+        g = {m + mg: c for m, c in g.items()}
+    return g
+
+
+def _old_primitive_gcd(a, b, nv, core):
+    # the second split of the contents, and the main variable
+    P = poly_module
+    ca, pa = P._integerize(a)
+    cb, pb = P._integerize(b)
+    cg = math.gcd(ca, cb)
+    if pa == pb:
+        return P._pscale(pa, cg)
+    i = P._main_var(pa, pb, nv)
+    if i is None:
+        return {_MONO_ONE: cg}
+    g = core(P._permute(pa, i, nv), P._permute(pb, i, nv), nv)
+    if g is None:
+        return None
+    return P._pscale(P._dunit_normal(P._permute(g, i, nv, back=True)), cg)
+
+
+def _old_dgcd(a, b, nv, core=_old_front):
+    # the first split of the contents; heur_gcd and sr_gcd passed a core
+    # that went to _old_primitive_gcd without the structural front
+    P = poly_module
+    if not (a and b):
+        return _old_front(a, b, nv)
+    ca, pa = P._integerize(a)
+    cb, pb = P._integerize(b)
+    g = core(pa, pb, nv)
+    return None if g is None else P._pscale(g, P._qgcd(ca, cb))
+
+
+def test_the_gcd_driver_answers_what_the_three_preambles_answered(monkeypatch):
+    # seeded pairs over Z and Q in 1-4 variables: planted common factors,
+    # zero, one-term and equal sides, scalar multiples, monomial factors
+    # with exponents near the limit and variables private to one side.
+    # The default core gives the old front's dict; the PRS core gives
+    # that answer too, and the heuristic core that answer or None.
+    P = poly_module
+    rng = random.Random(2727)
+
+    def small(nv, allowed, terms):
+        return {tuple(rng.randint(0, 2) if j in allowed else 0 for j in range(nv)):
+                rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(terms)}
+
+    def monomial(nv, allowed):
+        # near the limit, with room for the degree 4 of g * u
+        return {tuple(_LIMIT - rng.randint(5, 9) if j in allowed and rng.random() < 0.5
+                      else rng.randint(0, 1) if j in allowed else 0 for j in range(nv)): 1}
+
+    def scaled(p, q):
+        return {t: Fraction(c) * q for t, c in p.items()}
+
+    depth = [0]
+    trace = Counter()
+    driver = P._dgcd
+
+    def traced(a, b, nv, core=None):
+        depth[0] += 1
+        try:
+            return driver(a, b, nv, core)
+        finally:
+            depth[0] -= 1
+
+    def spy(name):
+        inner = getattr(P, name)
+
+        def counted(*args):
+            got = inner(*args)
+            if depth[0] == 1:
+                trace[name, got is None] += 1
+            return got
+
+        return counted
+
+    seen = Counter()
+    for trial in range(800):
+        nv = rng.randint(1, 4)
+        over_q = trial % 2
+        shared, side_a, side_b = set(range(nv)), set(range(nv)), set(range(nv))
+        if nv > 1 and rng.random() < 0.5:
+            # a private last variable, after the shared ones, can leave
+            # a side that shares no variable with the other
+            j = rng.choice([*range(nv), nv - 1, nv - 1])
+            shared.discard(j)
+            (side_b if rng.random() < 0.5 else side_a).discard(j)
+        g = small(nv, shared, rng.randint(1, 3)) if rng.random() < 0.5 else {(0,) * nv: 1}
+        a = _ref_mul(g, small(nv, side_a, rng.randint(2, 3)))
+        b = _ref_mul(g, small(nv, side_b, rng.randint(2, 3)))
+        if rng.random() < 0.35:
+            a = _ref_mul(a, monomial(nv, side_a))
+            b = _ref_mul(b, monomial(nv, side_b))
+        if over_q:
+            a = scaled(a, Fraction(rng.choice([1, -1, 2, 3, -5]), rng.choice([1, 2, 3, 7])))
+            b = scaled(b, Fraction(rng.choice([1, -1, 4, 3]), rng.choice([1, 5, 6, 9])))
+        shape = rng.random()
+        if shape < 0.07:
+            a, b = ({}, b) if rng.random() < 0.5 else (a, {})
+        elif shape < 0.16:
+            b = dict(a)
+        elif shape < 0.26:
+            b = {t: c * rng.choice([-1, 2, -3, 6]) for t, c in a.items()}
+        elif shape < 0.36:
+            b = {rng.choice(list(b) or [(0,) * nv]): rng.choice([1, -4, Fraction(6, 5)])}
+        pa, pb = _pack_poly(a, nv), _pack_poly(b, nv)
+        trace.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(P, "_dgcd", traced)
+            for name in ("_integerize", "_content_along", "_main_var", "_dict_gcd"):
+                mp.setattr(P, name, spy(name))
+            got = P._dgcd(pa, pb, nv)
+        with monkeypatch.context() as mp:
+            mp.setattr(P, "_dgcd", _old_front)
+            want = _old_dgcd(pa, pb, nv)
+            old_heur = _old_dgcd(pa, pb, nv, lambda x, y, n: _old_primitive_gcd(x, y, n, P._heur_gcd_z))
+        assert got == want, (a, b, nv)
+        assert P._dgcd(pa, pb, nv, P._sr_gcd_z) == got, (a, b, nv)
+        heur = P._dgcd(pa, pb, nv, P._heur_gcd_z)
+        assert heur in (None, got), (a, b, nv)
+        seen["heur answers where it gave None"] += heur is not None and old_heur is None
+        # the branch the driver took, from the helpers it called at the top
+        if not trace["_integerize", False]:
+            seen["zero side" if not (a and b) else "equal sides"] += 1
+            continue
+        steps = {"one term": min(len(a), len(b)) == 1}
+        if not steps["one term"]:
+            steps["monomial"] = any(min(t[j] for t in p) for p in (a, b) for j in range(nv))
+            steps["private variable"] = trace["_content_along", False] > 0
+            steps["equal primitive parts"] = not trace["_main_var", False] + trace["_main_var", True]
+            steps["no shared variable"] = trace["_main_var", True] > 0
+            steps["core"] = trace["_dict_gcd", False] > 0
+        seen.update(k for k, hit in steps.items() if hit)
+    branches = ("zero side", "equal sides", "one term", "monomial", "private variable",
+                "equal primitive parts", "no shared variable", "core")
+    assert min(seen[k] for k in branches) >= 25, seen
+    assert seen["heur answers where it gave None"] > 0, seen
 
 
 def test_products_that_cross_the_exponent_limit_are_refused():

@@ -7,8 +7,10 @@ lines are immediate arithmetic.  Transcript determinism is asserted by
 running the same script twice and comparing bytes.
 """
 
+import _thread
 import io
 import math
+import threading
 import time
 
 import pytest
@@ -134,6 +136,26 @@ def test_unprintable_result_stays_out_of_history():
         last = line
     assert line == "error: expression nested too deeply"
     assert sh.feed("%;") == [last]
+
+
+def test_an_interrupted_statement_answers_and_the_session_goes_on():
+    # Ctrl-C from a timer 0.3 s into a statement that runs for seconds:
+    # the statement answers an error line, the history stays as it was,
+    # and the next statement and % still answer
+    sh = Shell()
+    assert sh.feed("x+1;") == ["1+x"]
+    timer = threading.Timer(0.3, _thread.interrupt_main)
+    try:
+        timer.start()
+        got = sh.feed("expand((x+y+z)^3000);")
+        timer.cancel()
+        timer.join()
+        time.sleep(0.05)  # a late interrupt is raised here, not after the guard
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt arrived outside the statement")
+    assert got == ["error: interrupted"]
+    assert [str(h) for h in sh.history] == ["1+x"]
+    assert sh.feed("%;2*y;%%;") == ["1+x", "2*y", "1+x"]
 
 
 def test_empty_history_reference():

@@ -15,12 +15,15 @@ rebuilt from all of them: per (workload, seed, trace, metric), the
 median and inclusive quartiles of each side, the ratio of the medians,
 the pairs the change won (by BENCHMARK.json's `better`) and the failed
 items per side, the layout of BENCH_24.json.  Runs with --trace 1 go to
-traced_runs and traced_table.
+traced_runs and traced_table.  Each run record also keeps its side's
+line count of src/minicas/*.py (src_lines), so code size sits next to
+the timings.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import statistics
@@ -29,15 +32,25 @@ import sys
 from collections import defaultdict
 
 
+def src_lines(root: str) -> int:
+    """The line count of root's src/minicas/*.py, as wc -l counts it."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "minicas", "*.py")):
+        with open(path, encoding="utf-8") as f:
+            total += f.read().count("\n")
+    return total
+
+
 def run_once(root: str, workload: str, seed: int, seconds: int, trace: int) -> tuple[dict, dict]:
     """One perfbench run in checkout root: (run record, item digests).
-    The record keeps each item's median compute and print times."""
+    The record keeps each item's median compute and print times, and
+    the side's code size (src_lines)."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     rec = {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
-           "rc": done.returncode}
+           "rc": done.returncode, "src_lines": src_lines(root)}
     digests = {}
     for line in done.stdout.splitlines():
         r = json.loads(line)
