@@ -8,221 +8,48 @@ algebra, a statement shell, and a digest-checked benchmark harness.
 
 The package namespace re-exports the working vocabulary; the modules
 remain importable on their own for the internals each one documents.
+`import minicas` loads none of them.  A re-exported name, or a module
+read as an attribute (`minicas.poly`), imports its module on first use
+(PEP 562's module `__getattr__`), so a session compiles only the layers
+it touches; `minicas.numbers` imports mpmath with the first float.
 """
 
-from .bench import (
-    CSV_HEADER,
-    BenchRecord,
-    bench_run,
-    default_size,
-    fnv1a64,
-    registered_ids,
-)
-from .errors import (
-    DomainError,
-    NoUniqueSolutionError,
-    ParseError,
-    PoleError,
-    RegistrationError,
-    SeriesError,
-    ShapeError,
-    SingularMatrixError,
-    UnevaluatedDerivativeError,
-    UnsupportedPatternError,
-)
-from .expr import (
-    Add,
-    Catalan,
-    Constant,
-    Eq,
-    Euler,
-    Expr,
-    ExprList,
-    FunctionApp,
-    I,
-    MatrixNode,
-    Mul,
-    Numeric,
-    Pi,
-    Power,
-    PSeriesNode,
-    Relational,
-    Symbol,
-    add,
-    apply_function,
-    compare,
-    diff,
-    evalf,
-    expand,
-    free_symbols,
-    lift,
-    mul,
-    power,
-    pseries,
-    rel,
-    sqrt,
-    subs,
-    symbols,
-    to_string,
-)
-from .functions import (
-    FunctionDef,
-    cos,
-    exp,
-    factorial,
-    fn_lookup,
-    fn_register,
-    gamma,
-    log,
-    psi,
-    registered_names,
-    sin,
-    zeta,
-)
-from .matrices import (
-    hilbert,
-    identity,
-    mat_charpoly,
-    mat_det,
-    mat_inverse,
-    mat_mul,
-    matrix,
-    solve_linear,
-)
-from .numbers import (
-    DEFAULT_DPS,
-    Number,
-    bernoulli,
-    from_decimal,
-    num,
-    num_to_float,
-)
-from .parser import Command, ParsedInput, parse, parse_expr
-from .poly import (
-    coeff,
-    collect,
-    content_primpart,
-    degree,
-    exact_quotient,
-    heur_gcd,
-    lcm,
-    ldegree,
-    normal,
-    poly_gcd,
-    sr_gcd,
-)
-from .series import (
-    ps_add,
-    ps_exp,
-    ps_mul,
-    ps_pow,
-    ps_to_expr,
-    series_coeff,
-    series_of,
-)
-from .shell import Shell, repl, run_script
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Add",
-    "BenchRecord",
-    "CSV_HEADER",
-    "Catalan",
-    "Command",
-    "Constant",
-    "DEFAULT_DPS",
-    "DomainError",
-    "Eq",
-    "Euler",
-    "Expr",
-    "ExprList",
-    "FunctionApp",
-    "FunctionDef",
-    "I",
-    "MatrixNode",
-    "Mul",
-    "NoUniqueSolutionError",
-    "Number",
-    "Numeric",
-    "PSeriesNode",
-    "ParseError",
-    "ParsedInput",
-    "Pi",
-    "PoleError",
-    "Power",
-    "RegistrationError",
-    "Relational",
-    "SeriesError",
-    "ShapeError",
-    "Shell",
-    "SingularMatrixError",
-    "Symbol",
-    "UnevaluatedDerivativeError",
-    "UnsupportedPatternError",
-    "add",
-    "apply_function",
-    "bench_run",
-    "bernoulli",
-    "coeff",
-    "collect",
-    "compare",
-    "content_primpart",
-    "cos",
-    "default_size",
-    "degree",
-    "diff",
-    "evalf",
-    "exact_quotient",
-    "exp",
-    "expand",
-    "factorial",
-    "fn_lookup",
-    "fn_register",
-    "fnv1a64",
-    "free_symbols",
-    "from_decimal",
-    "gamma",
-    "heur_gcd",
-    "hilbert",
-    "identity",
-    "lcm",
-    "ldegree",
-    "lift",
-    "log",
-    "mat_charpoly",
-    "mat_det",
-    "mat_inverse",
-    "mat_mul",
-    "matrix",
-    "mul",
-    "normal",
-    "num",
-    "num_to_float",
-    "parse",
-    "parse_expr",
-    "poly_gcd",
-    "power",
-    "ps_add",
-    "ps_exp",
-    "ps_mul",
-    "ps_pow",
-    "ps_to_expr",
-    "pseries",
-    "psi",
-    "registered_ids",
-    "registered_names",
-    "rel",
-    "repl",
-    "run_script",
-    "series_coeff",
-    "series_of",
-    "sin",
-    "solve_linear",
-    "sqrt",
-    "sr_gcd",
-    "subs",
-    "symbols",
-    "to_string",
-    "zeta",
-]
+# module -> the names the package re-exports from it
+_EXPORTS = {
+    "bench": "CSV_HEADER BenchRecord bench_run default_size fnv1a64 registered_ids",
+    "errors": "DomainError NoUniqueSolutionError ParseError PoleError RegistrationError "
+              "SeriesError ShapeError SingularMatrixError UnevaluatedDerivativeError "
+              "UnsupportedPatternError",
+    "expr": "Add Catalan Constant Eq Euler Expr ExprList FunctionApp I MatrixNode Mul Numeric "
+            "Pi Power PSeriesNode Relational Symbol add apply_function compare diff evalf "
+            "expand free_symbols lift mul power pseries rel sqrt subs symbols to_string",
+    "functions": "FunctionDef cos exp factorial fn_lookup fn_register gamma log psi "
+                 "registered_names sin zeta",
+    "matrices": "hilbert identity mat_charpoly mat_det mat_inverse mat_mul matrix solve_linear",
+    "numbers": "DEFAULT_DPS Number bernoulli from_decimal num num_to_float",
+    "parser": "Command ParsedInput parse parse_expr",
+    "poly": "coeff collect content_primpart degree exact_quotient heur_gcd lcm ldegree normal "
+            "poly_gcd sr_gcd",
+    "series": "ps_add ps_exp ps_mul ps_pow ps_to_expr series_coeff series_of",
+    "shell": "Shell repl run_script",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*__all__, *_EXPORTS, *(k for k in globals() if k.startswith("__"))})

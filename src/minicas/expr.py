@@ -56,9 +56,6 @@ import itertools
 import operator
 from fractions import Fraction
 
-import mpmath
-from mpmath.libmp import dps_to_prec
-
 from .errors import (
     DomainError,
     UnevaluatedDerivativeError,
@@ -71,6 +68,7 @@ from .numbers import (
     Number,
     _from_fraction,
     _int,
+    _mp_call,
     check_precision,
     hash64,
     num,
@@ -1565,7 +1563,9 @@ def to_string(e: Expr) -> str:
     return _render(e, 0)
 
 
-def _render(e: Expr, parent: int) -> str:
+def _render(e: Expr, parent: int, by_factor: dict | None = None) -> str:
+    """e's text.  A sum or product at the top of e takes its factor texts
+    from by_factor when given (see _render_product)."""
     t = type(e)
     if t is Numeric:
         v = e.value
@@ -1580,7 +1580,7 @@ def _render(e: Expr, parent: int) -> str:
         texts: dict = {}  # id of a factor pair -> its text, shared by the terms
         parts = [] if e.coeff.is_zero() else [str(e.coeff)]
         for r, k in e.pairs:  # each term's text, with "+" before it unless it starts with "-"
-            s = _render_product(r, texts) if type(r) is Mul else _render(r, _PREC_MUL)
+            s = _render_product(r, texts, by_factor) if type(r) is Mul else _render(r, _PREC_MUL)
             if k.kind != "int" or (k.val != 1 and k.val != -1):
                 s = f"{_render_coeff(k)}*{s}"
             elif k.val == -1:
@@ -1589,7 +1589,7 @@ def _render(e: Expr, parent: int) -> str:
         s = "".join(parts)
         return f"({s})" if parent > _PREC_ADD else s
     if t is Mul:
-        s = _render_product(e, {})
+        s = _render_product(e, {}, by_factor)
         return f"({s})" if parent > _PREC_MUL else s
     if t is Power:
         base = _render(e.base, _PREC_POWER + 1)
@@ -1618,8 +1618,11 @@ def _render_coeff(k: Number) -> str:
     return f"({s})" if k.kind == "cplx" and not k.re.is_zero() else s
 
 
-def _render_product(e: Mul, texts: dict) -> str:
-    """e's text, each factor pair's text kept in texts by the pair's id."""
+def _render_product(e: Mul, texts: dict, by_factor: dict | None = None) -> str:
+    """e's text, each factor pair's text kept in texts by the pair's id.
+    Products built apart, such as the coefficients of a series, hold
+    equal factors in distinct pairs; by_factor, when given, keeps each
+    text by the ids of the pair's base and exponent, for all of them."""
     parts = []
     coeff = e.coeff
     neg = coeff.kind == "int" and coeff.val == -1
@@ -1629,10 +1632,16 @@ def _render_product(e: Mul, texts: dict) -> str:
         s = texts.get(id(pair))
         if s is None:
             r, k = pair
-            s = texts[id(pair)] = (
-                _render(r, _PREC_MUL + 1) if k.is_one()
-                else f"{_render(r, _PREC_POWER + 1)}^{_render_number_exponent(k)}"
-            )
+            key = by_factor is not None and (id(r), id(k))
+            s = key and by_factor.get(key)
+            if not s:
+                s = (
+                    _render(r, _PREC_MUL + 1) if k.is_one()
+                    else f"{_render(r, _PREC_POWER + 1)}^{_render_number_exponent(k)}"
+                )
+                if key:
+                    by_factor[key] = s
+            texts[id(pair)] = s
         parts.append(s)
     s = "*".join(parts)
     return "-" + s if neg else s
@@ -1653,6 +1662,7 @@ def _render_exponent(x: Expr) -> str:
 def _render_series(e: PSeriesNode, parent: int) -> str:
     x = e.var if e.point.is_zero() else add(e.var, mul(-1, e.point))
     xs = _render(x, _PREC_POWER + 1)
+    by_factor: dict = {}  # keyed by the ids of objects e keeps alive
     parts = []
     for c, k in e.terms:
         if k == 0:
@@ -1662,7 +1672,7 @@ def _render_series(e: PSeriesNode, parent: int) -> str:
         else:
             mono = f"{xs}^{_render_exponent(lift(k))}"
         if mono is None:
-            parts.append(_render(c, _PREC_ADD))
+            parts.append(_render(c, _PREC_ADD, by_factor))
         elif c.is_one():
             parts.append(mono)
         elif c == lift(-1):
@@ -1670,7 +1680,7 @@ def _render_series(e: PSeriesNode, parent: int) -> str:
         elif type(c) is Numeric:
             parts.append(f"{_render_coeff(c.value)}*{mono}")
         else:
-            cs = _render(c, _PREC_MUL)
+            cs = _render(c, _PREC_MUL, by_factor)
             parts.append(f"{cs}*{mono}")
     if e.order is not None:
         if e.order == 1:
@@ -1749,17 +1759,8 @@ def rel(lhs, op: str, rhs) -> Relational:
     return Relational(lift(lhs), lift(rhs), op)
 
 
-def _const_digits(mp_name: str):
-    def digits(p: int) -> Number:
-        bits = dps_to_prec(p)
-        with mpmath.workprec(bits):
-            value = +getattr(mpmath, mp_name)
-        return Number("float", value._mpf_, p)
-
-    return digits
-
-
-Pi = Constant("Pi", digits=_const_digits("pi"))
-Euler = Constant("Euler", digits=_const_digits("euler"))
-Catalan = Constant("Catalan", digits=_const_digits("catalan"))
+# a constant's digits come from the mpmath constant of that name
+Pi = Constant("Pi", digits=functools.partial(_mp_call, "pi"))
+Euler = Constant("Euler", digits=functools.partial(_mp_call, "euler"))
+Catalan = Constant("Catalan", digits=functools.partial(_mp_call, "catalan"))
 I = Numeric(IUNIT)

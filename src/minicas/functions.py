@@ -35,8 +35,6 @@ import math
 import threading
 from fractions import Fraction
 
-import mpmath
-
 from .errors import (
     DomainError,
     PoleError,
@@ -140,8 +138,9 @@ def registered_names() -> frozenset[str]:
 # ------------------------------------------------------------ numeric hooks
 
 
-def _mp_hook(fn):
-    # mpmath reports poles (gamma at -2, zeta at 1) as ValueError
+def _mp_hook(fn: str):
+    # fn names an mpmath function, looked up once _mp_call has loaded
+    # mpmath; mpmath reports poles (gamma at -2, zeta at 1) as ValueError
     def hook(values: list[Number], prec: int) -> Number:
         try:
             return _mp_call(fn, prec, *values)
@@ -335,35 +334,35 @@ def _factorial_eval(args):
 sin = fn_register(FunctionDef(
     "sin", 1,
     eval_hook=_sin_eval,
-    evalf_hook=_mp_hook(mpmath.sin),
+    evalf_hook=_mp_hook("sin"),
     diff_hook=lambda args, i: cos(args[0]),
 ))
 
 cos = fn_register(FunctionDef(
     "cos", 1,
     eval_hook=_cos_eval,
-    evalf_hook=_mp_hook(mpmath.cos),
+    evalf_hook=_mp_hook("cos"),
     diff_hook=lambda args, i: mul(-1, sin(args[0])),
 ))
 
 exp = fn_register(FunctionDef(
     "exp", 1,
     eval_hook=_exp_eval,
-    evalf_hook=_mp_hook(mpmath.exp),
+    evalf_hook=_mp_hook("exp"),
     diff_hook=lambda args, i: exp(args[0]),
 ))
 
 log = fn_register(FunctionDef(
     "log", 1,
     eval_hook=_log_eval,
-    evalf_hook=_mp_hook(mpmath.log),
+    evalf_hook=_mp_hook("log"),
     diff_hook=lambda args, i: power(args[0], -1),
 ))
 
 gamma = fn_register(FunctionDef(
     "gamma", 1,
     eval_hook=_gamma_eval,
-    evalf_hook=_mp_hook(mpmath.gamma),
+    evalf_hook=_mp_hook("gamma"),
     diff_hook=lambda args, i: mul(gamma(args[0]), psi(args[0])),
     series_hook=_gamma_series,
 ))
@@ -383,7 +382,7 @@ _psi2 = fn_register(FunctionDef(
 zeta = fn_register(FunctionDef(
     "zeta", 1,
     eval_hook=_zeta_eval,
-    evalf_hook=_mp_hook(mpmath.zeta),
+    evalf_hook=_mp_hook("zeta"),
 ))
 
 factorial = fn_register(FunctionDef(

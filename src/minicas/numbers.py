@@ -11,6 +11,10 @@ Floats are arbitrary-precision binary values (mpmath's libmp mantissa/
 exponent tuples) tagged with a decimal digit count.  There is no global
 precision state: every operation derives its working precision from its
 operands, and `num_to_float` takes the target precision per call.
+mpmath is imported with the first float (`_load_mpmath`), so an exact
+session never loads it: a float is made only by `_fraction_to_float`,
+`_mp_call` and the numeric branch of `num_pow`, which load it first,
+and every other float path starts from a float one of them made.
 
 Values are immutable.  The Bernoulli memo table is the only shared
 mutable state and is guarded by a lock.  Each int in [-_SMALL, _SMALL] is
@@ -24,26 +28,6 @@ import math
 import re as _re
 import threading
 from fractions import Fraction
-
-import mpmath
-from mpmath import libmp
-from mpmath.libmp import (
-    ComplexResult,
-    dps_to_prec,
-    from_int,
-    from_rational,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_neg,
-    mpf_pos,
-    mpf_pow,
-    mpf_pow_int,
-    mpf_sub,
-    round_nearest,
-)
 
 from .errors import DomainError
 
@@ -82,6 +66,23 @@ MIN_DPS = 2
 _INT, _RAT, _FLOAT, _CPLX = "int", "rat", "float", "cplx"
 _VARIANT_RANK = {_INT: 0, _RAT: 1, _FLOAT: 2, _CPLX: 3}
 _new = object.__new__  # a Number or Fraction made without its constructor
+
+
+mpmath = None
+_FZERO = (0, 0, 0, 0)  # libmp's zero: equal to its fzero whatever mpmath's int type
+
+
+def _load_mpmath() -> None:
+    """Import mpmath and bind the libmp names this module uses, once.
+    mpmath is bound last, so a thread that sees it set sees every name."""
+    global mpmath, ComplexResult, dps_to_prec, from_int, from_rational
+    global mpf_add, mpf_div, mpf_mul, mpf_neg, mpf_pos, mpf_pow, mpf_pow_int, round_nearest
+    if mpmath is None:
+        from mpmath.libmp import (
+            ComplexResult, dps_to_prec, from_int, from_rational, mpf_add, mpf_div, mpf_mul,
+            mpf_neg, mpf_pos, mpf_pow, mpf_pow_int, round_nearest,
+        )
+        import mpmath
 
 
 def hash64(*values: int) -> int:
@@ -134,7 +135,7 @@ class Number:
         if self.kind == _RAT:
             return False
         if self.kind == _FLOAT:
-            return self.val == fzero
+            return self.val == _FZERO
         return False  # complex never has a vanishing imaginary part
 
     def is_one(self) -> bool:
@@ -156,7 +157,7 @@ class Number:
         if self.kind == _RAT:
             return self.val < 0
         if self.kind == _FLOAT:
-            return self.val[0] == 1 and self.val != fzero
+            return self.val[0] == 1 and self.val != _FZERO
         return False
 
     # -- conversions ---------------------------------------------------
@@ -415,8 +416,7 @@ def from_decimal(text: str, prec: int | None = None) -> Number:
 
 
 def _fraction_to_float(fr: Fraction, prec: int) -> Number:
-    if fr == 0:
-        return Number(_FLOAT, fzero, prec)
+    _load_mpmath()
     bits = dps_to_prec(prec)
     tup = from_rational(fr.numerator, fr.denominator, bits, round_nearest)
     return Number(_FLOAT, tup, prec)
@@ -623,6 +623,7 @@ def num_pow(a: Number, b: Number) -> Number:
     if b.kind == _RAT and a.is_exact() and a.kind != _CPLX:
         raise DomainError("non-integer exponent on an exact base is symbolic")
     # some operand is inexact (or the base is complex): go numeric
+    _load_mpmath()
     p = DEFAULT_DPS
     if a.kind == _FLOAT or b.kind == _FLOAT or a.kind == _CPLX or b.kind == _CPLX:
         try:
@@ -674,7 +675,11 @@ def _from_mp(x, prec: int) -> Number:
 
 
 def _mp_call(fn, prec: int, *args: Number) -> Number:
-    """Evaluate an mpmath function on Numbers at `prec` digits."""
+    """Evaluate an mpmath function, or the one mpmath names fn, on Numbers
+    at `prec` digits."""
+    _load_mpmath()
+    if type(fn) is str:
+        fn = getattr(mpmath, fn)
     bits = dps_to_prec(prec)
     with mpmath.workprec(bits):
         # conversion must happen inside the block: mpmath.mpf rounds to
@@ -808,7 +813,7 @@ def _float_digits(tup, ndigits: int):
 
 
 def _format_float(tup, prec: int) -> str:
-    if tup == fzero:
+    if tup == _FZERO:
         return "0.0"
     sign = "-" if tup[0] else ""
     digits, dec_exp = _float_digits(tup, prec)

@@ -586,7 +586,8 @@ def _heur_attempt(a: Poly, b: Poly, nv: int, xi: int) -> Poly | None:
     if not cand:
         return None
     _, cand = _integerize(cand)
-    if _ddiv_exact(a, cand) is not None and _ddiv_exact(b, cand) is not None:
+    # 1 divides both inputs, so the heuristic gcd theorem makes it the gcd
+    if _is_done(cand) or (_ddiv_exact(a, cand) is not None and _ddiv_exact(b, cand) is not None):
         return cand
     return None
 

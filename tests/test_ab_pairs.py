@@ -50,7 +50,8 @@ def test_a_run_keeps_each_items_compute_and_print_times(monkeypatch):
          "stage_s": {"compute": 0.004, "print": 0.0015, "digest": 0.0001}},
         {"record": "item", "item": "rational-0", "digest": "d2",
          "stage_s": {"compute": 0.0002, "print": 0.00005, "digest": 0.00001}},
-        {"record": "summary", "setup_runs_s": [0.1], "passes": 7, "digest_changes": 0},
+        {"record": "summary", "setup_runs_s": [0.1, 0.2, 0.1, 0.3, 0.1], "passes": 7,
+         "digest_changes": 0},
         {"correct": 2, "attempted": 2, "failed": 0, "metrics": {"wall_s": {"value": 0.01}}},
     ]
 
@@ -67,6 +68,7 @@ def test_a_run_keeps_each_items_compute_and_print_times(monkeypatch):
     assert rec["item_compute_ms"] == pytest.approx({"gamma": 4.0, "rational-0": 0.2})
     assert rec["item_print_ms"] == pytest.approx({"gamma": 1.5, "rational-0": 0.05})
     assert rec["metrics"] == {"wall_s": 0.01} and rec["passes"] == 7 and rec["failed"] == 0
+    assert rec["setup_runs_s"] == [0.1, 0.2, 0.1, 0.3, 0.1]  # every set-up, so a slow mode shows
 
 
 def test_a_run_records_the_line_count_of_its_sides_source(monkeypatch, tmp_path):

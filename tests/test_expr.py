@@ -1423,6 +1423,42 @@ def test_printer_matches_the_reference_on_shared_factor_pairs():
     assert shared > 20
 
 
+def test_a_series_prints_each_factor_of_its_coefficients_once(monkeypatch):
+    # the coefficients of a series are built apart, so a factor they
+    # share sits in a pair object of its own in each; its text is made
+    # once per (base, exponent), and the print is the one each product
+    # gives with a memo of its own
+    from minicas.functions import gamma
+    from minicas.series import series_of
+
+    x = Symbol("x")
+    s = series_of(gamma(x), Eq(x, 0), 15)
+    pairs, seen, stack = set(), set(), [s]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if type(node) is Mul:
+                pairs.update((id(r), id(k)) for r, k in node.pairs)
+            stack.extend(expr_module._children(node))
+    render, product = expr_module._render, expr_module._render_product
+    made = []
+
+    def counted(e, parent, *by_factor):
+        if sys._getframe(1).f_code.co_name == "_render_product":  # a factor's text
+            made.append(id(e))
+        return render(e, parent, *by_factor)
+
+    monkeypatch.setattr(expr_module, "_render", counted)
+    text = to_string(s)
+    assert len(pairs) == 31 and sorted(made) == sorted(r for r, _ in pairs)
+    monkeypatch.setattr(expr_module, "_render", render)
+    at_one = series_of(mul(gamma(x), power(add(x, Pi), -1)), Eq(x, 1), 4)
+    shared = to_string(at_one)
+    monkeypatch.setattr(expr_module, "_render_product", lambda e, texts, *by_factor: product(e, {}))
+    assert (to_string(s), to_string(at_one)) == (text, shared)
+
+
 # ------------------------------------------------- rebuilding canonical sums
 #
 # The references below keep the sum and tree builders as they were

@@ -347,6 +347,37 @@ def test_heur_and_sr_agree():
     assert gave_up < 10
 
 
+def test_a_constant_heuristic_candidate_is_the_gcd_without_a_division(monkeypatch):
+    # a candidate of 1 divides both inputs, so it is the gcd; no trial
+    # division by 1 may walk the inputs
+    rng = random.Random(4242)
+    by_one = []
+    divide = poly_module._ddiv_exact
+
+    def spy(a, b):
+        by_one.append(b == {_MONO_ONE: 1})
+        return divide(a, b)
+
+    monkeypatch.setattr(poly_module, "_ddiv_exact", spy)
+    syms = symbols("x y z")
+    coprime = 0
+    for trial in range(60):
+        vars = syms[: 1 + trial % 3]
+        forms = {}
+        while len(forms) < 4:
+            sig, e = rand_linear_form(rng, vars)
+            forms[sig] = e
+        fs = list(forms.values())
+        a = expand(mul(power(fs[0], rng.randint(1, 2)), fs[1]))
+        b = expand(mul(fs[2], power(fs[3], rng.randint(1, 2))))
+        got = heur_gcd(a, b)
+        assert got in (lift(1), None) and not any(by_one)
+        coprime += got == lift(1)
+        assert sr_gcd(a, b) == lift(1)  # its content divisions may divide by 1
+        by_one.clear()
+    assert coprime > 40
+
+
 def scaled_product(rng, c, fs, ks):
     """c * prod f^k unexpanded, each f scaled by a random rational and c
     divided by what the scales contribute."""
